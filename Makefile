@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-guard bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke service-bench ci
+.PHONY: all build test race bench bench-json bench-guard bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke service-bench ci
 
 # The committed coverage floor (total statement coverage, percent).
 # Raise it when coverage rises; CI fails below it.
@@ -36,6 +36,14 @@ bench-json:
 # time stays informational).
 bench-guard:
 	$(GO) run ./cmd/benchguard
+
+# The claim-ledger smoke: bench/run.sh builds ./bench (the benchmark
+# BENCHMARK.json declares, see bench/README.md) and runs one short
+# traced churn_measured workload. Only the exit code counts: the run
+# fails when an epoch, a shadow-replayed repair, a lookup or the metric
+# contract fails its output check; its timings mean nothing at 3 s.
+bench-claim:
+	bash bench/run.sh --workload churn_measured --seconds 3 --trace 1
 
 # The full scale sweep (E12, up to n=64k message-level; takes minutes).
 bench-scale:
@@ -99,4 +107,4 @@ vulncheck:
 		echo "govulncheck: unavailable (rc=$$rc), skipping (informational)"; \
 	fi
 
-ci: fmt vet lint vulncheck build race bench bench-guard cover scenario-smoke service-smoke
+ci: fmt vet lint vulncheck build race bench bench-guard bench-claim cover scenario-smoke service-smoke

@@ -139,6 +139,9 @@ type advState struct {
 
 	hasCrash   bool
 	crashRound []int32 // per node; neverCrash = no crash, <= 0 = dead from start
+	// allDeadAt is the round from which every node is crashed, or
+	// neverCrash while at least one node has no crash scheduled.
+	allDeadAt int32
 
 	parts []partState
 }
@@ -160,11 +163,12 @@ func compileAdversary(a *Adversary, n int) *advState {
 		a = expandDomainCuts(a, n)
 	}
 	s := &advState{
-		seed:     a.Seed,
-		dropT:    probThreshold(a.DropProb),
-		delayT:   probThreshold(a.DelayProb),
-		delayMax: 1,
-		dropAll:  a.DropProb >= 1,
+		seed:      a.Seed,
+		dropT:     probThreshold(a.DropProb),
+		delayT:    probThreshold(a.DelayProb),
+		delayMax:  1,
+		dropAll:   a.DropProb >= 1,
+		allDeadAt: neverCrash,
 	}
 	if a.DelayMax > 1 {
 		s.delayMax = uint64(a.DelayMax)
@@ -186,6 +190,10 @@ func compileAdversary(a *Adversary, n int) *advState {
 			if int32(r) < s.crashRound[c.Node] {
 				s.crashRound[c.Node] = int32(r)
 			}
+		}
+		s.allDeadAt = 0
+		for _, r := range s.crashRound {
+			s.allDeadAt = max(s.allDeadAt, r)
 		}
 	}
 	for _, p := range a.Partitions {

@@ -44,14 +44,25 @@
 // duration of its Round call, and a halted node's Round is invoked
 // again only when a message arrives for it (a halted node with an
 // empty inbox is not ticked).
+//
+// Quiescence floor: a protocol whose nodes halt whenever they have
+// nothing scheduled (event-driven nodes that only react to mail) would
+// otherwise let Run stop at the first silent round, although the
+// protocol's agreed schedule — and the round count its callers bill —
+// runs longer. SetFloor names the round up to which Run keeps ticking
+// even with an empty run list; such a round touches no node, so it
+// costs a few hundred nanoseconds, but it still advances the clock,
+// appends its (zero) per-round metrics and polls Config.Interrupt
+// exactly as a busy round does. Rounds with little to do (run list plus
+// queued messages under inlineGrain) run on the driving goroutine
+// instead of being fanned out to the worker pool, unless Workers > 1
+// asked for the sharded path explicitly.
 package sim
 
 import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 
 	"overlay/internal/ids"
@@ -164,11 +175,26 @@ type Engine struct {
 	// installed, in which case delivery takes the unchecked fast path.
 	adv *advState
 
+	// sharded pins every round to the worker pool (Config.Workers > 1);
+	// otherwise rounds under inlineGrain run on the driving goroutine.
+	// queued is the message count of the last delivery pass, the
+	// next round's inbox volume.
+	sharded bool
+	queued  int
+	// floor is the quiescence floor (see SetFloor).
+	floor int
+
 	metrics     Metrics
 	round       int
 	inited      bool
 	interrupted bool
 }
+
+// inlineGrain is the amount of work (nodes to run plus messages to
+// move) below which a round is cheaper on the driving goroutine than
+// fanned out: handing a chunk to a worker and waiting for it costs
+// about as much as a few hundred message copies.
+const inlineGrain = 8192
 
 // shardState is one delivery worker's private accumulator. Shards own
 // disjoint contiguous destination ranges, so they never contend. The
@@ -177,8 +203,13 @@ type Engine struct {
 type shardState struct {
 	arena   []Wire  // flat inbox storage for the shard's destinations
 	touched []int32 // destinations that received messages this round
-	wake    []int32 // halted destinations among touched
-	perm    []int   // scratch permutation for receive-cap sampling
+	// wake marks the halted destinations among touched, one bit per
+	// destination of the shard's range (bit j-lo). Draining the words in
+	// order yields the wake-ups ascending without sorting anything;
+	// woken counts the set bits, so a quiet shard is not scanned at all.
+	wake    []uint64
+	woken   int
+	perm    []int // scratch permutation for receive-cap sampling
 	maxRecv int
 	drops   int64
 
@@ -212,6 +243,15 @@ type Ctx struct {
 	halted    bool
 }
 
+// Every node starts with an outbox window of outboxCap messages carved
+// from one slab, enough for a node that only talks to its tree
+// neighbours; the first growth goes straight to outboxGrown (see
+// growOut).
+const (
+	outboxCap   = 4
+	outboxGrown = 32
+)
+
 // New builds an engine running the given nodes. Node identifiers are
 // assigned as random distinct 64-bit values so that minimum-ID
 // elections are non-trivial.
@@ -230,40 +270,36 @@ func New(cfg Config, nodes []Node) *Engine {
 		inOff:   make([]int32, n),
 		inCnt:   make([]int32, n),
 		inPos:   make([]int32, n),
+		sharded: !cfg.Sequential && cfg.Workers > 1,
 	}
 	root := rng.New(cfg.Seed)
-	idStream := root.Split(0xed5)
-	seen := make(map[ids.ID]struct{}, n)
-	for i := 0; i < n; i++ {
-		for {
-			id := ids.ID(idStream.Uint64())
-			if id == ids.Nil {
-				continue
-			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			e.idents[i] = id
-			seen[id] = struct{}{}
-			break
-		}
+	// The first n draws of the identifier stream are the identifiers
+	// unless one of them is Nil or repeats; the sort that builds the
+	// routing index finds that out, and only then does the assignment
+	// fall back to redrawing one identifier at a time.
+	idStream := root.SplitVal(0xed5)
+	for i := range e.idents {
+		e.idents[i] = ids.ID(idStream.Uint64())
 	}
-	// Build the sorted routing index; the construction-time map above is
-	// only for duplicate rejection and is dropped here.
-	e.routeIDs = make([]ids.ID, n)
-	e.routeIdx = make([]int32, n)
-	copy(e.routeIDs, e.idents)
-	for i := range e.routeIdx {
-		e.routeIdx[i] = int32(i)
+	if !e.indexRoutes() {
+		redrawIDs(e.idents, root.Split(0xed5))
+		e.indexRoutes()
 	}
-	sort.Sort(&routeSorter{e.routeIDs, e.routeIdx})
+	// One slab behind every node's initial outbox window; a window is
+	// capped at its own stretch, so a sender that outgrows it reallocates
+	// alone and never writes into its neighbour's.
+	outW := make([]Wire, n*outboxCap)
+	outD := make([]int32, n*outboxCap)
 	for i := 0; i < n; i++ {
-		e.rands[i] = *root.Split(uint64(i) + 1)
+		e.rands[i] = root.SplitVal(uint64(i) + 1)
+		lo, hi := i*outboxCap, (i+1)*outboxCap
 		e.ctxs[i] = Ctx{
 			engine: e,
 			Index:  i,
 			ID:     e.idents[i],
 			Rand:   &e.rands[i],
+			outW:   outW[lo:lo:hi],
+			outD:   outD[lo:lo:hi],
 		}
 		if h, ok := nodes[i].(Halter); ok {
 			e.halters[i] = h
@@ -281,23 +317,75 @@ func New(cfg Config, nodes []Node) *Engine {
 	if e.shardSize < 1 {
 		e.shardSize = 1
 	}
+	for s := range e.shards {
+		e.shards[s].wake = make([]uint64, (e.shardSize+63)/64)
+	}
 	e.metrics.PerNodeSent = make([]int64, n)
 	e.metrics.PerNodeRecv = make([]int64, n)
 	e.adv = compileAdversary(cfg.Adversary, n)
 	return e
 }
 
-// routeSorter sorts the (id, index) columns together by id.
-type routeSorter struct {
-	ids []ids.ID
-	idx []int32
+// indexRoutes builds the sorted routing index from e.idents and reports
+// whether the identifiers are usable: distinct and none of them Nil.
+//
+// Identifiers are uniform 64-bit draws, so scattering them into about n
+// buckets by their leading bits leaves them sorted up to the order
+// inside each bucket of one or two, which a final insertion pass over
+// the whole index settles (and which keeps the index correct, only
+// slower to build, for identifiers that are not uniform).
+func (e *Engine) indexRoutes() bool {
+	n := len(e.idents)
+	e.routeIDs = make([]ids.ID, n)
+	e.routeIdx = make([]int32, n)
+	width := bits.Len(uint(n))
+	next := make([]int32, 1<<width+1) // next[b]: where bucket b's next identifier goes
+	for _, id := range e.idents {
+		next[uint64(id)>>(64-width)+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	for i, id := range e.idents {
+		b := uint64(id) >> (64 - width)
+		e.routeIDs[next[b]], e.routeIdx[next[b]] = id, int32(i)
+		next[b]++
+	}
+	ok := true
+	for k := 1; k < n; k++ {
+		id, idx := e.routeIDs[k], e.routeIdx[k]
+		j := k
+		for ; j > 0 && e.routeIDs[j-1] > id; j-- {
+			e.routeIDs[j], e.routeIdx[j] = e.routeIDs[j-1], e.routeIdx[j-1]
+		}
+		e.routeIDs[j], e.routeIdx[j] = id, idx
+		if j > 0 && e.routeIDs[j-1] == id {
+			ok = false
+		}
+	}
+	return ok && (n == 0 || e.routeIDs[n-1] != ids.Nil)
 }
 
-func (r *routeSorter) Len() int           { return len(r.ids) }
-func (r *routeSorter) Less(i, j int) bool { return r.ids[i] < r.ids[j] }
-func (r *routeSorter) Swap(i, j int) {
-	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
-	r.idx[i], r.idx[j] = r.idx[j], r.idx[i]
+// redrawIDs assigns identifiers one draw at a time, skipping Nil and
+// any value already handed out. When the first len(idents) draws are
+// usable as they are it returns exactly those, which is why New only
+// needs it after a collision.
+func redrawIDs(idents []ids.ID, src *rng.Source) {
+	seen := make(map[ids.ID]struct{}, len(idents))
+	for i := range idents {
+		for {
+			id := ids.ID(src.Uint64())
+			if id == ids.Nil {
+				continue
+			}
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			idents[i] = id
+			seen[id] = struct{}{}
+			break
+		}
+	}
 }
 
 // lookup resolves an identifier to a node index by binary search. This
@@ -404,15 +492,16 @@ func (e *Engine) halted(i int32) bool {
 }
 
 // Run executes rounds until the network quiesces — every node has
-// halted and no messages remain in flight — or maxRounds elapse,
+// halted, no messages remain in flight and the quiescence floor is
+// reached (or no node is left alive to reach it) — or maxRounds elapse,
 // returning the number of rounds executed. The in-flight condition
-// honors the wake-on-message guarantee: a message sent to a halted
-// node by the last active sender still gets delivered (one wake round)
+// honors the wake-on-message guarantee: a message sent to a halted node
+// by the last active sender still gets delivered (one wake round)
 // before the engine stops.
 func (e *Engine) Run(maxRounds int) int {
 	e.initNodes()
 	for r := 0; r < maxRounds; r++ {
-		if len(e.runList) == 0 && !e.pendingHeld() {
+		if len(e.runList) == 0 && !e.pendingHeld() && (e.round >= e.floor || e.allDead()) {
 			break
 		}
 		if e.cfg.Interrupt != nil && e.cfg.Interrupt() {
@@ -422,6 +511,19 @@ func (e *Engine) Run(maxRounds int) int {
 		e.step()
 	}
 	return e.round
+}
+
+// SetFloor sets the quiescence floor: Run does not stop for lack of
+// work before round has been executed. Protocols whose nodes halt
+// between scheduled emissions set it to the end of their schedule, so
+// the run is as long as if every node had stayed awake through it.
+func (e *Engine) SetFloor(round int) { e.floor = round }
+
+// allDead reports that every node will have crashed by the next round:
+// the floor stands in for nodes staying awake through their schedule,
+// and nobody is left to.
+func (e *Engine) allDead() bool {
+	return e.adv != nil && e.adv.allDeadAt <= int32(e.round+1)
 }
 
 // Interrupted reports that a Run stopped because Config.Interrupt
@@ -466,7 +568,7 @@ func (e *Engine) initNodes() {
 		}
 		e.runList = append(e.runList, int32(i))
 	}
-	e.forEach(len(e.runList), func(k int) {
+	e.forEach(len(e.runList), len(e.runList), func(k int) {
 		i := e.runList[k]
 		e.nodes[i].Init(&e.ctxs[i])
 	})
@@ -476,7 +578,7 @@ func (e *Engine) initNodes() {
 func (e *Engine) step() {
 	e.round++
 	run := e.runList
-	e.forEach(len(run), func(k int) {
+	e.forEach(len(run), len(run)+e.queued, func(k int) {
 		i := run[k]
 		e.nodes[i].Round(&e.ctxs[i], e.inboxOf(i))
 	})
@@ -487,10 +589,13 @@ func (e *Engine) step() {
 }
 
 // forEach runs fn(0..k-1) across the worker pool, or inline when the
-// engine is effectively sequential.
-func (e *Engine) forEach(k int, fn func(int)) {
+// engine is effectively sequential or the pass is small: work is the
+// pass's size in nodes plus messages, and under inlineGrain the
+// hand-off would cost more than it spreads (Config.Workers > 1 keeps
+// even those on the pool).
+func (e *Engine) forEach(k, work int, fn func(int)) {
 	w := len(e.shards)
-	if w < 2 || k < 2 {
+	if w < 2 || k < 2 || (!e.sharded && work < inlineGrain) {
 		for i := 0; i < k; i++ {
 			fn(i)
 		}
@@ -533,7 +638,7 @@ func (e *Engine) deliver() {
 	run := e.runList
 
 	// Sender pass: caps and sender-side metrics.
-	roundSentMax := 0
+	roundSentMax, queued := 0, 0
 	for _, i := range run {
 		ctx := &e.ctxs[i]
 		sent := ctx.sentUnits
@@ -546,17 +651,20 @@ func (e *Engine) deliver() {
 			e.metrics.SendCapViolations++
 		}
 		e.metrics.PerNodeSent[i] += int64(sent)
-		e.metrics.TotalMessages += int64(len(ctx.outW))
+		queued += len(ctx.outW)
 		e.metrics.TotalUnits += int64(sent)
 		if sent > roundSentMax {
 			roundSentMax = sent
 		}
 	}
 
+	e.metrics.TotalMessages += int64(queued)
+	e.queued = queued
+
 	// Sharded delivery into the flat per-shard arenas. deliverRound is
 	// the round the scattered messages will be consumed in.
 	deliverRound := int32(e.round + 1)
-	e.forEach(len(e.shards), func(s int) {
+	e.forEach(len(e.shards), len(run)+queued, func(s int) {
 		lo := int32(s * e.shardSize)
 		hi := lo + int32(e.shardSize)
 		if hi > int32(e.cfg.N) {
@@ -611,21 +719,31 @@ func (e *Engine) deliver() {
 	e.scratch, e.active = e.active, next
 
 	// Next round runs the active set plus any halted node with mail.
-	// Shard wake lists cover disjoint ascending ranges, so sorting each
-	// and walking shards in order yields a globally sorted merge.
-	e.runList = e.runList[:0]
-	merged := e.runList
-	for s := range e.shards {
-		slices.Sort(e.shards[s].wake)
-	}
+	// Shards cover disjoint ascending ranges and each wake bitmap drains
+	// in ascending order, so walking shards in order yields a globally
+	// sorted merge.
+	merged := e.runList[:0]
 	ai := 0
 	for s := range e.shards {
-		for _, j := range e.shards[s].wake {
-			for ai < len(e.active) && e.active[ai] < j {
-				merged = append(merged, e.active[ai])
-				ai++
+		sc := &e.shards[s]
+		if sc.woken == 0 {
+			continue
+		}
+		sc.woken = 0
+		base := int32(s * e.shardSize)
+		for wi, word := range sc.wake {
+			if word == 0 {
+				continue
 			}
-			merged = append(merged, j)
+			sc.wake[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				j := base + int32(wi<<6+bits.TrailingZeros64(word))
+				for ai < len(e.active) && e.active[ai] < j {
+					merged = append(merged, e.active[ai])
+					ai++
+				}
+				merged = append(merged, j)
+			}
 		}
 	}
 	merged = append(merged, e.active[ai:]...)
@@ -676,7 +794,7 @@ func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi int32) {
 		}
 	}
 
-	e.applyRecvCaps(sc)
+	e.applyRecvCaps(sc, lo)
 }
 
 // resetShard clears the previous round's per-shard delivery state. The
@@ -690,7 +808,6 @@ func (e *Engine) resetShard(sc *shardState) {
 	}
 	sc.touched = sc.touched[:0]
 	sc.arena = sc.arena[:0]
-	sc.wake = sc.wake[:0]
 	sc.maxRecv = 0
 	sc.drops = 0
 	sc.advDrops = 0
@@ -721,7 +838,7 @@ func (e *Engine) layoutArena(sc *shardState, total int32) {
 // wake list for halted destinations.
 //
 //overlay:hotpath
-func (e *Engine) applyRecvCaps(sc *shardState) {
+func (e *Engine) applyRecvCaps(sc *shardState, lo int32) {
 	for _, j := range sc.touched {
 		seg := sc.arena[e.inOff[j] : e.inOff[j]+e.inCnt[j]]
 		units := 0
@@ -740,7 +857,8 @@ func (e *Engine) applyRecvCaps(sc *shardState) {
 		// the cap: a fully-dropped inbox is no mail, and the contract
 		// says a halted node with an empty inbox is not ticked.
 		if e.inCnt[j] > 0 && e.halted(j) {
-			sc.wake = append(sc.wake, j)
+			sc.wake[(j-lo)>>6] |= 1 << uint((j-lo)&63)
+			sc.woken++
 		}
 	}
 }
@@ -843,7 +961,7 @@ func (e *Engine) deliverShardFaulty(sc *shardState, run []int32, lo, hi, r int32
 		}
 	}
 	sc.compactHeld(r)
-	e.applyRecvCaps(sc)
+	e.applyRecvCaps(sc, lo)
 }
 
 // compactHeld removes holdback entries that were delivered (or dropped

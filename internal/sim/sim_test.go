@@ -2,9 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"overlay/internal/ids"
+	"overlay/internal/rng"
 )
 
 // Test wire kinds and payloads.
@@ -538,5 +540,104 @@ func TestRoundMaxMetrics(t *testing.T) {
 	}
 	if m.MaxPerNodeSent() != 3 {
 		t.Errorf("MaxPerNodeSent = %d, want 3", m.MaxPerNodeSent())
+	}
+}
+
+// TestQuiescenceFloor pins the floor's contract: with every node halted
+// from Init on, Run still executes the rounds below the floor — empty
+// ones, ticking nobody, each with its metrics row and its Interrupt
+// poll — and stops exactly there; Interrupt still cuts them short; and
+// a floor does not hold a run whose every node has crashed.
+func TestQuiescenceFloor(t *testing.T) {
+	build := func(cfg Config) (*Engine, []*wakeNode) {
+		cfg.N = 3
+		cfg.Seed = 33
+		sleepers := []*wakeNode{{}, {}, {}}
+		return New(cfg, []Node{sleepers[0], sleepers[1], sleepers[2]}), sleepers
+	}
+
+	e, _ := build(Config{})
+	if got := e.Run(50); got != 0 {
+		t.Fatalf("without a floor an all-halted network ran %d rounds, want 0", got)
+	}
+
+	polls := 0
+	e, sleepers := build(Config{Interrupt: func() bool { polls++; return false }})
+	e.SetFloor(7)
+	if got := e.Run(50); got != 7 {
+		t.Fatalf("floor 7: ran %d rounds, want 7", got)
+	}
+	for i, s := range sleepers {
+		if s.calls != 0 {
+			t.Errorf("floor round ticked halted node %d (%d calls)", i, s.calls)
+		}
+	}
+	if polls != 7 {
+		t.Errorf("Interrupt polled %d times over 7 floor rounds, want 7", polls)
+	}
+	if m := e.Metrics(); len(m.RoundMaxSent) != 8 || len(m.RoundMaxRecv) != 8 || m.TotalMessages != 0 {
+		t.Errorf("floor rounds recorded %d/%d metric rows and %d messages, want 8/8 (Init + 7 rounds) and 0",
+			len(m.RoundMaxSent), len(m.RoundMaxRecv), m.TotalMessages)
+	}
+
+	e, _ = build(Config{Interrupt: func() bool { return e.Round() == 3 }})
+	e.SetFloor(7)
+	if got := e.Run(50); got != 3 || !e.Interrupted() {
+		t.Errorf("Interrupt at round 3 of 7 floor rounds: ran %d, interrupted=%v; want 3, true", got, e.Interrupted())
+	}
+
+	e, _ = build(Config{Adversary: &Adversary{Crashes: []Crash{{Node: 0, Round: 2}, {Node: 1, Round: 4}, {Node: 2, Round: 1}}}})
+	e.SetFloor(7)
+	if got := e.Run(50); got != 3 {
+		t.Errorf("every node crashed by round 4: ran %d rounds under floor 7, want 3", got)
+	}
+}
+
+// TestIdentifiersMatchRedraw pins that New's draw-then-sort assignment
+// hands out exactly the identifiers the one-at-a-time redraw loop does,
+// that the routing index resolves every one of them, and that the sort
+// notices the inputs the fallback exists for.
+func TestIdentifiersMatchRedraw(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 1000, 4099} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			nodes := make([]Node, n)
+			for i := range nodes {
+				nodes[i] = &wakeNode{}
+			}
+			e := New(Config{N: n, Seed: seed}, nodes)
+			want := make([]ids.ID, n)
+			redrawIDs(want, rng.New(seed).Split(0xed5))
+			if !reflect.DeepEqual(e.IDs(), want) {
+				t.Fatalf("n=%d seed=%d: identifiers differ from the redraw loop's", n, seed)
+			}
+			for i, id := range want {
+				if got, ok := e.IndexOf(id); !ok || got != i {
+					t.Fatalf("n=%d seed=%d: IndexOf(%v) = %d, %v; want %d", n, seed, id, got, ok, i)
+				}
+			}
+			if n > 0 && !slices.IsSorted(e.routeIDs) {
+				t.Fatalf("n=%d seed=%d: routing index not sorted", n, seed)
+			}
+		}
+	}
+	for name, idents := range map[string][]ids.ID{
+		"repeat": {5, 9, 1 << 60, 9},
+		"nil":    {5, ids.Nil, 3},
+	} {
+		e := &Engine{idents: idents}
+		if e.indexRoutes() {
+			t.Errorf("%s: indexRoutes accepted %v", name, idents)
+		}
+	}
+	// Clustered identifiers all land in one bucket; the index must
+	// still come out sorted.
+	e := &Engine{idents: []ids.ID{9, 3, 7, 1, 8, 2}}
+	if !e.indexRoutes() || !slices.IsSorted(e.routeIDs) {
+		t.Errorf("clustered identifiers: index %v", e.routeIDs)
+	}
+	for k, id := range e.routeIDs {
+		if e.idents[e.routeIdx[k]] != id {
+			t.Errorf("clustered identifiers: routeIdx[%d] does not own %v", k, id)
+		}
 	}
 }

@@ -55,7 +55,9 @@ func Send[P Payload](c *Ctx, to ids.ID, p P) {
 	if !ok {
 		panicUnknown(c.ID, to)
 	}
-	c.ensureOut()
+	if len(c.outW) == cap(c.outW) {
+		c.growOut()
+	}
 	c.outW = append(c.outW, Wire{})
 	w := &c.outW[len(c.outW)-1]
 	p.Encode(w)
@@ -86,17 +88,19 @@ func (c *Ctx) SendWire(to ids.ID, w Wire) {
 	if !ok {
 		panicUnknown(c.ID, to)
 	}
-	c.ensureOut()
+	if len(c.outW) == cap(c.outW) {
+		c.growOut()
+	}
 	c.outW = append(c.outW, w)
 	c.outD = append(c.outD, j)
 }
 
-// ensureOut lazily sizes the outbox columns: first use starts at a
-// capacity that lets typical O(log n)-fan-out senders reach their
-// steady state in one or two growths instead of doubling up from 1.
-func (c *Ctx) ensureOut() {
-	if c.outW == nil {
-		c.outW = make([]Wire, 0, 16)
-		c.outD = make([]int32, 0, 16)
-	}
+// growOut moves a full outbox to columns of twice the capacity, and of
+// at least outboxGrown: a sender that outgrows the small window New
+// carved for it is a fan-out sender, and should reach its steady state
+// in one or two growths rather than doubling up from there.
+func (c *Ctx) growOut() {
+	n := max(2*cap(c.outW), outboxGrown)
+	c.outW = append(make([]Wire, 0, n), c.outW...)
+	c.outD = append(make([]int32, 0, n), c.outD...)
 }

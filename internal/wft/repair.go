@@ -38,10 +38,17 @@
 //  3. Epoch commit. The new root broadcasts the epoch membership down
 //     the new heap. Budget depth₁ rounds, k−1 messages.
 //
-// Nodes keep processing their inboxes after the halt round — a
-// delayed message can still complete an attachment — but scheduled
-// emissions fire exactly once, so measured rounds extend only as far
-// as the adversary actually held traffic back.
+// Nodes are event-driven: a node reports Halted whenever it has no
+// scheduled emission of its own ahead (only a joiner waiting for the
+// join phase and the new root waiting for the commit phase do), so the
+// engine runs it only in rounds that bring it mail. The schedule still
+// ends at the halt round — NewRepairEngine makes it the engine's
+// quiescence floor — so an epoch is billed the rounds it was billed
+// when every node ticked through all of them, even when the adversary
+// silences the network early by crashing the new root. A delayed
+// message can still complete an attachment after the halt round, but
+// scheduled emissions fire exactly once, so measured rounds extend only
+// as far as the adversary actually held traffic back.
 package wft
 
 import (
@@ -287,9 +294,10 @@ type RepairNode struct {
 	sweepParent   ids.ID
 	sweepChildren []ids.ID
 
-	// Chord fingers over the new rank space: fingers[t] owns rank
-	// (newRank + 2^t) mod k.
-	fingers []ids.ID
+	// owners maps every new rank to its owner's identifier; the node
+	// reads only its Chord fingers out of it — finger t owns rank
+	// (newRank + 2^t) mod k — so one table serves all nodes.
+	owners []ids.ID
 	// New-heap children (rank 2r+1, 2r+2 owners; Nil when absent).
 	kidA, kidB ids.ID
 
@@ -298,7 +306,7 @@ type RepairNode struct {
 	target int
 
 	// Schedule, in engine rounds.
-	joinStart, commitStart, haltAt int
+	joinStart, commitStart int
 
 	// Dynamic state.
 	censusGot   int
@@ -307,13 +315,21 @@ type RepairNode struct {
 	committed   bool
 	acked       bool
 	epochDone   bool
+	idle        bool // nothing scheduled ahead: see Halted
 	adopted     []ids.ID
 	anomalies   int
-	done        bool
 }
 
-// Halted reports protocol completion for the engine.
-func (p *RepairNode) Halted() bool { return p.done }
+// Halted reports that the node has no scheduled emission of its own
+// ahead: the engine ticks it again only when mail arrives.
+func (p *RepairNode) Halted() bool { return p.idle }
+
+// scheduled reports whether an emission of this node's own is still
+// ahead after round r: a joiner's greeting at joinStart, the new
+// root's epoch commit at commitStart.
+func (p *RepairNode) scheduled(r int) bool {
+	return (p.joiner && r < p.joinStart) || (p.newRank == 0 && r < p.commitStart)
+}
 
 // Anomalies counts malformed or cross-checked-inconsistent traffic
 // the node ignored.
@@ -330,6 +346,7 @@ func (p *RepairNode) Acked() bool { return p.acked }
 // census immediately, and joiners greet their bootstrap contact when
 // there is no sweep phase to wait out.
 func (p *RepairNode) Init(ctx *sim.Ctx) {
+	p.idle = !p.scheduled(0)
 	if p.joiner {
 		if p.joinStart == 0 {
 			sim.Send(ctx, p.entry, join1Msg{joiner: p.id, target: p.target})
@@ -342,9 +359,15 @@ func (p *RepairNode) Init(ctx *sim.Ctx) {
 // Round drains the inbox — even after the halt round, so delayed
 // traffic still completes attachments — then fires any emission
 // scheduled for this round.
+//
+//overlay:hotpath
 func (p *RepairNode) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	r := ctx.Round()
-	var fw []joinEntry
+	// Attachment requests to route this round; more than a handful
+	// meeting at one node is rare, so they normally never leave the
+	// stack.
+	var buf [8]joinEntry
+	fw := buf[:0]
 	for _, w := range inbox {
 		switch w.Kind {
 		case kindCensus:
@@ -388,13 +411,13 @@ func (p *RepairNode) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	if r == p.commitStart && p.newRank == 0 {
 		p.handleEpochCommit(ctx)
 	}
-	if r >= p.haltAt {
-		p.done = true
-	}
+	p.idle = !p.scheduled(r)
 }
 
 // maybeCensus fires the node's census report once every sweep child
 // reported; the sweep root instead starts the commit wave down.
+//
+//overlay:hotpath
 func (p *RepairNode) maybeCensus(ctx *sim.Ctx) {
 	if !p.sweepOn || p.censusSent || p.censusGot < len(p.sweepChildren) {
 		return
@@ -412,6 +435,8 @@ func (p *RepairNode) maybeCensus(ctx *sim.Ctx) {
 
 // commit confirms the compacted rank and cascades down the sweep
 // forest.
+//
+//overlay:hotpath
 func (p *RepairNode) commit(ctx *sim.Ctx) {
 	if p.committed {
 		return
@@ -424,6 +449,8 @@ func (p *RepairNode) commit(ctx *sim.Ctx) {
 
 // handleEpochCommit forwards the end-of-epoch broadcast down the new
 // heap exactly once.
+//
+//overlay:hotpath
 func (p *RepairNode) handleEpochCommit(ctx *sim.Ctx) {
 	if p.epochDone {
 		return
@@ -437,11 +464,17 @@ func (p *RepairNode) handleEpochCommit(ctx *sim.Ctx) {
 	}
 }
 
+// routed marks a request in route's scratch that already left in an
+// earlier pair; real targets are ranks, never negative.
+const routed = -1
+
 // route delivers attachment requests addressed to this rank and
 // forwards the rest along fingers, batching pairs that share a next
-// hop. The pairing scan is quadratic in the per-round arrivals, which
-// the join threshold keeps small, and depends only on deterministic
-// inbox order.
+// hop. It reuses fw as scratch. The pairing scan is quadratic in the
+// per-round arrivals, which the join threshold keeps small, and
+// depends only on deterministic inbox order.
+//
+//overlay:hotpath
 func (p *RepairNode) route(ctx *sim.Ctx, fw []joinEntry) {
 	keep := fw[:0]
 	for _, e := range fw {
@@ -452,28 +485,24 @@ func (p *RepairNode) route(ctx *sim.Ctx, fw []joinEntry) {
 		}
 		keep = append(keep, e)
 	}
-	if len(keep) == 0 {
-		return
-	}
-	used := make([]bool, len(keep))
 	for i := range keep {
-		if used[i] {
+		if keep[i].target == routed {
 			continue
 		}
 		hop := p.nextHop(keep[i].target)
 		pair := -1
 		for j := i + 1; j < len(keep); j++ {
-			if !used[j] && p.nextHop(keep[j].target) == hop {
+			if keep[j].target != routed && p.nextHop(keep[j].target) == hop {
 				pair = j
 				break
 			}
 		}
 		if pair >= 0 {
-			used[pair] = true
 			sim.Send(ctx, hop, join2Msg{
 				j1: keep[i].joiner, t1: keep[i].target,
 				j2: keep[pair].joiner, t2: keep[pair].target,
 			})
+			keep[pair].target = routed
 			continue
 		}
 		sim.Send(ctx, hop, join1Msg{joiner: keep[i].joiner, target: keep[i].target})
@@ -484,13 +513,15 @@ func (p *RepairNode) route(ctx *sim.Ctx, fw []joinEntry) {
 // that does not overshoot the clockwise distance to target — the same
 // greedy rule as overlays.RouteChord, so measured hop counts match
 // the charged route lengths exactly.
+//
+//overlay:hotpath
 func (p *RepairNode) nextHop(target int) ids.ID {
 	d := (target - p.newRank + p.k) % p.k
 	t := 0
 	for 1<<(t+1) <= d {
 		t++
 	}
-	return p.fingers[t]
+	return p.owners[(p.newRank+1<<t)%p.k]
 }
 
 // greedyHops counts the finger hops from rank from to rank to in a
@@ -513,79 +544,31 @@ func greedyHops(k, from, to int) int {
 // order) plus a run budget that covers the schedule and any
 // adversarial delays. cfg.N is overwritten.
 func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNode, int, error) {
+	return newRepairEngine(spec, cfg, nil)
+}
+
+// newRepairEngine is NewRepairEngine with a seam for the scheduling
+// tests: wrap, when non-nil, substitutes the state machine the engine
+// drives for each node (it is told the halt round).
+func newRepairEngine(spec *RepairSpec, cfg sim.Config, wrap func(p *RepairNode, haltAt int) sim.Node) (*sim.Engine, []*RepairNode, int, error) {
 	if err := spec.validate(); err != nil {
 		return nil, nil, 0, err
 	}
 	s, j := spec.Survivors, spec.Joiners
 	k := s + j
 	cfg.N = k
-	protos := make([]*RepairNode, k)
-	nodes := make([]sim.Node, k)
-	for i := range protos {
-		protos[i] = &RepairNode{
-			k: k, survivors: s, newRank: spec.NewRank[i], joiner: i >= s,
-			sweepParent: ids.Nil, kidA: ids.Nil, kidB: ids.Nil, entry: ids.Nil,
-		}
-		nodes[i] = protos[i]
-	}
-	eng := sim.New(cfg, nodes)
-	idOf := eng.IDs()
-	rankOwner := make([]ids.ID, k)
-	for i, r := range spec.NewRank {
-		rankOwner[r] = idOf[i]
-	}
-
-	levels := 0
-	for 1<<levels < k {
-		levels++
-	}
-	fingerArena := make([]ids.ID, 0, k*levels)
-	maxHops := 0
-	for i, p := range protos {
-		p.id = idOf[i]
-		r := spec.NewRank[i]
-		lo := len(fingerArena)
-		for t := 0; t < levels; t++ {
-			fingerArena = append(fingerArena, rankOwner[(r+1<<t)%k])
-		}
-		p.fingers = fingerArena[lo:]
-		if c := 2*r + 1; c < k {
-			p.kidA = rankOwner[c]
-		}
-		if c := 2*r + 2; c < k {
-			p.kidB = rankOwner[c]
-		}
-	}
-	if spec.SweepParent != nil {
-		for i := 0; i < s; i++ {
-			sp := spec.SweepParent[i]
-			protos[i].sweepOn = true
-			if sp == -1 {
-				protos[i].sweepRoot = true
-				continue
-			}
-			protos[i].sweepParent = idOf[sp]
-			protos[sp].sweepChildren = append(protos[sp].sweepChildren, idOf[i])
-		}
-	} else {
-		// No sweep phase: compacted ranks are vacuously confirmed.
-		for i := 0; i < s; i++ {
-			protos[i].committed = true
-		}
-	}
-	for x := 0; x < j; x++ {
-		p := protos[s+x]
-		p.entry = idOf[spec.Entry[x]]
-		p.target = (spec.NewRank[s+x] - 1) / 2
-		if h := greedyHops(k, spec.NewRank[spec.Entry[x]], p.target); h > maxHops {
-			maxHops = h
-		}
-	}
 
 	// Phase schedule; zero-fault measured rounds land one short of the
 	// charged estimate (the charged model bills the final commit hop's
 	// processing round, the engine does not tick past the last
 	// delivery).
+	maxHops := 0
+	for x := 0; x < j; x++ {
+		target := (spec.NewRank[s+x] - 1) / 2
+		if h := greedyHops(k, spec.NewRank[spec.Entry[x]], target); h > maxHops {
+			maxHops = h
+		}
+	}
 	sweepBudget := 0
 	if spec.SweepParent != nil {
 		sweepBudget = 2 * (spec.OldDepth + 1)
@@ -607,11 +590,82 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 	if haltAt < 1 {
 		haltAt = 1
 	}
-	for _, p := range protos {
-		p.joinStart = joinStart
-		p.commitStart = commitStart
-		p.haltAt = haltAt
+
+	// One slab holds every node's state; protos and nodes point into it.
+	slab := make([]RepairNode, k)
+	protos := make([]*RepairNode, k)
+	nodes := make([]sim.Node, k)
+	for i := range slab {
+		p := &slab[i]
+		p.k, p.survivors, p.newRank, p.joiner = k, s, spec.NewRank[i], i >= s
+		p.sweepParent, p.kidA, p.kidB, p.entry = ids.Nil, ids.Nil, ids.Nil, ids.Nil
+		p.joinStart, p.commitStart = joinStart, commitStart
+		// No sweep phase: compacted ranks are vacuously confirmed.
+		p.committed = i < s && spec.SweepParent == nil
+		protos[i] = p
+		if wrap != nil {
+			nodes[i] = wrap(p, haltAt)
+		} else {
+			nodes[i] = p
+		}
 	}
+	eng := sim.New(cfg, nodes)
+	eng.SetFloor(haltAt)
+	idOf := eng.IDs()
+	rankOwner := make([]ids.ID, k)
+	for i, r := range spec.NewRank {
+		rankOwner[r] = idOf[i]
+	}
+
+	for i, p := range protos {
+		p.id = idOf[i]
+		p.owners = rankOwner
+		r := spec.NewRank[i]
+		if c := 2*r + 1; c < k {
+			p.kidA = rankOwner[c]
+		}
+		if c := 2*r + 2; c < k {
+			p.kidB = rankOwner[c]
+		}
+	}
+	if spec.SweepParent != nil {
+		// Sweep children as one arena, counted then filled: end[p] first
+		// counts p's children, then becomes the start of its stretch and,
+		// advanced by the fill, its end (the next parent's start).
+		end := make([]int, s)
+		for _, sp := range spec.SweepParent {
+			if sp >= 0 {
+				end[sp]++
+			}
+		}
+		total := 0
+		for p, c := range end {
+			end[p] = total
+			total += c
+		}
+		kids := make([]ids.ID, total)
+		for i, sp := range spec.SweepParent {
+			protos[i].sweepOn = true
+			if sp == -1 {
+				protos[i].sweepRoot = true
+				continue
+			}
+			protos[i].sweepParent = idOf[sp]
+			kids[end[sp]] = idOf[i]
+			end[sp]++
+		}
+		start := 0
+		for p, e := range end {
+			protos[p].sweepChildren = kids[start:e:e]
+			start = e
+		}
+	}
+	for x := 0; x < j; x++ {
+		p := protos[s+x]
+		p.entry = idOf[spec.Entry[x]]
+		p.target = (spec.NewRank[s+x] - 1) / 2
+	}
+
 	budget := haltAt + 8
 	if adv := cfg.Adversary; adv != nil && (adv.DelayProb > 0 || adv.DelayMax > 1) {
 		dm := adv.DelayMax

@@ -267,3 +267,108 @@ func TestRepairUnderFaults(t *testing.T) {
 		}
 	})
 }
+
+// alwaysActive schedules a repair node the way every node was scheduled
+// before the protocol became event-driven: awake in every round up to
+// the halt round, whether or not it has anything to do. It is the
+// reference TestRepairSchedulingEquivalence holds the idle-halting node
+// to.
+type alwaysActive struct {
+	*RepairNode
+	haltAt int
+	done   bool
+}
+
+func (a *alwaysActive) Round(ctx *sim.Ctx, inbox []sim.Wire) {
+	a.RepairNode.Round(ctx, inbox)
+	a.done = ctx.Round() >= a.haltAt
+}
+
+func (a *alwaysActive) Halted() bool { return a.done }
+
+// TestRepairSchedulingEquivalence pins that letting nodes sleep between
+// their scheduled emissions changes nothing an epoch bills or commits:
+// against the always-active reference (no quiescence floor, as the
+// engine ran it) the idle-halting node takes the same rounds, moves the
+// same messages node by node and round by round, meets the same faults
+// and extracts the same tree — or fails to, with the same reason —
+// under every adversary kind and at every execution mode.
+func TestRepairSchedulingEquivalence(t *testing.T) {
+	old := permTree(t, 260, 0x51ee9)
+	dead := make([]bool, 260)
+	src := rng.New(0x42)
+	for v := range dead {
+		dead[v] = src.Float64() < 0.1
+	}
+	dead[old.Root] = true
+	spec, _ := repairCase(t, old, dead, 30, 0xa77a)
+	rank0 := 0
+	for i, r := range spec.NewRank {
+		if r == 0 {
+			rank0 = i
+		}
+	}
+	everyone := make([]sim.Crash, spec.Survivors+spec.Joiners)
+	for i := range everyone {
+		everyone[i] = sim.Crash{Node: i, Round: 2 + i%3}
+	}
+	side := make([]int, 0, 100)
+	for i := 0; i < 100; i++ {
+		side = append(side, 2*i)
+	}
+	adversaries := []struct {
+		name string
+		adv  *sim.Adversary
+	}{
+		{"zero-faults", nil},
+		{"delay", &sim.Adversary{Seed: 0xd, DelayProb: 0.2, DelayMax: 3}},
+		{"drop", &sim.Adversary{Seed: 0xe, DropProb: 0.05}},
+		{"partition", &sim.Adversary{Partitions: []sim.Partition{{From: 3, Until: 9, Side: side}}}},
+		{"crash-rank0", &sim.Adversary{Crashes: []sim.Crash{{Node: rank0, Round: 4}}}},
+		{"crash-everyone", &sim.Adversary{Crashes: everyone}},
+	}
+	modes := []sim.Config{{Sequential: true}}
+	for w := 1; w <= 16; w++ {
+		modes = append(modes, sim.Config{Workers: w})
+	}
+
+	type outcome struct {
+		rounds  int
+		metrics sim.Metrics
+		tree    *Tree
+		failure string
+	}
+	run := func(cfg sim.Config, reference bool) outcome {
+		var wrap func(*RepairNode, int) sim.Node
+		if reference {
+			wrap = func(p *RepairNode, haltAt int) sim.Node { return &alwaysActive{RepairNode: p, haltAt: haltAt} }
+		}
+		eng, protos, budget, err := newRepairEngine(spec, cfg, wrap)
+		if err != nil {
+			t.Fatalf("newRepairEngine: %v", err)
+		}
+		if reference {
+			eng.SetFloor(0)
+		}
+		eng.Run(budget)
+		o := outcome{rounds: eng.Round(), metrics: *eng.Metrics()}
+		if o.tree, err = ExtractRepair(spec, protos); err != nil {
+			o.failure = err.Error()
+		}
+		return o
+	}
+	for _, a := range adversaries {
+		t.Run(a.name, func(t *testing.T) {
+			for _, cfg := range modes {
+				cfg.Seed, cfg.Adversary = 0x5c4ed, a.adv
+				want, got := run(cfg, true), run(cfg, false)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("sequential=%v workers=%d: idle-halting run diverged from the always-active reference:\ngot  rounds=%d msgs=%d drops=%d delays=%d failure=%q\nwant rounds=%d msgs=%d drops=%d delays=%d failure=%q",
+						cfg.Sequential, cfg.Workers,
+						got.rounds, got.metrics.TotalMessages, got.metrics.FaultDrops, got.metrics.FaultDelays, got.failure,
+						want.rounds, want.metrics.TotalMessages, want.metrics.FaultDrops, want.metrics.FaultDelays, want.failure)
+				}
+			}
+		})
+	}
+}

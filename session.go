@@ -188,13 +188,20 @@ type Session struct {
 	derivedMu sync.Mutex
 	derived   map[string][][2]int
 
-	// departed records every identifier that was once part of this
-	// session's world and is gone: id → the epoch it left or crashed
-	// in, or -1 for founders who died during the initial build.
-	// RouteLookup uses it to distinguish a departed endpoint from one
-	// that never existed.
-	departed map[int]int
+	// departLog records every identifier that was once part of this
+	// session's world and is gone, with the epoch it left or crashed in
+	// (-1 for founders who died during the initial build), in the order
+	// the departures were noted. It is only ever appended to, which is
+	// what lets a checkpoint keep a prefix of it instead of a copy.
+	// departed is the id → epoch index over it (an identifier that left
+	// twice keeps the later epoch); RouteLookup uses it to distinguish a
+	// departed endpoint from one that never existed.
+	departLog []departure
+	departed  map[int]int
 }
+
+// departure is one entry of the session's departure log.
+type departure struct{ id, epoch int }
 
 // Open starts a maintenance session over a completed build. The
 // session copies the tree, so the BuildResult stays untouched; the
@@ -265,7 +272,7 @@ func Open(res *BuildResult, opt *SessionOptions) (*Session, error) {
 	// Founders the faulted build killed are departed from the start.
 	for id := 0; id < nextID; id++ {
 		if _, ok := s.memberIndex(id); !ok {
-			s.departed[id] = -1
+			s.depart(id, -1)
 		}
 	}
 	s.clock.Advance(res.Stats.Rounds)
@@ -478,18 +485,24 @@ func (s *Session) memberIndex(id int) (int, bool) {
 // Checkpoint is a restorable snapshot of a session's committed state:
 // membership, the well-formed tree (topology, ranks, and thereby the
 // Chord fingers), the per-epoch bills, the departure record, and the
-// session clock. The retained expander substrate is shared, not
-// copied — it is immutable for the session's lifetime. A checkpoint
-// is reusable: Restore copies out of it, so the same checkpoint can
-// roll the session back more than once.
+// session clock. Taking one costs the same however long the session
+// has run: epochs replace the member list and the tree wholesale and
+// never write into the old ones, and bills and departures are only ever
+// appended, so a checkpoint shares the immutable values and keeps
+// prefixes of the two histories instead of copying them. A checkpoint
+// is reusable, and any number of them can be restored in any order:
+// Restore never writes through what a checkpoint shares.
 type Checkpoint struct {
-	owner    *Session
-	members  []int
-	tree     *Tree
-	clock    sim.Clock
-	nextID   int
-	bills    []EpochBill
-	departed map[int]int
+	owner   *Session
+	members []int
+	tree    *Tree
+	clock   sim.Clock
+	nextID  int
+	// bills and departLog are the histories as of the checkpoint, capped
+	// at their length: an append to a restored history reallocates
+	// rather than overwrite entries a later checkpoint still reads.
+	bills     []EpochBill
+	departLog []departure
 }
 
 // Checkpoint snapshots the session's current committed state.
@@ -505,19 +518,15 @@ func (s *Session) Checkpoint() *Checkpoint {
 // checkpointLocked is Checkpoint with the lock already held (shared
 // or exclusive).
 func (s *Session) checkpointLocked() *Checkpoint {
-	departed := make(map[int]int, len(s.departed))
-	//lint:ordered map-to-map copy; the checkpoint map has no order
-	for id, e := range s.departed {
-		departed[id] = e
-	}
+	nb, nd := len(s.bills), len(s.departLog)
 	return &Checkpoint{
-		owner:    s,
-		members:  append([]int(nil), s.members...),
-		tree:     copyTree(s.tree),
-		clock:    s.clock.Snapshot(),
-		nextID:   s.nextID,
-		bills:    append([]EpochBill(nil), s.bills...),
-		departed: departed,
+		owner:     s,
+		members:   s.members,
+		tree:      s.tree,
+		clock:     s.clock.Snapshot(),
+		nextID:    s.nextID,
+		bills:     s.bills[:nb:nb],
+		departLog: s.departLog[:nd:nd],
 	}
 }
 
@@ -537,19 +546,33 @@ func (s *Session) restoreLocked(cp *Checkpoint) error {
 	if cp == nil || cp.owner != s {
 		return errors.New("overlay: Restore needs a checkpoint taken from this session")
 	}
-	s.members = append([]int(nil), cp.members...)
-	s.tree = copyTree(cp.tree)
+	s.members = cp.members
+	s.tree = cp.tree
 	s.clock.Restore(cp.clock)
 	s.nextID = cp.nextID
-	s.bills = append([]EpochBill(nil), cp.bills...)
-	departed := make(map[int]int, len(cp.departed))
-	//lint:ordered map-to-map copy; the restored map has no order
-	for id, e := range cp.departed {
-		departed[id] = e
+	// A history's backing array is written once per position, so two
+	// views of equal length over the same array hold the same entries:
+	// the rollback of a failed epoch, which billed nothing and noted no
+	// departure, leaves both histories — spare capacity included — and
+	// the departure index as they are.
+	if !sameHistory(s.bills, cp.bills) {
+		s.bills = cp.bills
 	}
-	s.departed = departed
+	if !sameHistory(s.departLog, cp.departLog) {
+		s.departLog = cp.departLog
+		s.departed = make(map[int]int, len(cp.departLog))
+		for _, d := range cp.departLog {
+			s.departed[d.id] = d.epoch
+		}
+	}
 	s.invalidateDerivedLocked()
 	return nil
+}
+
+// sameHistory reports whether two views of an append-only history are
+// the same prefix of the same backing array.
+func sameHistory[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // SetFaults installs (or, with nil, removes) a session fault plan for
@@ -675,21 +698,28 @@ func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
 	return bill, nil
 }
 
+// depart appends one departure to the log and indexes it.
+func (s *Session) depart(id, epoch int) {
+	s.departLog = append(s.departLog, departure{id, epoch})
+	s.departed[id] = epoch
+}
+
 // noteDepartures records everyone who was in the epoch's world — a
 // pre-epoch member or a scheduled joiner — and is absent from the
 // committed membership: scheduled leavers, rebuild casualties, and
-// joiners a faulted rebuild killed before they arrived.
+// joiners a faulted rebuild killed before they arrived. Both lists and
+// the membership are ascending, so each is one merge against it.
 func (s *Session) noteDepartures(epoch int, prevMembers, joins []int) {
-	mark := func(id int) {
-		if _, ok := s.memberIndex(id); !ok {
-			s.departed[id] = epoch
+	for _, world := range [2][]int{prevMembers, joins} {
+		m := 0
+		for _, id := range world {
+			for m < len(s.members) && s.members[m] < id {
+				m++
+			}
+			if m == len(s.members) || s.members[m] != id {
+				s.depart(id, epoch)
+			}
 		}
-	}
-	for _, id := range prevMembers {
-		mark(id)
-	}
-	for _, id := range joins {
-		mark(id)
 	}
 }
 
