@@ -1,5 +1,7 @@
 package overlay
 
+import "overlay/internal/sim"
+
 // Bill is the unified cost schema of every plane of this package: a
 // one-shot build, a charged patch estimate, a measured patch-epoch
 // protocol, a recovery rebuild, and the hybrid-model algorithms all
@@ -76,6 +78,21 @@ func (b *Bill) add(o Bill) {
 		b.GlobalCapacity = o.GlobalCapacity
 	}
 	b.Itemized += o.Itemized
+}
+
+// engineBill reads a finished engine run into a bill on the given path.
+func engineBill(path string, eng *sim.Engine) Bill {
+	m := eng.Metrics()
+	return Bill{
+		Path:                path,
+		Rounds:              eng.Round(),
+		Messages:            m.TotalMessages,
+		MaxMessagesPerRound: m.MaxRoundSent(),
+		MaxMessagesTotal:    m.MaxPerNodeSent(),
+		CapacityDrops:       m.RecvDrops,
+		FaultDrops:          m.FaultDrops,
+		FaultDelays:         m.FaultDelays,
+	}
 }
 
 // Accounting selects how a Session bills patch epochs.

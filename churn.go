@@ -73,31 +73,3 @@ func (p *ChurnPlan) Epoch(e int, members []int, nextID int) (joins, leaves []int
 	}
 	return joins, leaves
 }
-
-// ParseChurnPlan parses the CLI churn specification: a comma-separated
-// list of directives, each allowed at most once.
-//
-//	epochs=E    schedule length (required, >= 1)
-//	join=F      per-epoch join fraction in [0,1] (default 0)
-//	leave=F     per-epoch leave fraction in [0,1] (default 0)
-//	seed=S      churn seed (uint64, default 0)
-//	rebuild=F   patch-vs-rebuild threshold in (0,1] (default: session
-//	            default; rebuild=0 is rejected because 0 means
-//	            "default" downstream — to rebuild every epoch, pass a
-//	            threshold below the smallest per-epoch churn fraction)
-//
-// Example: "epochs=10,join=0.02,leave=0.02,seed=5".
-//
-// Deprecated: use ParsePlan, whose unified grammar accepts the same
-// churn directives (with the seed spelled churnseed=, since seed=
-// names the fault seed there) and returns the churn plan as
-// Plan.Churn. This wrapper parses the identical grammar with the
-// identical errors and will stay, but new callers should take the
-// unified entry point.
-func ParseChurnPlan(spec string) (*ChurnPlan, error) {
-	p, err := parsePlanSpec(spec, grammarChurn)
-	if err != nil {
-		return nil, err
-	}
-	return p.Churn, nil
-}

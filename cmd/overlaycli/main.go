@@ -4,26 +4,27 @@
 // Usage:
 //
 //	overlaycli -topology line -n 1024 -seed 7 [-message-level] [-cap 10]
-//	overlaycli -topology ring -n 4096 -faults 'drop=0.001,crashfrac=0.03@30'
-//	overlaycli -topology ring -n 4096 -churn 'epochs=10,join=0.02,leave=0.02,seed=5'
+//	overlaycli -topology ring -n 4096 -plan 'drop=0.001,crashfrac=0.03@30'
+//	overlaycli -topology ring -n 4096 -plan 'epochs=10,join=0.02,leave=0.02,churnseed=5'
 //	overlaycli -topology ring -n 4096 -plan 'crashfrac=0.02@30,epochs=10,join=0.02,leave=0.02' -accounting measured
 //
-// Topologies: line, ring, tree, grid. The -faults flag installs a
-// fault schedule (message drops/delays, crash-stop failures,
-// partitions; see overlay.ParseFaultPlan for the grammar) and implies
-// -message-level; the run then either reports a well-formed tree over
-// the survivors or an explicit abort, and the scenario invariant
+// Topologies: line, ring, tree, grid. The -plan flag takes the one
+// plan grammar, overlay.ParsePlan: fault directives and churn
+// directives in a single comma-separated specification.
+//
+// Fault directives (message drops/delays, crash-stop failures,
+// partitions, correlated failure domains) install a fault schedule and
+// imply -message-level; the run then either reports a well-formed tree
+// over the survivors or an explicit abort, and the scenario invariant
 // checker's verdict is printed either way.
 //
-// The -churn flag opens a live-maintenance session over the completed
-// build and applies an epoch schedule of joins and leaves (see
-// overlay.ParseChurnPlan for the grammar), printing one accounting row
-// per epoch and the per-epoch invariant verdict. With -faults too, the
-// fault plan spans the whole session clock: rounds past the build are
-// shifted into whichever epoch rebuild they land in.
+// Churn directives open a live-maintenance session over the completed
+// build and apply an epoch schedule of joins and leaves, printing one
+// accounting row per epoch and the per-epoch invariant verdict. With
+// fault directives too, the fault plan spans the whole session clock:
+// rounds past the build are shifted into whichever epoch rebuild they
+// land in.
 //
-// The -plan flag replaces the -faults/-churn pair with the unified
-// overlay.ParsePlan grammar (churn seed spelled churnseed= there).
 // -accounting selects how patch epochs are billed: charged estimates
 // analytically, measured runs each repair as a real wire protocol on
 // the engine (so the fault plan hits the repair traffic itself) and
@@ -59,8 +60,6 @@ type cliFlags struct {
 	msgLvl   *bool
 	capFac   *int
 	derived  *bool
-	faults   *string
-	churn    *string
 	planSpec *string
 	acctName *string
 	retries  *int
@@ -75,12 +74,10 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		msgLvl:   fs.Bool("message-level", false, "run the real distributed protocol on the NCC0 engine"),
 		capFac:   fs.Int("cap", 0, "NCC0 capacity factor κ (per-round cap κ·log n; 0 = uncapped)"),
 		derived:  fs.Bool("derived", false, "also print derived overlay sizes"),
-		faults:   fs.String("faults", "", "fault schedule, e.g. 'drop=0.01,delay=0.05,delaymax=3,crash=17@40,crashfrac=0.1@100,cut=0-99@30-60,seed=9' (implies -message-level)"),
-		churn:    fs.String("churn", "", "churn epoch schedule, e.g. 'epochs=10,join=0.02,leave=0.02,seed=5,rebuild=0.25'"),
-		planSpec: fs.String("plan", "", "unified fault+churn plan (overlay.ParsePlan grammar); replaces -faults and -churn"),
+		planSpec: fs.String("plan", "", "fault and churn plan (overlay.ParsePlan grammar), e.g. 'drop=0.01,delaymax=3,crash=17@40,cut=0-99@30-60,seed=9,epochs=10,join=0.02,leave=0.02,churnseed=5'; fault directives imply -message-level, churn directives run the epoch schedule"),
 		acctName: fs.String("accounting", "charged", "patch-epoch accounting: charged|measured (measured implies -message-level)"),
 		retries:  fs.Int("retries", 0, "epoch recovery ladder: retry a defeated epoch up to this many extra patch and rebuild attempts before rolling back"),
-		workl:    fs.Bool("workloads", false, "with -churn: keep the maintained hybrid workloads (components, spanning forest, MIS) open across the epochs and print each sync's bill against the from-scratch price"),
+		workl:    fs.Bool("workloads", false, "with churn directives in -plan: keep the maintained hybrid workloads (components, spanning forest, MIS) open across the epochs and print each sync's bill against the from-scratch price"),
 	}
 }
 
@@ -89,7 +86,7 @@ func main() {
 	fl := registerFlags(flag.CommandLine)
 	flag.Parse()
 	topo, n, seed, msgLvl := fl.topo, fl.n, fl.seed, fl.msgLvl
-	capFac, derived, faults, churn := fl.capFac, fl.derived, fl.faults, fl.churn
+	capFac, derived := fl.capFac, fl.derived
 	planSpec, acctName, retries, workl := fl.planSpec, fl.acctName, fl.retries, fl.workl
 	if *n < 1 {
 		log.Fatal("-n must be >= 1")
@@ -114,35 +111,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var plan *overlay.FaultPlan
-	var churnPlan *overlay.ChurnPlan
-	faultSpec, churnSpec := *faults, *churn
-	if *planSpec != "" {
-		if *faults != "" || *churn != "" {
-			log.Fatal("-plan replaces -faults and -churn; pass one or the other")
-		}
-		p, err := overlay.ParsePlan(*planSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan, churnPlan = p.Faults, p.Churn
-		faultSpec, churnSpec = *planSpec, *planSpec
-		if plan != nil {
-			*msgLvl = true
-		}
+	p, err := overlay.ParsePlan(*planSpec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *faults != "" {
-		plan, err = overlay.ParseFaultPlan(*faults)
-		if err != nil {
-			log.Fatal(err)
-		}
+	plan, churnPlan := p.Faults, p.Churn
+	if plan != nil {
 		*msgLvl = true
-	}
-	if *churn != "" {
-		churnPlan, err = overlay.ParseChurnPlan(*churn)
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	opts := &overlay.Options{
 		Seed:         *seed,
@@ -162,7 +137,7 @@ func main() {
 	fmt.Printf("topology        %s, n=%d\n", *topo, g.N)
 	fmt.Printf("mode            %s\n", mode)
 	if plan != nil {
-		fmt.Printf("faults          %s\n", faultSpec)
+		fmt.Printf("faults          %s\n", *planSpec)
 	}
 	if res.Aborted {
 		fmt.Printf("result          ABORTED: %s\n", res.AbortReason)
@@ -202,7 +177,7 @@ func main() {
 		return
 	}
 	if res.Aborted {
-		log.Fatal("cannot run -churn: the build aborted")
+		log.Fatal("cannot run the churn schedule: the build aborted")
 	}
 	sess, err := overlay.Open(res, &overlay.SessionOptions{
 		RebuildFraction: churnPlan.RebuildFraction,
@@ -216,7 +191,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nchurn           %s\n", churnSpec)
+	fmt.Printf("\nchurn           %s\n", *planSpec)
 	fmt.Printf("accounting      %s\n", acct)
 	if *retries > 0 {
 		fmt.Printf("ladder          up to %d extra patch and %d extra rebuild attempts per epoch\n", *retries, *retries)

@@ -19,18 +19,15 @@ func TestFlagHelpNamesValidValues(t *testing.T) {
 		// -accounting parses exactly charged|measured (main rejects
 		// anything else) and measured flips -message-level on.
 		"accounting": {"charged|measured", "implies -message-level"},
-		// -plan is parsed by overlay.ParsePlan; the usage string must
-		// point at that grammar and say what the flag replaces.
-		"plan": {"overlay.ParsePlan grammar", "replaces -faults and -churn"},
+		// -plan is parsed by overlay.ParsePlan, the one plan grammar:
+		// the usage string must point at it, keep naming the core fault
+		// and churn keys by example, and say what each half switches on.
+		"plan": {"overlay.ParsePlan grammar", "drop=", "crash=", "imply -message-level", "epochs=", "join=", "leave=", "churnseed="},
 		// -retries arms the recovery ladder: the help must say both
 		// what is retried and what happens when the ladder is spent.
 		"retries": {"recovery ladder", "patch and rebuild attempts", "rolling back"},
 		// -topology accepts exactly the four generators.
 		"topology": {"line|ring|tree|grid"},
-		// -faults and -churn document their grammars by example; the
-		// examples must keep naming the core keys.
-		"faults": {"drop=", "crash=", "implies -message-level"},
-		"churn":  {"epochs=", "join=", "leave="},
 	}
 	for name, phrases := range wants {
 		f := fs.Lookup(name)
@@ -42,6 +39,12 @@ func TestFlagHelpNamesValidValues(t *testing.T) {
 			if !strings.Contains(f.Usage, phrase) {
 				t.Errorf("flag -%s usage no longer mentions %q:\n  %s", name, phrase, f.Usage)
 			}
+		}
+	}
+	// The legacy grammars are gone with their parsers.
+	for _, name := range []string{"faults", "churn"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("flag -%s is registered again; -plan is the one grammar", name)
 		}
 	}
 }

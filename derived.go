@@ -85,18 +85,6 @@ func (r *BuildResult) RouteLookupErr(from, to int) ([]int, error) {
 	return path, nil
 }
 
-// RouteLookup is RouteLookupErr with the legacy nil-on-failure
-// contract: it returns nil on an Aborted result or out-of-range
-// endpoints, discarding the reason. Callers that need to distinguish
-// the failure modes should use RouteLookupErr.
-func (r *BuildResult) RouteLookup(from, to int) []int {
-	path, err := r.RouteLookupErr(from, to)
-	if err != nil {
-		return nil
-	}
-	return path
-}
-
 // ExpanderEdges returns the evolved low-diameter graph's edges, for
 // callers that want the expander itself rather than the tree.
 func (r *BuildResult) ExpanderEdges() [][2]int {

@@ -171,18 +171,15 @@ func TestRouteLookupErr(t *testing.T) {
 	if rerr != nil {
 		t.Fatalf("routable pair errored: %v", rerr)
 	}
-	if legacy := res.RouteLookup(3, 29); !reflect.DeepEqual(path, legacy) {
-		t.Fatalf("RouteLookup and RouteLookupErr disagree: %v vs %v", legacy, path)
+	if len(path) < 2 || path[0] != 3 || path[len(path)-1] != 29 {
+		t.Fatalf("path %v does not run from 3 to 29", path)
 	}
 
 	for _, bad := range [][2]int{{-1, 0}, {0, 32}, {99, -5}} {
-		_, rerr := res.RouteLookupErr(bad[0], bad[1])
+		path, rerr := res.RouteLookupErr(bad[0], bad[1])
 		var nm *NotMemberError
-		if !errors.As(rerr, &nm) {
-			t.Fatalf("RouteLookupErr(%d, %d) = %v, want *NotMemberError", bad[0], bad[1], rerr)
-		}
-		if res.RouteLookup(bad[0], bad[1]) != nil {
-			t.Fatalf("legacy RouteLookup(%d, %d) returned a path for an invalid endpoint", bad[0], bad[1])
+		if !errors.As(rerr, &nm) || path != nil {
+			t.Fatalf("RouteLookupErr(%d, %d) = %v, %v, want no path and a *NotMemberError", bad[0], bad[1], path, rerr)
 		}
 	}
 
@@ -193,9 +190,6 @@ func TestRouteLookupErr(t *testing.T) {
 	}
 	if !strings.Contains(rerr.Error(), "injected abort") {
 		t.Fatalf("aborted error does not carry the abort reason: %v", rerr)
-	}
-	if aborted.RouteLookup(0, 1) != nil {
-		t.Fatal("legacy RouteLookup returned a path on an aborted result")
 	}
 	if _, rerr := (&BuildResult{}).RouteLookupErr(0, 1); !errors.Is(rerr, ErrAborted) {
 		t.Fatalf("tree-less result: %v, want ErrAborted", rerr)

@@ -66,7 +66,10 @@ func main() {
 	lookups := [][2]int{{0, n / 2}, {3, n - 1}, {n / 3, 2 * n / 3}}
 	worst := 0
 	for _, q := range lookups {
-		path := res.RouteLookup(q[0], q[1])
+		path, err := res.RouteLookupErr(q[0], q[1])
+		if err != nil {
+			log.Fatalf("lookup %d -> %d: %v", q[0], q[1], err)
+		}
 		fmt.Printf("lookup %4d -> %4d: %d hops via %v\n", q[0], q[1], len(path)-1, path)
 		if len(path)-1 > worst {
 			worst = len(path) - 1

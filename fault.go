@@ -236,13 +236,6 @@ func (p *FaultPlan) adversary(offset, phase int, crashes []Crash) *sim.Adversary
 // restarts at round 1, so reusing the seed verbatim would replay the
 // identical drop/delay pattern in every rebuild epoch.
 func (p *FaultPlan) shiftForEpoch(offset, epoch int, members []int) *FaultPlan {
-	memberIndex := func(id int) (int, bool) {
-		k := sort.SearchInts(members, id)
-		if k < len(members) && members[k] == id {
-			return k, true
-		}
-		return 0, false
-	}
 	q := &FaultPlan{
 		Seed:      rng.New(p.Seed).Split(uint64(epoch) + 0xe90c).Uint64(),
 		DropProb:  p.DropProb,
@@ -250,7 +243,7 @@ func (p *FaultPlan) shiftForEpoch(offset, epoch int, members []int) *FaultPlan {
 		DelayMax:  p.DelayMax,
 	}
 	for _, c := range p.Crashes {
-		li, ok := memberIndex(c.Node)
+		li, ok := indexIn(members, c.Node)
 		if !ok {
 			continue
 		}
@@ -276,7 +269,7 @@ func (p *FaultPlan) shiftForEpoch(offset, epoch int, members []int) *FaultPlan {
 		}
 		side := make([]int, 0, len(pt.Side))
 		for _, id := range pt.Side {
-			if li, ok := memberIndex(id); ok {
+			if li, ok := indexIn(members, id); ok {
 				side = append(side, li)
 			}
 		}
@@ -303,34 +296,6 @@ func aliveAfter(crashes []Crash, n, totalRounds int) ([]bool, int) {
 		}
 	}
 	return alive, dead
-}
-
-// ParseFaultPlan parses the CLI fault specification: a comma-separated
-// list of directives. An empty string yields an empty (but installed)
-// plan.
-//
-//	seed=S             fault seed (uint64)
-//	drop=P             per-message drop probability
-//	delay=P            per-message delay probability
-//	delaymax=K         maximum delay in rounds (default 1)
-//	crash=NODE@ROUND   crash-stop NODE at global round ROUND (repeatable)
-//	crashfrac=F@ROUND  crash a random F-fraction of nodes at ROUND
-//	cut=LO-HI@FROM-TO  partition nodes LO..HI (inclusive) away from the
-//	                   rest during global rounds [FROM, TO) (repeatable)
-//
-// Example: "drop=0.01,delay=0.05,delaymax=3,crash=17@40,cut=0-99@30-60".
-//
-// Deprecated: use ParsePlan, whose unified grammar accepts the same
-// fault directives (plus churn directives) and returns the fault plan
-// as Plan.Faults. This wrapper parses the identical grammar with the
-// identical errors and will stay, but new callers should take the
-// unified entry point.
-func ParseFaultPlan(spec string) (*FaultPlan, error) {
-	p, err := parsePlanSpec(spec, grammarFault)
-	if err != nil {
-		return nil, err
-	}
-	return p.Faults, nil
 }
 
 func parseAtPair(s string) (int, int, error) {

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -206,8 +207,11 @@ func TestFaultPlanValidation(t *testing.T) {
 func TestDerivedOverlaysOnFaultedResults(t *testing.T) {
 	aborted := &BuildResult{Aborted: true, AbortReason: "test"}
 	if aborted.Ring() != nil || aborted.Chord() != nil || aborted.Hypercube() != nil ||
-		aborted.DeBruijn() != nil || aborted.RouteLookup(0, 1) != nil {
+		aborted.DeBruijn() != nil {
 		t.Error("derived methods on an aborted result did not return nil")
+	}
+	if path, err := aborted.RouteLookupErr(0, 1); path != nil || !errors.Is(err, ErrAborted) {
+		t.Errorf("lookup on an aborted result = %v, %v; want no path and ErrAborted", path, err)
 	}
 
 	const n = 128
@@ -223,72 +227,14 @@ func TestDerivedOverlaysOnFaultedResults(t *testing.T) {
 	if edges := res.Ring(); len(edges) != k {
 		t.Errorf("survivor ring has %d edges, want %d", len(edges), k)
 	}
-	if path := res.RouteLookup(0, k-1); len(path) == 0 {
-		t.Error("RouteLookup on survivor-local endpoints returned nothing")
+	if path, err := res.RouteLookupErr(0, k-1); err != nil || len(path) == 0 {
+		t.Errorf("lookup on survivor-local endpoints = %v, %v", path, err)
 	}
-	if res.RouteLookup(-1, 0) != nil || res.RouteLookup(0, k) != nil {
-		t.Error("RouteLookup accepted out-of-range endpoints")
-	}
-}
-
-// TestParseFaultPlan covers the CLI fault-spec grammar.
-func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("seed=9,drop=0.01,delay=0.05,delaymax=3,crash=17@40,crash=3@0,crashfrac=0.25@100,cut=0-99@30-60")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Seed != 9 || plan.DropProb != 0.01 || plan.DelayProb != 0.05 || plan.DelayMax != 3 {
-		t.Errorf("scalar fields wrong: %+v", plan)
-	}
-	if len(plan.Crashes) != 2 || plan.Crashes[0] != (Crash{17, 40}) || plan.Crashes[1] != (Crash{3, 0}) {
-		t.Errorf("crashes wrong: %+v", plan.Crashes)
-	}
-	if plan.CrashFrac != 0.25 || plan.CrashFracRound != 100 {
-		t.Errorf("crashfrac wrong: %+v", plan)
-	}
-	if len(plan.Partitions) != 1 || plan.Partitions[0].From != 30 || plan.Partitions[0].Until != 60 ||
-		len(plan.Partitions[0].Side) != 100 {
-		t.Errorf("partition wrong: %+v", plan.Partitions)
-	}
-	if p, err := ParseFaultPlan(""); err != nil || p == nil {
-		t.Errorf("empty spec should parse to an empty plan, got %v, %v", p, err)
-	}
-	for _, bad := range []string{
-		"drop=2", "drop=x", "nope=1", "crash=5", "crash=5@x", "cut=5@1-2",
-		"cut=9-3@1-2", "cut=1-2@5-5", "delaymax=0", "crashfrac=0.5",
-	} {
-		if _, err := ParseFaultPlan(bad); err == nil {
-			t.Errorf("spec %q parsed without error", bad)
+	for _, bad := range []struct{ from, to, names int }{{-1, 0, -1}, {0, k, k}} {
+		var nm *NotMemberError
+		if _, err := res.RouteLookupErr(bad.from, bad.to); !errors.As(err, &nm) || nm.Node != bad.names {
+			t.Errorf("lookup %d -> %d: got %v, want a *NotMemberError naming %d", bad.from, bad.to, err, bad.names)
 		}
-	}
-}
-
-// TestParseFaultPlanRejectsRepeats: every singleton directive must be
-// rejected on repeat instead of silently letting the last value win;
-// crash= and cut= accumulate and stay repeatable.
-func TestParseFaultPlanRejectsRepeats(t *testing.T) {
-	repeats := []struct {
-		name string
-		spec string
-	}{
-		{"seed", "seed=1,drop=0.1,seed=2"},
-		{"drop", "drop=0.1,drop=0.2"},
-		{"delay", "delay=0.1,delay=0.2"},
-		{"delaymax", "delaymax=2,delaymax=3"},
-		{"crashfrac", "crashfrac=0.1@5,crashfrac=0.2@9"},
-		{"equal values", "drop=0.1,drop=0.1"}, // equal repeats are still ambiguous intent
-	}
-	for _, c := range repeats {
-		if _, err := ParseFaultPlan(c.spec); err == nil {
-			t.Errorf("%s: spec %q parsed without error (last-wins overwrite)", c.name, c.spec)
-		}
-	}
-	plan, err := ParseFaultPlan("crash=1@5,crash=2@6,cut=0-3@10-20,cut=4-7@30-40")
-	if err != nil {
-		t.Fatalf("repeatable directives rejected: %v", err)
-	}
-	if len(plan.Crashes) != 2 || len(plan.Partitions) != 2 {
-		t.Errorf("accumulating directives lost entries: %+v", plan)
 	}
 }
 

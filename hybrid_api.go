@@ -71,12 +71,7 @@ func ConnectedComponents(g *Graph, mBound int, opt *Options) (*ComponentsResult,
 	for i, ct := range res.Trees {
 		out.Trees[i] = ComponentTree{
 			Nodes: ct.Nodes,
-			Tree: &Tree{
-				Root:   ct.Tree.Root,
-				Parent: ct.Tree.Parent,
-				Rank:   ct.Tree.Rank,
-				NodeAt: ct.Tree.NodeAt,
-			},
+			Tree:  ct.Tree,
 		}
 	}
 	return out, nil

@@ -8,10 +8,12 @@ import (
 
 // sessionWriterFiles are the only files of the root overlay package
 // allowed to write overlay.Session state: session.go owns the session
-// lifecycle and churn.go owns the epoch schedule machinery. Everything
-// else reads sessions through their exported read-side methods.
+// lifecycle, epoch.go the epoch plan, ladder and rungs, and churn.go the
+// epoch schedule machinery. Everything else reads sessions through
+// their exported read-side methods.
 var sessionWriterFiles = map[string]bool{
 	"session.go": true,
+	"epoch.go":   true,
 	"churn.go":   true,
 }
 
@@ -38,13 +40,14 @@ var supervisorWorkerMethods = map[string]bool{
 
 // SingleWriter proves the session single-writer contract at both ends:
 // in the root overlay package, fields of overlay.Session are assigned
-// only from session.go/churn.go (the files that hold mu exclusively);
-// in internal/service, the exported session mutators are called only
-// from the supervisor worker goroutine's job functions — the contract
-// the -race concurrency tests sample, checked here on every call site.
+// only from session.go/epoch.go/churn.go (the files that hold mu
+// exclusively); in internal/service, the exported session mutators are
+// called only from the supervisor worker goroutine's job functions —
+// the contract the -race concurrency tests sample, checked here on
+// every call site.
 var SingleWriter = &Analyzer{
 	Name: "singlewriter",
-	Doc:  "overlay.Session fields are written only from session.go/churn.go; internal/service mutates sessions only from supervisor job functions",
+	Doc:  "overlay.Session fields are written only from session.go/epoch.go/churn.go; internal/service mutates sessions only from supervisor job functions",
 	Run:  runSingleWriter,
 }
 
@@ -92,7 +95,7 @@ func reportSessionFieldWrite(pass *Pass, filename string, lhs ast.Expr) {
 	if !isSessionType(pass, selection.Recv()) {
 		return
 	}
-	pass.Reportf(sel.Pos(), "write to Session.%s from %s: Session state is single-writer and only session.go/churn.go may assign its fields", sel.Sel.Name, filename)
+	pass.Reportf(sel.Pos(), "write to Session.%s from %s: Session state is single-writer and only session.go/epoch.go/churn.go may assign its fields", sel.Sel.Name, filename)
 }
 
 // isSessionType reports whether t is (a pointer to) this package's

@@ -18,8 +18,12 @@
 // compacted ranks and the wire phases carry the acknowledgement
 // traffic that makes them take effect.
 //
-// Phases, scheduled so that the zero-fault measured cost matches the
-// charged estimates in Session.patchEpoch:
+// Phases. Their budgets — rounds, charged messages, and the start
+// rounds the wire protocol is scheduled by — are stated once, in
+// RepairSpec.Schedule: NewRepairEngine schedules from that value and
+// the session's charged patch bill is the same value formatted, so the
+// zero-fault measured cost matches the charged estimate by
+// construction.
 //
 //  1. Census/commit sweep (only when members left). Every survivor
 //     knows its sweep parent: the nearest live ancestor in the old
@@ -36,7 +40,7 @@
 //     are batched two to a wire (a join storm shares prefix hops).
 //     Budget maxHops+2 rounds, ≤ Σhops + 2j messages.
 //  3. Epoch commit. The new root broadcasts the epoch membership down
-//     the new heap. Budget depth₁ rounds, k−1 messages.
+//     the new heap. Budget depth₁+1 rounds, k−1 messages.
 //
 // Nodes are event-driven: a node reports Halted whenever it has no
 // scheduled emission of its own ahead (only a joiner waiting for the
@@ -219,6 +223,67 @@ func (s *RepairSpec) validate() error {
 	return nil
 }
 
+// Phase is one repair phase's budget: the rounds the schedule reserves
+// for it and the messages the charged model bills it.
+type Phase struct {
+	Rounds   int
+	Messages int64
+}
+
+// Schedule is the one statement of a patch repair's phase budgets (the
+// phases are described at the top of this file). NewRepairEngine times
+// the wire protocol by it and the session's charged patch bill is this
+// value formatted, so the two cannot drift. A phase the epoch does not
+// need is the zero Phase; Join's messages are the unbatched bound.
+type Schedule struct {
+	Sweep, Join, Commit Phase
+	// HaltAt is the engine round the protocol's schedule ends at, which
+	// a zero-fault run is billed exactly: one short of Rounds — the
+	// charged model bills the final commit hop's processing round, the
+	// engine does not tick past the last delivery — plus the spec's
+	// BudgetSlack.
+	HaltAt int
+}
+
+// JoinStart is the engine round the joiners greet their contacts.
+func (s Schedule) JoinStart() int { return s.Sweep.Rounds }
+
+// CommitStart is the engine round the new root starts the broadcast.
+func (s Schedule) CommitStart() int { return s.Sweep.Rounds + s.Join.Rounds }
+
+// Rounds is the charged round total of the three phases.
+func (s Schedule) Rounds() int { return s.CommitStart() + s.Commit.Rounds }
+
+// Messages is the charged message total of the three phases.
+func (s Schedule) Messages() int64 {
+	return s.Sweep.Messages + s.Join.Messages + s.Commit.Messages
+}
+
+// Schedule computes the repair's phase budgets. It reads the block
+// sizes, OldDepth, BudgetSlack and the joiners' entry ranks (NewRank
+// at Entry) — never SweepParent, so a caller that only charges the
+// repair need not build the sweep forest: sweep says whether members
+// left (NewRepairEngine passes SweepParent != nil).
+func (s *RepairSpec) Schedule(sweep bool) Schedule {
+	k := s.Survivors + s.Joiners
+	var sc Schedule
+	if sweep {
+		sc.Sweep = Phase{Rounds: 2 * (s.OldDepth + 1), Messages: int64(2 * (s.Survivors - 1))}
+	}
+	if s.Joiners > 0 {
+		maxHops, sumHops := 0, 0
+		for x, e := range s.Entry {
+			h := greedyHops(k, s.NewRank[e], (s.NewRank[s.Survivors+x]-1)/2)
+			maxHops = max(maxHops, h)
+			sumHops += h
+		}
+		sc.Join = Phase{Rounds: maxHops + 2, Messages: int64(sumHops + 2*s.Joiners)}
+	}
+	sc.Commit = Phase{Rounds: heapDepth(k) + 1, Messages: int64(k - 1)}
+	sc.HaltAt = max(sc.Rounds()-1+max(s.BudgetSlack, 0), 1)
+	return sc
+}
+
 // SweepParents computes the census sweep forest for a repair over the
 // old tree t with the given dead mask: per survivor (in repair-index
 // order — ascending old index), the repair index of its nearest live
@@ -229,12 +294,18 @@ func (s *RepairSpec) validate() error {
 func SweepParents(t *Tree, dead []bool) []int {
 	n := t.N()
 	if dead == nil {
-		dead = make([]bool, n)
+		// Nobody died: repair indices are the old indices, the old root
+		// keeps rank 0, and every other node's parent is alive.
+		out := append([]int(nil), t.Parent...)
+		if n > 0 {
+			out[t.Root] = -1
+		}
+		return out
 	}
 	repairIdx := make([]int, n)
 	s := 0
 	for v := 0; v < n; v++ {
-		if dead != nil && dead[v] {
+		if dead[v] {
 			repairIdx[v] = -1
 			continue
 		}
@@ -511,8 +582,8 @@ func (p *RepairNode) route(ctx *sim.Ctx, fw []joinEntry) {
 
 // nextHop picks the finger covering the largest power-of-two step
 // that does not overshoot the clockwise distance to target — the same
-// greedy rule as overlays.RouteChord, so measured hop counts match
-// the charged route lengths exactly.
+// greedy rule as overlays.RouteChord and the one greedyHops counts, so
+// measured hop counts match the scheduled route lengths exactly.
 //
 //overlay:hotpath
 func (p *RepairNode) nextHop(target int) ids.ID {
@@ -525,7 +596,8 @@ func (p *RepairNode) nextHop(target int) ids.ID {
 }
 
 // greedyHops counts the finger hops from rank from to rank to in a
-// ring of k ranks, mirroring nextHop's step rule.
+// ring of k ranks, mirroring nextHop's step rule: the hop count
+// Schedule budgets and charges the join phase by.
 func greedyHops(k, from, to int) int {
 	hops := 0
 	for cur := from; cur != to; hops++ {
@@ -558,38 +630,8 @@ func newRepairEngine(spec *RepairSpec, cfg sim.Config, wrap func(p *RepairNode, 
 	k := s + j
 	cfg.N = k
 
-	// Phase schedule; zero-fault measured rounds land one short of the
-	// charged estimate (the charged model bills the final commit hop's
-	// processing round, the engine does not tick past the last
-	// delivery).
-	maxHops := 0
-	for x := 0; x < j; x++ {
-		target := (spec.NewRank[s+x] - 1) / 2
-		if h := greedyHops(k, spec.NewRank[spec.Entry[x]], target); h > maxHops {
-			maxHops = h
-		}
-	}
-	sweepBudget := 0
-	if spec.SweepParent != nil {
-		sweepBudget = 2 * (spec.OldDepth + 1)
-	}
-	joinBudget := 0
-	if j > 0 {
-		joinBudget = maxHops + 2
-	}
-	d1 := 0
-	for 1<<(d1+1) <= k {
-		d1++
-	}
-	joinStart := sweepBudget
-	commitStart := joinStart + joinBudget
-	haltAt := commitStart + d1
-	if spec.BudgetSlack > 0 {
-		haltAt += spec.BudgetSlack
-	}
-	if haltAt < 1 {
-		haltAt = 1
-	}
+	sched := spec.Schedule(spec.SweepParent != nil)
+	joinStart, commitStart, haltAt := sched.JoinStart(), sched.CommitStart(), sched.HaltAt
 
 	// One slab holds every node's state; protos and nodes point into it.
 	slab := make([]RepairNode, k)
@@ -683,7 +725,6 @@ func newRepairEngine(spec *RepairSpec, cfg sim.Config, wrap func(p *RepairNode, 
 // acknowledged by its heap parent; the caller is expected to fall
 // back to a full rebuild in that case.
 func ExtractRepair(spec *RepairSpec, protos []*RepairNode) (*Tree, error) {
-	k := spec.Survivors + spec.Joiners
 	for i, p := range protos {
 		if i < spec.Survivors {
 			if !p.committed {
@@ -695,23 +736,7 @@ func ExtractRepair(spec *RepairSpec, protos []*RepairNode) (*Tree, error) {
 			return nil, fmt.Errorf("wft: joiner %d never had its attachment acknowledged", i-spec.Survivors)
 		}
 	}
-	out := &Tree{
-		Parent: make([]int, k),
-		Rank:   make([]int, k),
-		NodeAt: make([]int, k),
-	}
-	for i, r := range spec.NewRank {
-		out.Rank[i] = r
-		out.NodeAt[r] = i
-	}
-	for i, r := range spec.NewRank {
-		if r == 0 {
-			out.Root = i
-			out.Parent[i] = i
-			continue
-		}
-		out.Parent[i] = out.NodeAt[(r-1)/2]
-	}
+	out := HeapTree(append([]int(nil), spec.NewRank...))
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("wft: repaired tree invalid: %w", err)
 	}

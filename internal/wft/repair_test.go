@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"overlay/internal/overlays"
 	"overlay/internal/rng"
 	"overlay/internal/sim"
 )
@@ -370,5 +371,110 @@ func TestRepairSchedulingEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestScheduleIsTheSingleSource pins that the value RepairSpec.Schedule
+// returns is what the wire protocol runs by: on generated specs of every
+// churn shape a zero-fault run ends exactly at the schedule's HaltAt —
+// one round short of the charged Rounds, plus the slack — having moved
+// no more than the schedule's charged Messages, whatever the execution
+// mode. The session formats the same value as its charged bill, so
+// charged and measured epochs cannot disagree about a phase budget.
+func TestScheduleIsTheSingleSource(t *testing.T) {
+	modes := []sim.Config{{Sequential: true}}
+	for w := 1; w <= 16; w++ {
+		modes = append(modes, sim.Config{Workers: w})
+	}
+	shapes := []struct {
+		name               string
+		leave, join, rootL bool
+	}{
+		{"leave-only", true, false, false},
+		{"join-only", false, true, false},
+		{"both", true, true, false},
+		{"root-leaves", true, true, true},
+	}
+	for _, k := range []int{2, 3, 17, 256, 1000} {
+		for _, sh := range shapes {
+			old := permTree(t, k, 0x5c4ed+uint64(k))
+			var dead []bool
+			if sh.leave {
+				dead = make([]bool, k)
+				src := rng.New(0x1eaf + uint64(k))
+				for v := range dead {
+					dead[v] = v != old.Root && src.Float64() < 0.1
+				}
+				// Someone always leaves: the root, or the last rank.
+				dead[old.NodeAt[k-1]] = true
+				if sh.rootL {
+					dead[old.NodeAt[k-1]] = false
+					dead[old.Root] = true
+				}
+			}
+			joiners := 0
+			if sh.join {
+				joiners = 1 + k/16
+			}
+			spec, want := repairCase(t, old, dead, joiners, 0xa77a+uint64(k))
+			for _, slack := range []int{0, 5} {
+				spec.BudgetSlack = slack
+				sched := spec.Schedule(sh.leave)
+				if sched.HaltAt != sched.Rounds()-1+slack {
+					t.Fatalf("k=%d %s slack=%d: HaltAt %d, charged rounds %d", k, sh.name, slack, sched.HaltAt, sched.Rounds())
+				}
+				if (sched.Sweep == Phase{}) == sh.leave || (sched.Join == Phase{}) == sh.join {
+					t.Fatalf("k=%d %s: schedule %+v has the wrong phases", k, sh.name, sched)
+				}
+				for _, cfg := range modes {
+					cfg.Seed = 0x9
+					got, eng, err := runRepair(t, spec, cfg)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("k=%d %s slack=%d workers=%d: repair diverged from the oracle (err %v)", k, sh.name, slack, cfg.Workers, err)
+					}
+					if eng.Round() != sched.HaltAt {
+						t.Errorf("k=%d %s slack=%d workers=%d: ran %d rounds, schedule halts at %d", k, sh.name, slack, cfg.Workers, eng.Round(), sched.HaltAt)
+					}
+					if m := eng.Metrics().TotalMessages; m > sched.Messages() {
+						t.Errorf("k=%d %s slack=%d workers=%d: moved %d messages, schedule charges %d", k, sh.name, slack, cfg.Workers, m, sched.Messages())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGreedyHopsCountsChordRoutes pins the one hop counter the schedule
+// charges by to the path form everything else routes with.
+func TestGreedyHopsCountsChordRoutes(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 17, 256, 1000} {
+		src := rng.New(uint64(k))
+		for i := 0; i < 200; i++ {
+			from, to := src.Intn(k), src.Intn(k)
+			if got, want := greedyHops(k, from, to), len(overlays.RouteChord(k, from, to))-1; got != want {
+				t.Fatalf("k=%d %d->%d: greedyHops %d, RouteChord takes %d hops", k, from, to, got, want)
+			}
+		}
+	}
+}
+
+// TestSweepParentsNilMask: a nil dead mask means nobody died — the
+// sweep forest is the old heap itself, exactly what an all-false mask
+// yields.
+func TestSweepParentsNilMask(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 200} {
+		old := permTree(t, n, 0xabc+uint64(n))
+		got, want := SweepParents(old, nil), SweepParents(old, make([]bool, n))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: nil mask gave %v, all-false mask %v", n, got, want)
+		}
+		for v, p := range got {
+			if (v == old.Root) != (p == -1) || (p >= 0 && p != old.Parent[v]) {
+				t.Errorf("n=%d: sweep parent of %d is %d, old parent %d, root %d", n, v, p, old.Parent[v], old.Root)
+			}
+		}
+	}
+	if got := SweepParents(&Tree{}, nil); len(got) != 0 {
+		t.Errorf("empty tree: %v", got)
 	}
 }

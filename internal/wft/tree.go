@@ -18,6 +18,11 @@
 // Tree is the in-memory result; Protocol (protocol.go) is the
 // message-level implementation whose output is bit-identical to
 // FromGraph given the same tie-breaking, which tests exploit.
+//
+// Maintenance lives here too: Repair is a churn epoch's rank repair,
+// repair.go runs it as a wire protocol, and RepairSpec.Schedule is the
+// one statement of that repair's phase budgets — the engine's timing
+// and the session's charged bill are both read from it.
 package wft
 
 import (
@@ -57,9 +62,12 @@ func (t *Tree) Children(v int) []int {
 
 // Depth returns the height of the heap tree: ⌈log₂(N+1)⌉ - 1 levels of
 // edges, the well-formed O(log n) diameter guarantee.
-func (t *Tree) Depth() int {
+func (t *Tree) Depth() int { return heapDepth(t.N()) }
+
+// heapDepth is the number of edge levels in a binary heap of n nodes.
+func heapDepth(n int) int {
 	d := 0
-	for (1 << (d + 1)) <= t.N() {
+	for (1 << (d + 1)) <= n {
 		d++
 	}
 	return d
@@ -103,6 +111,26 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
+// HeapTree builds the well-formed tree a rank assignment induces: rank
+// must be a permutation of [0, len(rank)), which the tree keeps (it does
+// not copy the slice); the parent of rank r > 0 is the node at rank
+// (r-1)/2 and the node at rank 0 is the root.
+func HeapTree(rank []int) *Tree {
+	t := &Tree{Rank: rank, NodeAt: make([]int, len(rank)), Parent: make([]int, len(rank))}
+	for v, r := range rank {
+		t.NodeAt[r] = v
+	}
+	for v, r := range rank {
+		if r == 0 {
+			t.Root = v
+			t.Parent[v] = v
+			continue
+		}
+		t.Parent[v] = t.NodeAt[(r-1)/2]
+	}
+	return t
+}
+
 // Repair performs the survivor-local rank reassignment of a churn
 // epoch: dead[v] marks nodes that crash-stopped (nil means none), and
 // joiners counts fresh nodes appended after the survivors. Survivors
@@ -137,34 +165,19 @@ func Repair(t *Tree, dead []bool, joiners int) (*Tree, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("wft: repair leaves no nodes")
 	}
-	out := &Tree{
-		Rank:   make([]int, k),
-		NodeAt: make([]int, k),
-		Parent: make([]int, k),
-	}
+	rank := make([]int, k)
 	li := 0
 	for v := 0; v < n; v++ {
 		if dead != nil && dead[v] {
 			continue
 		}
-		r := t.Rank[v] - deadBelow[t.Rank[v]]
-		out.Rank[li] = r
-		out.NodeAt[r] = li
+		rank[li] = t.Rank[v] - deadBelow[t.Rank[v]]
 		li++
 	}
 	for j := 0; j < joiners; j++ {
-		out.Rank[s+j] = s + j
-		out.NodeAt[s+j] = s + j
+		rank[s+j] = s + j
 	}
-	for v := 0; v < k; v++ {
-		r := out.Rank[v]
-		if r == 0 {
-			out.Root = v
-			out.Parent[v] = v
-			continue
-		}
-		out.Parent[v] = out.NodeAt[(r-1)/2]
-	}
+	out := HeapTree(rank)
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}
@@ -226,14 +239,12 @@ func FromGraph(g *graphx.Graph, id []uint64) (*Tree, error) {
 
 	// DFS pre-order ranks (iterative to tolerate deep BFS trees).
 	rank := make([]int, n)
-	nodeAt := make([]int, n)
 	next := 0
 	stack := []int{root}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		rank[v] = next
-		nodeAt[next] = v
 		next++
 		// Push children in reverse so the lowest ID pops first.
 		c := children[v]
@@ -241,16 +252,5 @@ func FromGraph(g *graphx.Graph, id []uint64) (*Tree, error) {
 			stack = append(stack, c[i])
 		}
 	}
-
-	// Heap parents over ranks.
-	heapParent := make([]int, n)
-	for v := 0; v < n; v++ {
-		r := rank[v]
-		if r == 0 {
-			heapParent[v] = v
-			continue
-		}
-		heapParent[v] = nodeAt[(r-1)/2]
-	}
-	return &Tree{Root: root, Rank: rank, NodeAt: nodeAt, Parent: heapParent}, nil
+	return HeapTree(rank), nil
 }

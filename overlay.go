@@ -117,37 +117,10 @@ type Options struct {
 }
 
 // Tree is a well-formed tree: rooted, degree ≤ 3, depth ⌈log₂ n⌉.
-type Tree struct {
-	// Root is the root node (the minimum-identifier node's index).
-	Root int
-	// Parent[v] is v's parent (Parent[Root] == Root).
-	Parent []int
-	// Rank[v] is v's heap rank: the children of rank r are ranks 2r+1
-	// and 2r+2, so routing and aggregation are index arithmetic.
-	Rank []int
-	// NodeAt[r] is the node holding rank r.
-	NodeAt []int
-}
-
-// Depth returns the number of edge levels in the tree.
-func (t *Tree) Depth() int {
-	d := 0
-	for (1 << (d + 1)) <= len(t.Rank) {
-		d++
-	}
-	return d
-}
-
-// Children returns v's children (at most 2).
-func (t *Tree) Children(v int) []int {
-	var out []int
-	for _, c := range []int{2*t.Rank[v] + 1, 2*t.Rank[v] + 2} {
-		if c < len(t.Rank) {
-			out = append(out, t.NodeAt[c])
-		}
-	}
-	return out
-}
+// Root is the minimum-identifier node's index, Parent[Root] == Root,
+// and the children of heap rank r are ranks 2r+1 and 2r+2 (Rank and
+// NodeAt are inverse), so routing and aggregation are index arithmetic.
+type Tree = wft.Tree
 
 // BuildStats reports the cost accounting of a BuildTree run: the
 // unified Bill (Path "build/fast" or "build/measured"; Rounds charged
@@ -274,12 +247,7 @@ func buildFast(m *graphx.Multi, ep expander.Params, opt *Options) (*BuildResult,
 	flood := diam + 2
 	rounds := ep.Evolutions*(ep.Ell+2) + wft.Rounds(flood, m.N)
 	out := &BuildResult{
-		Tree: &Tree{
-			Root:   tree.Root,
-			Parent: tree.Parent,
-			Rank:   tree.Rank,
-			NodeAt: tree.NodeAt,
-		},
+		Tree: tree,
 		Stats: BuildStats{
 			Bill:             Bill{Path: "build/fast", Rounds: rounds},
 			ExpanderDiameter: diam,
@@ -314,32 +282,16 @@ func buildMessageLevel(m *graphx.Multi, ep expander.Params, opt *Options) (*Buil
 	// stats merges whatever engine phases have run; the abort paths
 	// report partial accounting the same way a completed build does.
 	stats := func(eng2 *sim.Engine) BuildStats {
-		m1 := eng1.Metrics()
 		st := BuildStats{
-			Bill: Bill{
-				Path:                "build/measured",
-				Rounds:              eng1.Round(),
-				MaxMessagesPerRound: m1.MaxRoundSent(),
-				MaxMessagesTotal:    m1.MaxPerNodeSent(),
-				Messages:            m1.TotalMessages,
-				CapacityDrops:       m1.RecvDrops,
-				FaultDrops:          m1.FaultDrops,
-				FaultDelays:         m1.FaultDelays,
-			},
+			Bill:             engineBill("build/measured", eng1),
 			ExpanderDiameter: s.DiameterEstimate(),
 			SpectralGap:      final.SpectralGapWorkers(200, src.Split(0x9a9), ep.Workers),
 		}
 		if eng2 != nil {
-			m2 := eng2.Metrics()
-			st.Rounds += eng2.Round()
-			if v := m2.MaxRoundSent(); v > st.MaxMessagesPerRound {
-				st.MaxMessagesPerRound = v
-			}
-			st.MaxMessagesTotal += m2.MaxPerNodeSent()
-			st.Messages += m2.TotalMessages
-			st.CapacityDrops += m2.RecvDrops
-			st.FaultDrops += m2.FaultDrops
-			st.FaultDelays += m2.FaultDelays
+			// The tree phase runs after the expander phase on the same
+			// clock: Bill.add's sequential fold (a pathless bill keeps
+			// the path).
+			st.Bill.add(engineBill("", eng2))
 		}
 		return st
 	}
@@ -415,12 +367,7 @@ func buildMessageLevel(m *graphx.Multi, ep expander.Params, opt *Options) (*Buil
 	st := stats(eng2)
 	st.ProtocolAnomalies = anomalies
 	out := &BuildResult{
-		Tree: &Tree{
-			Root:   tree.Root,
-			Parent: tree.Parent,
-			Rank:   tree.Rank,
-			NodeAt: tree.NodeAt,
-		},
+		Tree:      tree,
 		Stats:     st,
 		Survivors: survivors,
 		expander:  s,

@@ -180,7 +180,10 @@ func TestDerivedOverlays(t *testing.T) {
 	check("debruijn", res.DeBruijn(), 4, 12)
 	check("expander", res.ExpanderEdges(), 1000, 6)
 
-	path := res.RouteLookup(5, 40)
+	path, err := res.RouteLookupErr(5, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if path[0] != 5 || path[len(path)-1] != 40 {
 		t.Errorf("route endpoints wrong: %v", path)
 	}

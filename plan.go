@@ -20,28 +20,6 @@ type Plan struct {
 	Churn *ChurnPlan
 }
 
-// planGrammar selects which directive set a specification may use.
-// The legacy ParseFaultPlan and ParseChurnPlan grammars are modes of
-// the same parser, so the three grammars can never drift apart.
-type planGrammar int
-
-const (
-	grammarUnified planGrammar = iota
-	grammarFault
-	grammarChurn
-)
-
-// String names the grammar in error messages ("plan directive …").
-func (g planGrammar) String() string {
-	switch g {
-	case grammarFault:
-		return "fault"
-	case grammarChurn:
-		return "churn"
-	}
-	return "plan"
-}
-
 // ParsePlan parses the unified plan specification: a comma-separated
 // list of directives drawn from both schedules. An empty string (or
 // one with no directives) yields a Plan with both schedules nil.
@@ -82,15 +60,6 @@ func (g planGrammar) String() string {
 //
 // Example: "drop=0.01,delaymax=3,epochs=10,join=0.02,leave=0.02".
 func ParsePlan(spec string) (*Plan, error) {
-	return parsePlanSpec(spec, grammarUnified)
-}
-
-// parsePlanSpec is the single parser behind ParsePlan, ParseFaultPlan,
-// and ParseChurnPlan. The grammar mode controls which directives are
-// known, how the seed keyword resolves (the legacy grammars both spell
-// their seed as seed=), and the repeat policy the legacy grammars
-// promised.
-func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 	faults := &FaultPlan{}
 	churn := &ChurnPlan{}
 	sawFault, sawChurn := false, false
@@ -108,47 +77,15 @@ func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 		}
 		key, val, ok := strings.Cut(part, "=")
 		if !ok {
-			return nil, fmt.Errorf("overlay: %s directive %q is not key=value", g, part)
+			return nil, fmt.Errorf("overlay: plan directive %q is not key=value", part)
 		}
-		// Resolve the grammar-local keyword to its canonical directive.
-		dir := key
-		switch g {
-		case grammarFault:
-			switch key {
-			case "seed", "drop", "delay", "delaymax", "crash", "crashfrac", "cut":
-			default:
-				return nil, fmt.Errorf("overlay: unknown fault directive %q", key)
-			}
-		case grammarChurn:
-			switch key {
-			case "epochs", "join", "leave", "rebuild":
-			case "seed":
-				dir = "churnseed"
-			default:
-				return nil, fmt.Errorf("overlay: unknown churn directive %q", key)
-			}
-		default:
-			switch key {
-			case "seed", "drop", "delay", "delaymax", "crash", "crashfrac", "cut",
-				"domains", "domaincut",
-				"epochs", "join", "leave", "rebuild", "churnseed":
-			default:
-				return nil, fmt.Errorf("overlay: unknown plan directive %q", key)
-			}
-		}
-		singleton := dir != "crash" && dir != "cut" && dir != "domaincut"
-		if g == grammarFault {
-			// The legacy fault grammar only policed its scalar knobs.
-			singleton = dir == "seed" || dir == "drop" || dir == "delay" ||
-				dir == "delaymax" || dir == "crashfrac"
-		}
-		if singleton {
+		if key != "crash" && key != "cut" && key != "domaincut" {
 			if seen[key] {
-				return nil, fmt.Errorf("overlay: %s directive %s= repeated (the earlier value would be silently overwritten)", g, key)
+				return nil, fmt.Errorf("overlay: plan directive %s= repeated (the earlier value would be silently overwritten)", key)
 			}
 			seen[key] = true
 		}
-		switch dir {
+		switch key {
 		case "seed":
 			v, err := strconv.ParseUint(val, 0, 64)
 			if err != nil {
@@ -161,7 +98,7 @@ func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 			if err != nil || v < 0 || v > 1 {
 				return nil, fmt.Errorf("overlay: %s=%q is not a probability in [0,1]", key, val)
 			}
-			if dir == "drop" {
+			if key == "drop" {
 				faults.DropProb = v
 			} else {
 				faults.DelayProb = v
@@ -224,7 +161,7 @@ func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 			sawFault = true
 		case "domaincut":
 			if seenCuts[val] {
-				return nil, fmt.Errorf("overlay: %s directive domaincut=%s repeated (the identical cut would fire twice)", g, val)
+				return nil, fmt.Errorf("overlay: plan directive domaincut=%s repeated (the identical cut would fire twice)", val)
 			}
 			seenCuts[val] = true
 			ds, ws, ok := strings.Cut(val, "@")
@@ -260,7 +197,7 @@ func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 			if err != nil || v < 0 || v > 1 {
 				return nil, fmt.Errorf("overlay: %s=%q is not a fraction in [0,1]", key, val)
 			}
-			switch dir {
+			switch key {
 			case "join":
 				churn.JoinFrac = v
 			case "leave":
@@ -279,6 +216,8 @@ func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 			}
 			churn.Seed = v
 			sawChurn = true
+		default:
+			return nil, fmt.Errorf("overlay: unknown plan directive %q", key)
 		}
 	}
 	if len(faults.DomainCuts) > 0 && faults.Domains < 1 {
@@ -290,26 +229,14 @@ func parsePlanSpec(spec string, g planGrammar) (*Plan, error) {
 		}
 	}
 	out := &Plan{}
-	switch g {
-	case grammarFault:
-		// The legacy contract: an empty specification still yields an
-		// empty (but installed) plan.
+	if sawFault {
 		out.Faults = faults
-	case grammarChurn:
+	}
+	if sawChurn {
 		if err := churn.validate(); err != nil {
 			return nil, err
 		}
 		out.Churn = churn
-	default:
-		if sawFault {
-			out.Faults = faults
-		}
-		if sawChurn {
-			if err := churn.validate(); err != nil {
-				return nil, err
-			}
-			out.Churn = churn
-		}
 	}
 	return out, nil
 }

@@ -119,52 +119,148 @@ func TestParsePlanDomains(t *testing.T) {
 	if _, err := ParsePlan("domains=4,domaincut=1@10,domaincut=1@20"); err != nil {
 		t.Errorf("distinct cuts on one domain rejected: %v", err)
 	}
+}
 
-	// The legacy wrappers never learn the domain grammar.
-	if _, err := ParseFaultPlan("domains=4"); err == nil {
-		t.Error("ParseFaultPlan accepted domains=")
+// TestParseFaultPlan covers the fault half of the plan grammar: every
+// directive of the retired -faults grammar parses through ParsePlan to
+// the same FaultPlan, and every malformed spelling it rejected is still
+// rejected.
+func TestParseFaultPlan(t *testing.T) {
+	p, err := ParsePlan("seed=9,drop=0.01,delay=0.05,delaymax=3,crash=17@40,crash=3@0,crashfrac=0.25@100,cut=0-99@30-60")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseChurnPlan("epochs=2,domaincut=1@10"); err == nil {
-		t.Error("ParseChurnPlan accepted domaincut=")
+	plan := p.Faults
+	if plan == nil || p.Churn != nil {
+		t.Fatalf("fault-only spec parsed to %+v", p)
+	}
+	if plan.Seed != 9 || plan.DropProb != 0.01 || plan.DelayProb != 0.05 || plan.DelayMax != 3 {
+		t.Errorf("scalar fields wrong: %+v", plan)
+	}
+	if len(plan.Crashes) != 2 || plan.Crashes[0] != (Crash{17, 40}) || plan.Crashes[1] != (Crash{3, 0}) {
+		t.Errorf("crashes wrong: %+v", plan.Crashes)
+	}
+	if plan.CrashFrac != 0.25 || plan.CrashFracRound != 100 {
+		t.Errorf("crashfrac wrong: %+v", plan)
+	}
+	if len(plan.Partitions) != 1 || plan.Partitions[0].From != 30 || plan.Partitions[0].Until != 60 ||
+		len(plan.Partitions[0].Side) != 100 {
+		t.Errorf("partition wrong: %+v", plan.Partitions)
+	}
+	for _, bad := range []string{
+		"drop=2", "drop=x", "nope=1", "crash=5", "crash=5@x", "cut=5@1-2",
+		"cut=9-3@1-2", "cut=1-2@5-5", "delaymax=0", "crashfrac=0.5",
+	} {
+		if _, err := ParsePlan(bad); err == nil {
+			t.Errorf("spec %q parsed without error", bad)
+		}
 	}
 }
 
-// TestParsePlanMatchesLegacyParsers: the deprecated wrappers and the
-// unified grammar are modes of one parser; a spec legal in both must
-// produce identical plans.
-func TestParsePlanMatchesLegacyParsers(t *testing.T) {
-	faultSpec := "seed=9,drop=0.01,delay=0.05,delaymax=3,crash=17@40,crashfrac=0.25@100,cut=0-99@30-60"
-	legacy, err := ParseFaultPlan(faultSpec)
+// TestParseFaultPlanRejectsRepeats: every singleton fault directive
+// must be rejected on repeat instead of silently letting the last value
+// win; crash= and cut= accumulate and stay repeatable.
+func TestParseFaultPlanRejectsRepeats(t *testing.T) {
+	repeats := []struct {
+		name string
+		spec string
+	}{
+		{"seed", "seed=1,drop=0.1,seed=2"},
+		{"drop", "drop=0.1,drop=0.2"},
+		{"delay", "delay=0.1,delay=0.2"},
+		{"delaymax", "delaymax=2,delaymax=3"},
+		{"crashfrac", "crashfrac=0.1@5,crashfrac=0.2@9"},
+		{"equal values", "drop=0.1,drop=0.1"}, // equal repeats are still ambiguous intent
+	}
+	for _, c := range repeats {
+		if _, err := ParsePlan(c.spec); err == nil {
+			t.Errorf("%s: spec %q parsed without error (last-wins overwrite)", c.name, c.spec)
+		}
+	}
+	p, err := ParsePlan("crash=1@5,crash=2@6,cut=0-3@10-20,cut=4-7@30-40")
+	if err != nil {
+		t.Fatalf("repeatable directives rejected: %v", err)
+	}
+	if len(p.Faults.Crashes) != 2 || len(p.Faults.Partitions) != 2 {
+		t.Errorf("accumulating directives lost entries: %+v", p.Faults)
+	}
+}
+
+// TestParseChurnPlan covers the churn half of the plan grammar: the
+// retired -churn grammar's directives parse through ParsePlan to the
+// same ChurnPlan (the seed spelled churnseed=), and every malformed
+// schedule it rejected is still rejected.
+func TestParseChurnPlan(t *testing.T) {
+	p, err := ParsePlan("epochs=10,join=0.02,leave=0.02,churnseed=5,rebuild=0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unified, err := ParsePlan(faultSpec)
+	want := &ChurnPlan{Seed: 5, Epochs: 10, JoinFrac: 0.02, LeaveFrac: 0.02, RebuildFraction: 0.3}
+	if !reflect.DeepEqual(p.Churn, want) || p.Faults != nil {
+		t.Errorf("parsed %+v / %+v, want %+v and no fault plan", p.Churn, p.Faults, want)
+	}
+	bad := []string{
+		"leave=0.02",                   // epochs missing
+		"epochs=0",                     // not positive
+		"epochs=10,join=1.5",           // fraction out of range
+		"epochs=10,epochs=5",           // repeated directive
+		"epochs=10,leave",              // not key=value
+		"epochs=10,frobnicate=1",       // unknown key
+		"epochs=10,churnseed=-1",       // bad uint
+		"epochs=10,rebuild=nope",       // bad float
+		"epochs=10,rebuild=0",          // indistinguishable from unset
+		"epochs=10,join=0,join=0",      // repeat even with equal values
+		"epochs=10,domaincut=1@10",     // fault list directive without its domains=
+		"epochs=10,churnseed=5,seed=x", // the fault seed is checked too
+	}
+	for _, spec := range bad {
+		if _, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q): no error", spec)
+		}
+	}
+}
+
+// TestParsePlanLegacySpecs: the two specifications the retired
+// ParseFaultPlan/ParseChurnPlan parity test fed both parsers produce,
+// through ParsePlan, exactly the plans the legacy parsers built — and a
+// -churn specification carried over verbatim does not silently keep its
+// meaning: seed= names the fault seed in the one grammar, so the churn
+// schedule it used to seed stays at its zero seed and a fault plan
+// appears.
+func TestParsePlanLegacySpecs(t *testing.T) {
+	p, err := ParsePlan("seed=9,drop=0.01,delay=0.05,delaymax=3,crash=17@40,crashfrac=0.25@100,cut=0-99@30-60")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy, unified.Faults) {
-		t.Errorf("fault plans diverge:\nlegacy  %+v\nunified %+v", legacy, unified.Faults)
+	side := make([]int, 100)
+	for i := range side {
+		side[i] = i
+	}
+	wantFaults := &FaultPlan{
+		Seed: 9, DropProb: 0.01, DelayProb: 0.05, DelayMax: 3,
+		Crashes:   []Crash{{Node: 17, Round: 40}},
+		CrashFrac: 0.25, CrashFracRound: 100,
+		Partitions: []Partition{{From: 30, Until: 60, Side: side}},
+	}
+	if !reflect.DeepEqual(p.Faults, wantFaults) || p.Churn != nil {
+		t.Errorf("fault spec parsed to\n%+v / %+v, want\n%+v and no churn plan", p.Faults, p.Churn, wantFaults)
 	}
 
-	churnLegacy, err := ParseChurnPlan("epochs=10,join=0.02,leave=0.03,seed=5,rebuild=0.5")
+	p, err = ParsePlan("epochs=10,join=0.02,leave=0.03,churnseed=5,rebuild=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	churnUnified, err := ParsePlan("epochs=10,join=0.02,leave=0.03,churnseed=5,rebuild=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(churnLegacy, churnUnified.Churn) {
-		t.Errorf("churn plans diverge:\nlegacy  %+v\nunified %+v", churnLegacy, churnUnified.Churn)
+	wantChurn := &ChurnPlan{Seed: 5, Epochs: 10, JoinFrac: 0.02, LeaveFrac: 0.03, RebuildFraction: 0.5}
+	if !reflect.DeepEqual(p.Churn, wantChurn) || p.Faults != nil {
+		t.Errorf("churn spec parsed to %+v / %+v, want %+v and no fault plan", p.Churn, p.Faults, wantChurn)
 	}
 
-	// The churn wrapper keeps its own spelling: seed= is the churn seed
-	// there, and churnseed= stays unknown.
-	if _, err := ParseChurnPlan("epochs=2,churnseed=5"); err == nil {
-		t.Error("ParseChurnPlan accepted churnseed=")
+	p, err = ParsePlan("epochs=10,join=0.02,leave=0.03,seed=5,rebuild=0.5")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And the fault wrapper never learns churn directives.
-	if _, err := ParseFaultPlan("epochs=2"); err == nil {
-		t.Error("ParseFaultPlan accepted epochs=")
+	wantChurn.Seed = 0
+	if !reflect.DeepEqual(p.Churn, wantChurn) || !reflect.DeepEqual(p.Faults, &FaultPlan{Seed: 5}) {
+		t.Errorf("legacy-spelt churn spec parsed to %+v / %+v, want %+v and a fault plan seeded 5", p.Churn, p.Faults, wantChurn)
 	}
 }

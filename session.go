@@ -1,18 +1,14 @@
 package overlay
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"overlay/internal/graphx"
 	"overlay/internal/overlays"
-	"overlay/internal/rng"
 	"overlay/internal/sim"
-	"overlay/internal/wft"
 )
 
 // Live overlay maintenance. BuildTree is one-shot: it assumes the
@@ -472,14 +468,13 @@ func (s *Session) lookupErr(id int) error {
 	return &NotMemberError{Node: id}
 }
 
-// memberIndex locates a global identifier in the ascending member
-// list.
-func (s *Session) memberIndex(id int) (int, bool) {
-	k := sort.SearchInts(s.members, id)
-	if k < len(s.members) && s.members[k] == id {
-		return k, true
-	}
-	return 0, false
+// memberIndex locates a global identifier in the member list.
+func (s *Session) memberIndex(id int) (int, bool) { return indexIn(s.members, id) }
+
+// indexIn locates id in an ascending identifier list.
+func indexIn(ids []int, id int) (int, bool) {
+	k := sort.SearchInts(ids, id)
+	return k, k < len(ids) && ids[k] == id
 }
 
 // Checkpoint is a restorable snapshot of a session's committed state:
@@ -595,109 +590,6 @@ func (s *Session) SetFaults(p *FaultPlan) error {
 	return nil
 }
 
-// ApplyEpoch advances the session by one churn epoch: the listed
-// members leave (crash-stop semantics: they say no goodbyes) and the
-// listed fresh identifiers join. On return the session holds a
-// well-formed tree over the new membership and the epoch's cost is
-// appended to Bills; on error the session is unchanged. Joins and
-// leaves may arrive in any order but must be disjoint, duplicate-free,
-// and — for leaves — current members (joins must be non-members).
-//
-// A defeated epoch climbs the recovery ladder (see
-// SessionOptions.PatchRetries/RebuildRetries). When every rung fails,
-// the session rolls back to its pre-epoch checkpoint and ApplyEpoch
-// returns the aborted bill (Aborted set, every attempt itemized)
-// together with a reasoned error: the caller can re-apply the epoch
-// or keep serving lookups from the last committed state. Invalid
-// arguments return (nil, error) without consuming an epoch.
-func (s *Session) ApplyEpoch(joins, leaves []int) (*EpochBill, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyEpochLocked(joins, leaves)
-}
-
-// ApplyEpochCtx is ApplyEpoch bounded by a context: the deadline (or
-// cancellation) is polled between engine rounds of measured patches
-// and rebuilds, at rung boundaries of the recovery ladder, and before
-// the analytic paths commit. An epoch the context interrupts is a
-// hard error wrapping both ErrInterrupted and the context's error —
-// the session rolls back to its pre-epoch state (bit-identical, epoch
-// counter not advanced) and keeps serving lookups, so a timed-out
-// request observably never happened. ApplyEpochCtx(context.Background(),
-// …) is exactly ApplyEpoch.
-func (s *Session) ApplyEpochCtx(ctx context.Context, joins, leaves []int) (*EpochBill, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ctx != nil && ctx.Done() != nil {
-		s.interrupt = func() bool { return ctx.Err() != nil }
-		defer func() { s.interrupt = nil }()
-	}
-	bill, err := s.applyEpochLocked(joins, leaves)
-	if err != nil && errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
-		err = fmt.Errorf("%w: %w", err, ctx.Err())
-	}
-	return bill, err
-}
-
-// interrupted reports whether the in-flight ApplyEpochCtx deadline
-// has fired.
-func (s *Session) interrupted() bool {
-	return s.interrupt != nil && s.interrupt()
-}
-
-// applyEpochLocked is the epoch body; the write lock is held.
-func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
-	joins, leaves, err := s.checkEpochArgs(joins, leaves)
-	if err != nil {
-		return nil, err
-	}
-	if s.interrupted() {
-		return nil, fmt.Errorf("%w (before epoch %d started)", ErrInterrupted, s.clock.Epoch())
-	}
-	cp := s.checkpointLocked()
-	k0 := len(s.members)
-	churned := float64(len(joins)+len(leaves)) / float64(k0)
-	epoch, seed := s.clock.NextEpoch()
-	bill := &EpochBill{
-		Epoch:           epoch,
-		Joined:          len(joins),
-		Left:            len(leaves),
-		ChurnedFraction: churned,
-		Rebuilt:         churned > s.rebuildFrac,
-	}
-	if err := s.runEpochLadder(joins, leaves, seed, bill); err != nil {
-		// Hard specification error (not an adversary defeat): the
-		// session must stay replayable, so the epoch counter must not
-		// advance either.
-		s.restoreLocked(cp)
-		return nil, err
-	}
-	if bill.Aborted {
-		s.restoreLocked(cp)
-		bill.Members = len(s.members)
-		bill.Clock = s.clock.Round()
-		return bill, fmt.Errorf("overlay: epoch %d aborted after %d attempts: %s; session rolled back to the pre-epoch checkpoint", epoch, bill.Attempts, bill.AbortReason)
-	}
-	bill.Members = len(s.members)
-	s.clock.Advance(bill.Rounds)
-	bill.Clock = s.clock.Round()
-	// Section 1.4 re-establishment: bill the O(log k) rounds the
-	// derived overlays cost to re-announce over the repaired tree. The
-	// charge is a separate line item, not folded into Bill.Rounds or
-	// the clock (see EpochBill.DerivedRounds).
-	bill.DerivedRounds = sim.LogBound(len(s.members)) + 1
-	bill.Itemized += fmt.Sprintf("%-28s %5d rounds  (charged, off the epoch clock)\n", "derived re-establishment", bill.DerivedRounds)
-	s.noteDepartures(epoch, cp.members, joins)
-	if len(joins) > 0 {
-		if last := joins[len(joins)-1]; last >= s.nextID {
-			s.nextID = last + 1
-		}
-	}
-	s.bills = append(s.bills, *bill)
-	s.invalidateDerivedLocked()
-	return bill, nil
-}
-
 // depart appends one departure to the log and indexes it.
 func (s *Session) depart(id, epoch int) {
 	s.departLog = append(s.departLog, departure{id, epoch})
@@ -723,501 +615,6 @@ func (s *Session) noteDepartures(epoch int, prevMembers, joins []int) {
 	}
 }
 
-// runEpochLadder executes the epoch's recovery ladder: the patch
-// rungs (measured epochs only — a charged or no-op patch is analytic
-// and cannot be defeated), then the rebuild rungs. Each rung runs
-// with a per-attempt derived seed and fate stream, a fault plan
-// shifted past the rounds earlier failed rungs consumed, and — for
-// patch rungs — a growing round-budget slack. The first rung that
-// commits wins; its state is already applied when this returns. When
-// every rung fails, bill.Aborted is set with every attempt itemized
-// and the session left for the caller to roll back. A non-nil error
-// is a hard specification failure, never an adversary defeat.
-func (s *Session) runEpochLadder(joins, leaves []int, seed uint64, bill *EpochBill) error {
-	measuredPatch := !bill.Rebuilt && s.accounting == Measured && len(joins)+len(leaves) > 0
-	if !bill.Rebuilt && !measuredPatch {
-		// No-op and charged patches commit analytically in one attempt.
-		if err := s.patchEpoch(joins, leaves, seed, bill); err != nil {
-			return err
-		}
-		bill.Attempts = 1
-		bill.AttemptBills = []Bill{bill.Bill}
-		return nil
-	}
-
-	var attempts []Bill
-	var reasons []string
-	spent := 0 // rounds consumed by failed attempts, advancing each retry's fault-plan offset
-	commit := func(b Bill, rebuilt bool) {
-		attempts = append(attempts, b)
-		bill.Rebuilt = bill.Rebuilt || rebuilt
-		sealLadderBill(bill, attempts)
-	}
-	fail := func(b Bill, kind string, reason error) {
-		b.Itemized += fmt.Sprintf("%-28s %v\n", kind+" aborted", reason)
-		attempts = append(attempts, b)
-		spent += b.Rounds
-		reasons = append(reasons, fmt.Sprintf("measured %s aborted (%v)", kind, reason))
-	}
-
-	if measuredPatch {
-		for a := 0; a <= s.patchRetries; a++ {
-			if s.interrupted() {
-				return fmt.Errorf("%w (patch rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
-			}
-			b, reason, err := s.patchMeasuredAttempt(joins, leaves, attemptSeed(seed, 0x9a7c, a), bill.Epoch, a, spent)
-			if err != nil {
-				return err
-			}
-			if reason == nil {
-				commit(b, false)
-				return nil
-			}
-			fail(b, "patch", reason)
-		}
-	}
-	for a := 0; a <= s.rebuildRetries; a++ {
-		if s.interrupted() {
-			return fmt.Errorf("%w (rebuild rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
-		}
-		b, reason, err := s.rebuildAttempt(joins, leaves, attemptSeed(seed, 0x4eb1, a), bill, a, spent)
-		if err != nil {
-			return err
-		}
-		if reason == nil {
-			commit(b, true)
-			return nil
-		}
-		fail(b, "rebuild", reason)
-	}
-	bill.Aborted = true
-	bill.AbortReason = compressRuns(reasons, "; ")
-	sealLadderBill(bill, attempts)
-	return nil
-}
-
-// attemptSeed derives rung a's seed: attempt 0 uses the epoch seed
-// verbatim (so single-attempt epochs reproduce the pre-ladder runs
-// bit for bit), later attempts split a fresh stream per rung.
-func attemptSeed(seed, label uint64, a int) uint64 {
-	if a == 0 {
-		return seed
-	}
-	return rng.New(seed).Split(label + uint64(a)).Uint64()
-}
-
-// sealLadderBill folds the attempt bills into the epoch's unified
-// bill and stamps the ladder path.
-func sealLadderBill(bill *EpochBill, attempts []Bill) {
-	bill.Attempts = len(attempts)
-	bill.AttemptBills = attempts
-	var total Bill
-	for _, a := range attempts {
-		total.add(a)
-	}
-	paths := make([]string, len(attempts))
-	for i, a := range attempts {
-		paths[i] = a.Path
-	}
-	total.Path = compressRuns(paths, "+")
-	bill.Bill = total
-}
-
-// compressRuns joins the parts with sep, compressing consecutive
-// repeats as "part×N" — the bill's ladder-path grammar. A single
-// part comes back verbatim, so one-attempt epochs keep the familiar
-// path strings.
-func compressRuns(parts []string, sep string) string {
-	var out []string
-	for i := 0; i < len(parts); {
-		j := i
-		for j < len(parts) && parts[j] == parts[i] {
-			j++
-		}
-		p := parts[i]
-		if j-i > 1 {
-			p = fmt.Sprintf("%s×%d", p, j-i)
-		}
-		out = append(out, p)
-		i = j
-	}
-	return strings.Join(out, sep)
-}
-
-// checkEpochArgs validates and normalizes (sorts copies of) the epoch
-// arguments.
-func (s *Session) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
-	joins = append([]int(nil), joins...)
-	leaves = append([]int(nil), leaves...)
-	sort.Ints(joins)
-	sort.Ints(leaves)
-	for i, id := range joins {
-		if id < 0 {
-			return nil, nil, fmt.Errorf("overlay: joiner identifier %d is negative", id)
-		}
-		if i > 0 && joins[i-1] == id {
-			return nil, nil, fmt.Errorf("overlay: joiner %d listed twice", id)
-		}
-		if _, ok := s.memberIndex(id); ok {
-			return nil, nil, fmt.Errorf("overlay: joiner %d is already a member", id)
-		}
-	}
-	for i, id := range leaves {
-		if i > 0 && leaves[i-1] == id {
-			return nil, nil, fmt.Errorf("overlay: leaver %d listed twice", id)
-		}
-		if _, ok := s.memberIndex(id); !ok {
-			return nil, nil, fmt.Errorf("overlay: leaver %d is not a member", id)
-		}
-	}
-	for i, j := 0, 0; i < len(joins) && j < len(leaves); {
-		switch {
-		case joins[i] < leaves[j]:
-			i++
-		case joins[i] > leaves[j]:
-			j++
-		default:
-			return nil, nil, fmt.Errorf("overlay: node %d both joins and leaves this epoch", joins[i])
-		}
-	}
-	if len(leaves) == len(s.members) {
-		return nil, nil, errors.New("overlay: epoch removes every member")
-	}
-	return joins, leaves, nil
-}
-
-// epochPartition splits the current membership against the sorted
-// leave list: the dead mask in member-local space, the survivor
-// globals (ascending), and the merged new membership with the mapping
-// from repair-index space (survivors first, then joiners) to
-// new-member-local space.
-func (s *Session) epochPartition(joins, leaves []int) (dead []bool, survivors, newMembers []int, newOf []int) {
-	dead = make([]bool, len(s.members))
-	for _, id := range leaves {
-		li, _ := s.memberIndex(id)
-		dead[li] = true
-	}
-	survivors = make([]int, 0, len(s.members)-len(leaves))
-	for li, id := range s.members {
-		if !dead[li] {
-			survivors = append(survivors, id)
-		}
-	}
-	s0, j := len(survivors), len(joins)
-	newMembers = make([]int, 0, s0+j)
-	newOf = make([]int, s0+j)
-	for i, jj := 0, 0; i < s0 || jj < j; {
-		if jj >= j || (i < s0 && survivors[i] < joins[jj]) {
-			newOf[i] = len(newMembers)
-			newMembers = append(newMembers, survivors[i])
-			i++
-		} else {
-			newOf[s0+jj] = len(newMembers)
-			newMembers = append(newMembers, joins[jj])
-			jj++
-		}
-	}
-	return dead, survivors, newMembers, newOf
-}
-
-// patchEpoch is the incremental repair path. The distributed protocol
-// it charges: (1) leave detection and rank compaction — survivors
-// aggregate dead-rank counts up the old tree and prefix-shift ranks
-// down it, two sweeps of depth+1 rounds carrying one message per
-// surviving tree edge each; (2) joiner attachment — each joiner greets
-// a deterministic bootstrap contact and greedily routes over the
-// repaired Chord fingers to its heap parent (≤ ⌈log₂ k⌉ hops, all
-// joiners in parallel), plus an attach/ack exchange; (3) a commit
-// broadcast of the new membership count down the new tree. Everything
-// is rank arithmetic afterwards, exactly as in the one-shot build.
-func (s *Session) patchEpoch(joins, leaves []int, seed uint64, bill *EpochBill) error {
-	if len(joins) == 0 && len(leaves) == 0 {
-		bill.Path = "patch/noop"
-		bill.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (charged)\n", "no-op epoch", 0, 0)
-		return nil
-	}
-	dead, survivors, newMembers, newOf := s.epochPartition(joins, leaves)
-	s0 := len(survivors)
-	k1 := s0 + len(joins)
-
-	old := &wft.Tree{Root: s.tree.Root, Rank: s.tree.Rank, NodeAt: s.tree.NodeAt, Parent: s.tree.Parent}
-	depth0 := old.Depth()
-	var deadMask []bool
-	if len(leaves) > 0 {
-		deadMask = dead
-	}
-	rt, err := wft.Repair(old, deadMask, len(joins))
-	if err != nil {
-		return fmt.Errorf("overlay: epoch patch failed: %w", err)
-	}
-
-	bill.Path = "patch/charged"
-	rounds, itemized := 0, ""
-	var messages int64
-	if len(leaves) > 0 {
-		r := 2 * (depth0 + 1)
-		m := int64(2 * (s0 - 1))
-		rounds += r
-		messages += m
-		itemized += fmt.Sprintf("%-28s %5d rounds  %9d msgs (charged)\n", "leave detect + compaction", r, m)
-	}
-	if len(joins) > 0 {
-		entry := rng.New(seed).Split(0xa77a)
-		maxHops := 0
-		var routeMsgs int64
-		for i := range joins {
-			r := s0 + i // the joiner's tail rank
-			target := (r - 1) / 2
-			path := overlays.RouteChord(k1, entry.Intn(s0), target)
-			hops := len(path) - 1
-			if hops > maxHops {
-				maxHops = hops
-			}
-			routeMsgs += int64(hops)
-		}
-		r := maxHops + 2 // all joiners route in parallel, then attach/ack
-		m := routeMsgs + int64(2*len(joins))
-		rounds += r
-		messages += m
-		itemized += fmt.Sprintf("%-28s %5d rounds  %9d msgs (charged)\n", "joiner chord attach", r, m)
-	}
-	nt := relabelTree(rt, newOf)
-	commitR := nt.Depth() + 1
-	commitM := int64(k1 - 1)
-	rounds += commitR
-	messages += commitM
-	itemized += fmt.Sprintf("%-28s %5d rounds  %9d msgs (charged)\n", "membership commit", commitR, commitM)
-
-	s.members = newMembers
-	s.tree = nt
-	bill.Rounds = rounds
-	bill.Messages = messages
-	bill.Itemized = itemized
-	return nil
-}
-
-// patchMeasuredAttempt runs one patch rung as a real wire protocol
-// (wft.NewRepairEngine) instead of charging the cost model: the
-// census/commit sweep, the finger-routed joiner attachment, and the
-// commit broadcast execute round by round on the engine, under the
-// session fault plan shifted into the attempt's clock offset and
-// repair index space (fate phase 3 — the build phases used 1 and 2).
-// With a zero adversary the protocol reproduces the charged path's
-// topology bit for bit. seed is the rung's derived seed; spent is the
-// rounds earlier failed rungs consumed (advancing the fault-plan
-// offset), and attempt > 0 re-derives the fate stream and stretches
-// the engine budget (backoff). A committed attempt applies the new
-// state and returns a nil reason; a defeated one returns its wasted
-// bill and the defeat reason. A non-nil error is a hard failure.
-func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, attempt, spent int) (Bill, error, error) {
-	dead, _, newMembers, newOf := s.epochPartition(joins, leaves)
-	var deadMask []bool
-	if len(leaves) > 0 {
-		deadMask = dead
-	}
-	old := &wft.Tree{Root: s.tree.Root, Rank: s.tree.Rank, NodeAt: s.tree.NodeAt, Parent: s.tree.Parent}
-	depth0 := old.Depth()
-	rt, err := wft.Repair(old, deadMask, len(joins))
-	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
-	}
-	j := len(joins)
-	k1 := len(newMembers)
-	s0 := k1 - j
-	spec := &wft.RepairSpec{Survivors: s0, Joiners: j, OldDepth: depth0, NewRank: rt.Rank}
-	if attempt > 0 {
-		spec.BudgetSlack = attempt * (sim.LogBound(k1) + 4)
-	}
-	if deadMask != nil {
-		spec.SweepParent = wft.SweepParents(old, deadMask)
-	}
-	if j > 0 {
-		// Same bootstrap-contact draws as the charged path and the
-		// rebuild substrate: entry.Intn(s0) is a new rank in [0, s0),
-		// owned by a survivor.
-		entry := rng.New(seed).Split(0xa77a)
-		spec.Entry = make([]int, j)
-		for i := range spec.Entry {
-			spec.Entry[i] = rt.NodeAt[entry.Intn(s0)]
-		}
-	}
-	cfg := sim.Config{Seed: seed, Sequential: s.build.Sequential, Workers: s.build.Workers, Interrupt: s.interrupt}
-	if s.build.CapFactor > 0 {
-		c := s.build.CapFactor * sim.LogBound(k1)
-		cfg.SendCap, cfg.RecvCap = c, c
-	}
-	if s.faults != nil {
-		q := s.faults.shiftForEpoch(s.clock.Round()+spent, epoch, newMembers)
-		if attempt > 0 {
-			// Retry rungs draw a fresh fate stream: replaying the defeated
-			// attempt's exact drop/delay pattern could never converge.
-			q.Seed = rng.New(q.Seed).Split(uint64(attempt) + 0xfa7e).Uint64()
-		}
-		// shiftForEpoch speaks new-member-local indices; the engine
-		// runs in repair-index space (survivors first, then joiners).
-		repairOf := make([]int, k1)
-		for ri, nl := range newOf {
-			repairOf[nl] = ri
-		}
-		for i := range q.Crashes {
-			q.Crashes[i].Node = repairOf[q.Crashes[i].Node]
-		}
-		for pi := range q.Partitions {
-			side := q.Partitions[pi].Side
-			for si, v := range side {
-				side[si] = repairOf[v]
-			}
-		}
-		cfg.Adversary = q.adversary(0, 3, q.materializeCrashes(k1))
-	}
-	eng, protos, budget, err := wft.NewRepairEngine(spec, cfg)
-	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
-	}
-	eng.Run(budget)
-	if eng.Interrupted() {
-		return Bill{}, nil, fmt.Errorf("%w (measured patch, round %d)", ErrInterrupted, eng.Round())
-	}
-	m := eng.Metrics()
-	var anomalies int64
-	for _, p := range protos {
-		anomalies += int64(p.Anomalies())
-	}
-	patch := Bill{
-		Path:                "patch/measured",
-		Rounds:              eng.Round(),
-		Messages:            m.TotalMessages,
-		MaxMessagesPerRound: m.MaxRoundSent(),
-		MaxMessagesTotal:    m.MaxPerNodeSent(),
-		CapacityDrops:       m.RecvDrops,
-		FaultDrops:          m.FaultDrops,
-		FaultDelays:         m.FaultDelays,
-		ProtocolAnomalies:   anomalies,
-	}
-	patch.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (measured)\n", "patch repair protocol", patch.Rounds, patch.Messages)
-	if patch.FaultDrops+patch.FaultDelays+patch.CapacityDrops > 0 {
-		patch.Itemized += fmt.Sprintf("%-28s dropped=%d delayed=%d capped=%d\n", "  fault plane", patch.FaultDrops, patch.FaultDelays, patch.CapacityDrops)
-	}
-	mt, err := wft.ExtractRepair(spec, protos)
-	if err != nil {
-		// The adversary defeated the repair: hand the wasted traffic
-		// and the reason back to the ladder, which decides whether to
-		// retry the patch or fall to the recovery rebuild.
-		return patch, err, nil
-	}
-	s.members = newMembers
-	s.tree = relabelTree(mt, newOf)
-	return patch, nil, nil
-}
-
-// rebuildAttempt is one rung of the recovery path: a full BuildTree
-// over the survivors' current Chord overlay plus one bootstrap edge
-// per joiner (each joiner knows a deterministic existing member — the
-// knowledge graph a fresh node realistically starts from). The build
-// runs on the rung's derived seed; a session fault plan is shifted
-// into the rebuild's local clock (past the spent rounds of earlier
-// failed rungs) and index space, with attempt > 0 re-deriving the
-// fate stream. A committed rebuild applies the new state (its
-// casualties shrink the membership beyond the scheduled leavers,
-// counted into bill.Left) and returns a nil reason; an
-// adversary-aborted one returns its partial bill and the abort
-// reason. A non-nil error is a hard failure that ends the ladder.
-func (s *Session) rebuildAttempt(joins, leaves []int, seed uint64, bill *EpochBill, attempt, spent int) (Bill, error, error) {
-	_, survivors, newMembers, newOf := s.epochPartition(joins, leaves)
-	s0 := len(survivors)
-	k1 := len(newMembers)
-	if s0 == 0 {
-		return Bill{}, nil, errors.New("overlay: rebuild has no survivors to anchor on")
-	}
-
-	// Survivor substrate: the current finger ring, restricted to
-	// survivors and remapped into new-member-local space. newOf lists
-	// survivors first, so survivor i (in ascending-global order) sits
-	// at new index newOf[i]; a reverse map from old member-local space
-	// gets us there from the Chord edges' old indices.
-	oldToNew := make([]int, len(s.members))
-	si := 0
-	for li, id := range s.members {
-		oldToNew[li] = -1
-		if si < s0 && survivors[si] == id {
-			oldToNew[li] = newOf[si]
-			si++
-		}
-	}
-	g := NewGraph(k1)
-	for _, e := range overlays.Chord(s.tree.NodeAt).Edges() {
-		u, v := oldToNew[e[0]], oldToNew[e[1]]
-		if u >= 0 && v >= 0 {
-			g.AddEdge(u, v)
-		}
-	}
-	// Rebuild-substrate union: the retained expander's surviving edges
-	// widen the recovery graph beyond the finger ring, so a rebuild
-	// does not hinge on the Chord overlay the failed epoch may have
-	// degraded. Expander edges name original input indices, which are
-	// exactly the founding members' global identifiers (joiner
-	// identifiers start above the input space), so membership lookup
-	// suffices to keep only edges between surviving founders.
-	if s.expander != nil {
-		newIndex := func(id int) int {
-			k := sort.SearchInts(newMembers, id)
-			if k < len(newMembers) && newMembers[k] == id {
-				return k
-			}
-			return -1
-		}
-		for _, e := range s.expander.Edges() {
-			u, v := newIndex(e[0]), newIndex(e[1])
-			if u >= 0 && v >= 0 {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	entry := rng.New(seed).Split(0xa77a)
-	for i := range joins {
-		g.AddEdge(newOf[s0+i], newOf[entry.Intn(s0)])
-	}
-
-	opts := s.build
-	opts.Seed = seed
-	opts.Interrupt = s.interrupt
-	if s.faults != nil {
-		q := s.faults.shiftForEpoch(s.clock.Round()+spent, bill.Epoch, newMembers)
-		if attempt > 0 {
-			// Retry rungs draw a fresh fate stream, like the patch rungs.
-			q.Seed = rng.New(q.Seed).Split(uint64(attempt) + 0xfa7e).Uint64()
-		}
-		opts.Faults = q
-	}
-	res, err := BuildTree(g, &opts)
-	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch rebuild failed: %w", err)
-	}
-	b := res.Stats.Bill
-	mode := "charged"
-	b.Path = "rebuild/fast"
-	if opts.MessageLevel {
-		mode = "measured"
-		b.Path = "rebuild/measured"
-	}
-	if res.Aborted {
-		b.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (%s)\n", "rebuild attempt (BuildTree)", b.Rounds, b.Messages, mode)
-		return b, errors.New(res.AbortReason), nil
-	}
-	if res.Survivors != nil {
-		picked := make([]int, len(res.Survivors))
-		for i, li := range res.Survivors {
-			picked[i] = newMembers[li]
-		}
-		newMembers = picked
-		bill.Left += k1 - len(picked)
-	}
-	s.members = newMembers
-	s.tree = copyTree(res.Tree)
-	b.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (%s)\n", "full rebuild (BuildTree)", b.Rounds, b.Messages, mode)
-	return b, nil, nil
-}
-
 // copyTree deep-copies a tree.
 func copyTree(t *Tree) *Tree {
 	return &Tree{
@@ -1226,24 +623,4 @@ func copyTree(t *Tree) *Tree {
 		Rank:   append([]int(nil), t.Rank...),
 		NodeAt: append([]int(nil), t.NodeAt...),
 	}
-}
-
-// relabelTree maps a repaired wft tree (survivors-then-joiners index
-// space) into the ascending-member index space via newOf[repairIdx] =
-// new member-local index.
-func relabelTree(rt *wft.Tree, newOf []int) *Tree {
-	k := len(newOf)
-	nt := &Tree{
-		Rank:   make([]int, k),
-		NodeAt: make([]int, k),
-		Parent: make([]int, k),
-	}
-	for ri := 0; ri < k; ri++ {
-		nl := newOf[ri]
-		nt.Rank[nl] = rt.Rank[ri]
-		nt.NodeAt[rt.Rank[ri]] = nl
-		nt.Parent[nl] = newOf[rt.Parent[ri]]
-	}
-	nt.Root = newOf[rt.Root]
-	return nt
 }

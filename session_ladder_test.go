@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -278,5 +279,106 @@ func TestSessionLookupAfterAbortedEpoch(t *testing.T) {
 	// The would-be joiners never became members.
 	if _, err := sess.RouteLookup(m[0], joins[0]); !errors.Is(err, ErrNotMember) {
 		t.Errorf("lookup of never-admitted joiner %d: got %v, want ErrNotMember", joins[0], err)
+	}
+}
+
+// stateFingerprint hashes a session's committed members and tree.
+func stateFingerprint(s *Session) string {
+	h := fnv.New64a()
+	tr := s.Tree()
+	fmt.Fprintf(h, "%v|%d|%v|%v|%v", s.Members(), tr.Root, tr.Parent, tr.Rank, tr.NodeAt)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestSessionLadderPlanOnceGolden pins two ladders under the partition
+// plan above — one a retried patch rung wins, one that climbs every
+// kind of rung — to the values committed when every rung partitioned
+// the membership and ran wft.Repair for itself (PR 12): the per-rung
+// bills, the ladder path, the clock, the committed members and tree
+// after the faulted epoch and after the clean one that follows, and the
+// epoch the departure ledger names for each leaver. The plan an epoch
+// now builds once must hand every rung exactly what the rung used to
+// derive, on the same seed splits.
+func TestSessionLadderPlanOnceGolden(t *testing.T) {
+	type rung struct {
+		path        string
+		rounds      int
+		msgs, drops int64
+	}
+	cases := []struct {
+		window int
+		path   string
+		rungs  []rung
+		clock  [2]int    // session clock after epoch 0 and epoch 1
+		state  [2]string // stateFingerprint after epoch 0 and epoch 1
+	}{
+		{
+			window: 60,
+			path:   "patch/measured×3",
+			rungs: []rung{
+				{"patch/measured", 30, 272, 42},
+				{"patch/measured", 44, 293, 29},
+				{"patch/measured", 54, 579, 0},
+			},
+			clock: [2]int{492, 521},
+			state: [2]string{"27eba4f570756cc3", "4bfcf682c5701b79"},
+		},
+		{
+			window: 160,
+			path:   "patch/measured×3+rebuild/measured×2",
+			rungs: []rung{
+				{"patch/measured", 30, 272, 42},
+				{"patch/measured", 44, 277, 40},
+				{"patch/measured", 54, 275, 40},
+				{"rebuild/measured", 272, 3531406, 7490},
+				{"rebuild/measured", 364, 3683768, 0},
+			},
+			clock: [2]int{1128, 1157},
+			state: [2]string{"5a88dc6df809f095", "b9e2c84ae8bc5b18"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("window=%d", tc.window), func(t *testing.T) {
+			sess := openLadderSession(t, 192, tc.window, 2, 1)
+			joins, leaves := measuredEpochArgs(sess)
+			bill, err := sess.ApplyEpoch(joins, leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []rung
+			for _, a := range bill.AttemptBills {
+				got = append(got, rung{a.Path, a.Rounds, a.Messages, a.FaultDrops})
+			}
+			if bill.Path != tc.path || !reflect.DeepEqual(got, tc.rungs) {
+				t.Errorf("epoch 0 climbed %q %+v, want %q %+v", bill.Path, got, tc.path, tc.rungs)
+			}
+			if bill.Left != 4 || bill.Members != 191 || bill.Clock != tc.clock[0] {
+				t.Errorf("epoch 0 left=%d members=%d clock=%d, want 4, 191, %d", bill.Left, bill.Members, bill.Clock, tc.clock[0])
+			}
+			if fp := stateFingerprint(sess); fp != tc.state[0] {
+				t.Errorf("epoch 0 committed state %s, want %s", fp, tc.state[0])
+			}
+			gone := leaves
+
+			joins, leaves = measuredEpochArgs(sess)
+			bill, err = sess.ApplyEpoch(joins, leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bill.Path != "patch/measured" || bill.Rounds != 29 || bill.Messages != 576 || bill.Clock != tc.clock[1] {
+				t.Errorf("epoch 1 billed %q %d rounds %d msgs clock %d, want patch/measured 29 576 %d", bill.Path, bill.Rounds, bill.Messages, bill.Clock, tc.clock[1])
+			}
+			if fp := stateFingerprint(sess); fp != tc.state[1] {
+				t.Errorf("epoch 1 committed state %s, want %s", fp, tc.state[1])
+			}
+			for e, ids := range [][]int{gone, leaves} {
+				for _, id := range ids {
+					var de *DepartedError
+					if _, err := sess.RouteLookup(sess.Members()[0], id); !errors.As(err, &de) || de.Epoch != e {
+						t.Errorf("leaver %d of epoch %d: lookup error %v", id, e, err)
+					}
+				}
+			}
+		})
 	}
 }

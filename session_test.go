@@ -446,31 +446,3 @@ func TestChurnPlanEpochDeterministic(t *testing.T) {
 	}
 	_ = j3
 }
-
-func TestParseChurnPlan(t *testing.T) {
-	good, err := ParseChurnPlan("epochs=10,join=0.02,leave=0.02,seed=5,rebuild=0.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &ChurnPlan{Seed: 5, Epochs: 10, JoinFrac: 0.02, LeaveFrac: 0.02, RebuildFraction: 0.3}
-	if !reflect.DeepEqual(good, want) {
-		t.Errorf("parsed %+v, want %+v", good, want)
-	}
-	bad := []string{
-		"",                        // epochs missing
-		"epochs=0",                // not positive
-		"epochs=10,join=1.5",      // fraction out of range
-		"epochs=10,epochs=5",      // repeated directive
-		"epochs=10,leave",         // not key=value
-		"epochs=10,frobnicate=1",  // unknown key
-		"epochs=10,seed=-1",       // bad uint
-		"epochs=10,rebuild=nope",  // bad float
-		"epochs=10,rebuild=0",     // indistinguishable from unset
-		"epochs=10,join=0,join=0", // repeat even with equal values
-	}
-	for _, spec := range bad {
-		if _, err := ParseChurnPlan(spec); err == nil {
-			t.Errorf("ParseChurnPlan(%q): no error", spec)
-		}
-	}
-}
