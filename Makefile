@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-json bench-guard bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke service-bench ci
+.PHONY: all build loc test race bench bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke ci
 
 # The committed coverage floor (total statement coverage, percent).
 # Raise it when coverage rises; CI fails below it.
@@ -31,17 +31,6 @@ race:
 # that pin the flat fast path, and the session epoch-repair bench.
 bench:
 	$(GO) test -run='^$$' -bench='BuildTreeFast_1k|BuildTreeMessageLevel_256|Evolve_64k|SpectralGap_64k|Simple_64k|SessionEpoch' -benchtime=1x -benchmem ./...
-
-# Machine-readable per-experiment wall/alloc results; CI uploads the
-# file as the perf-trajectory artifact.
-bench-json:
-	$(GO) run ./cmd/benchharness -quick -json BENCH_results.json
-
-# The allocation-regression guard: re-runs quick E12 and fails when its
-# mallocs exceed 2x the committed BENCH_results.json baseline (wall
-# time stays informational).
-bench-guard:
-	$(GO) run ./cmd/benchguard
 
 # The claim-ledger smoke: bench/run.sh builds ./bench (the benchmark
 # BENCHMARK.json declares, see bench/README.md) and runs one short
@@ -80,11 +69,6 @@ scenario-smoke:
 service-smoke:
 	bash scripts/service_smoke.sh
 
-# Regenerate the `service` section of BENCH_results.json (the
-# closed-loop lookups/sec baseline cmd/benchguard fences).
-service-bench:
-	bash scripts/service_bench.sh
-
 # Fail (like CI) when any file needs formatting.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -113,4 +97,4 @@ vulncheck:
 		echo "govulncheck: unavailable (rc=$$rc), skipping (informational)"; \
 	fi
 
-ci: fmt vet lint vulncheck build loc race bench bench-guard bench-claim cover scenario-smoke service-smoke
+ci: fmt vet lint vulncheck build loc race bench bench-claim cover scenario-smoke service-smoke

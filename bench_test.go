@@ -1,11 +1,12 @@
 package overlay
 
-// Benchmark harness: one bench target per experiment in DESIGN.md §3.
-// Each bench regenerates its experiment's table (printed once per run
-// via b.Logf at -v) and times the underlying workload so -benchmem
-// reports the cost profile. EXPERIMENTS.md records the measured
-// outputs against the paper's claims; cmd/benchharness prints the same
-// tables standalone.
+// Benchmark harness: one bench target per experiment table (E1–E12,
+// A1–A2; README, "Tests, benches, CI"). Each bench regenerates its
+// experiment's table (printed once per run via b.Logf at -v) and times
+// the underlying workload so -benchmem reports the cost profile;
+// cmd/benchharness prints the same tables standalone. Performance
+// claims are made with bench/ (bench/README.md); TestAllocFence below
+// is the tier-1 guard against an allocation blow-up.
 
 import (
 	"testing"
@@ -148,36 +149,47 @@ func BenchmarkBuildTreeFast_1k(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildTreeMessageLevel_256(b *testing.B) {
-	g := lineInput(256)
+// benchBuildMessageLevel is the message-level build bench at n nodes
+// and the given Options.Workers (0 = GOMAXPROCS).
+func benchBuildMessageLevel(b *testing.B, n, workers int) {
+	g := lineInput(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildTree(g, &Options{Seed: uint64(i), MessageLevel: true}); err != nil {
+		if _, err := BuildTree(g, &Options{Seed: uint64(i), MessageLevel: true, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBuildTreeMessageLevel_4096(b *testing.B) {
-	g := lineInput(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildTree(g, &Options{Seed: uint64(i), MessageLevel: true}); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkBuildTreeMessageLevel_256(b *testing.B)  { benchBuildMessageLevel(b, 256, 0) }
+func BenchmarkBuildTreeMessageLevel_4096(b *testing.B) { benchBuildMessageLevel(b, 4096, 0) }
+
+// benchBuild returns the seed-7 message-level build over an n-node
+// line that the session benches open their sessions over. It is setup,
+// and the testing package re-enters a bench function once per b.N
+// step, so it is built once per n.
+func benchBuild(b *testing.B, n int) *BuildResult {
+	b.Helper()
+	if res := benchBuilds[n]; res != nil {
+		return res
 	}
+	res, err := BuildTree(lineInput(n), &Options{Seed: 7, MessageLevel: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchBuilds[n] = res
+	return res
 }
+
+var benchBuilds = map[int]*BuildResult{}
 
 // BenchmarkSessionEpoch measures one live-maintenance epoch (2% join
 // + 2% leave, patch path) against a session opened over a 1k
 // message-level build; the build and open are setup, the epoch repair
-// is the measured op. make bench runs it and cmd/benchharness tracks
-// the same operation at n=4096 in BENCH_results.json.
+// is the measured op. make bench runs it; bench/'s churn_derived
+// workload measures the same operation at n=4096.
 func BenchmarkSessionEpoch(b *testing.B) {
-	res, err := BuildTree(lineInput(1024), &Options{Seed: 7, MessageLevel: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := benchBuild(b, 1024)
 	plan := &ChurnPlan{Seed: 9, Epochs: 1, JoinFrac: 0.02, LeaveFrac: 0.02}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -197,24 +209,20 @@ func BenchmarkSessionEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionEpochMeasured_4096 measures one live-maintenance
-// epoch with Measured accounting: the repair runs as a real wire
-// protocol on the engine instead of being charged analytically, so
-// this tracks the epoch-repair protocol's end-to-end cost at the
-// benchharness scale (cmd/benchguard fences the matching
-// SessionEpochMeasured_4096_x10 row of BENCH_results.json).
-func BenchmarkSessionEpochMeasured_4096(b *testing.B) {
-	res, err := BuildTree(lineInput(4096), &Options{Seed: 7, MessageLevel: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchSessionEpochMeasured measures one live-maintenance epoch with
+// Measured accounting at the given Options.Workers: the repair runs as
+// a real wire protocol on the engine instead of being charged
+// analytically, so this tracks the epoch-repair protocol's end-to-end
+// cost at the scale of bench/'s churn_measured workload.
+func benchSessionEpochMeasured(b *testing.B, workers int) {
+	res := benchBuild(b, 4096)
 	plan := &ChurnPlan{Seed: 9, Epochs: 1, JoinFrac: 0.02, LeaveFrac: 0.02}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess, err := Open(res, &SessionOptions{
 			Accounting: Measured,
-			Build:      Options{Seed: 7, MessageLevel: true},
+			Build:      Options{Seed: 7, MessageLevel: true, Workers: workers},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -230,6 +238,8 @@ func BenchmarkSessionEpochMeasured_4096(b *testing.B) {
 	}
 }
 
+func BenchmarkSessionEpochMeasured_4096(b *testing.B) { benchSessionEpochMeasured(b, 0) }
+
 // BenchmarkSessionEpochChordReads measures repeated Chord-view reads
 // between epochs — the overlayd hot path the per-epoch derived-view
 // cache exists for: every read after the first returns the cached
@@ -237,11 +247,7 @@ func BenchmarkSessionEpochMeasured_4096(b *testing.B) {
 // BenchmarkSessionEpochChordReadsUncached below, which pays the
 // pre-cache cost on every read.
 func BenchmarkSessionEpochChordReads(b *testing.B) {
-	res, err := BuildTree(lineInput(4096), &Options{Seed: 7, MessageLevel: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := Open(res, nil)
+	sess, err := Open(benchBuild(b, 4096), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,11 +266,7 @@ func BenchmarkSessionEpochChordReads(b *testing.B) {
 // exactly what Session.Chord did before the per-epoch cache. The gap
 // against BenchmarkSessionEpochChordReads is the repeated-read win.
 func BenchmarkSessionEpochChordReadsUncached(b *testing.B) {
-	res, err := BuildTree(lineInput(4096), &Options{Seed: 7, MessageLevel: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := Open(res, nil)
+	sess, err := Open(benchBuild(b, 4096), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,7 +325,7 @@ func BenchmarkMIS_grid(b *testing.B) {
 	}
 }
 
-// Ablation benches for the calibrated design choices (DESIGN.md §4).
+// Ablation benches for the calibrated design choices (tables A1, A2).
 
 func BenchmarkA1_WalkLengthAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -339,6 +341,39 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 		t, err := experiments.AblationDelta(256, []int{2, 4, 8, 16}, 5, benchSeed)
 		if i == 0 {
 			logTable(b, t, err)
+		}
+	}
+}
+
+// TestAllocFence is the tier-1 guard against an allocation blow-up on
+// the message plane, the charged and measured epoch paths and the
+// derived-view cache: it runs the benches above through
+// testing.Benchmark and fails when one allocates more per op than its
+// budget, set to 2x the count measured when the fence was written
+// (4031, 66, 324 and 0; the cached Chord read must stay at 0). Only
+// allocation counts are fenced: they are deterministic enough to gate
+// on, wall time is not, and bench/ is where time is measured. Sharded
+// rounds allocate per-worker state, so the two rows that run the
+// engine pin Workers: 1 to read the same on every host.
+func TestAllocFence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four benchmarks")
+	}
+	for _, row := range []struct {
+		name   string
+		bench  func(*testing.B)
+		budget int64
+	}{
+		{"BuildTreeMessageLevel_256", func(b *testing.B) { benchBuildMessageLevel(b, 256, 1) }, 8000},
+		{"SessionEpoch", BenchmarkSessionEpoch, 130},
+		{"SessionEpochMeasured_4096", func(b *testing.B) { benchSessionEpochMeasured(b, 1) }, 640},
+		{"SessionEpochChordReads", BenchmarkSessionEpochChordReads, 0},
+	} {
+		r := testing.Benchmark(row.bench)
+		if r.N == 0 {
+			t.Errorf("%s: the benchmark failed", row.name)
+		} else if got := r.AllocsPerOp(); got > row.budget {
+			t.Errorf("%s: %d allocs/op, budget %d", row.name, got, row.budget)
 		}
 	}
 }

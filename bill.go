@@ -6,7 +6,7 @@ import "overlay/internal/sim"
 // one-shot build, a charged patch estimate, a measured patch-epoch
 // protocol, a recovery rebuild, and the hybrid-model algorithms all
 // report rounds and message loads through the same fields, so
-// harnesses (overlaycli, benchharness, the scenario runner) account
+// harnesses (overlaycli, overlayd, bench/, the scenario runner) account
 // for all of them identically. BuildStats and EpochBill embed it;
 // the hybrid results (ConnectedComponents, SpanningTree, …) carry it
 // directly.

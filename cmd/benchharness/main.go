@@ -1,164 +1,33 @@
-// Command benchharness regenerates every experiment table of
-// DESIGN.md §3 (E1–E12) and prints them in EXPERIMENTS.md format.
+// Command benchharness regenerates the experiment tables that
+// reproduce the paper's claims (E1–E12, plus the ablations A1–A2; see
+// README, "Tests, benches, CI") and prints them as Markdown.
 //
 // Usage:
 //
 //	benchharness [-seed 2021] [-quick] [-only E3] [-workers 8] \
-//	             [-json BENCH_results.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -quick shrinks the size sweeps for a fast smoke run; -only selects a
-// single experiment; -json additionally writes machine-readable
-// per-experiment wall/alloc results to the given file, which CI
-// uploads as the perf-trajectory artifact. -cpuprofile and -memprofile
-// write pprof profiles covering the experiment runs (the `make
-// profile` target wires them to the E12 hot path).
+// single experiment. -cpuprofile and -memprofile write pprof profiles
+// covering the experiment runs (the `make profile` target wires them
+// to the E12 hot path). Performance is measured by bench/ (see
+// bench/README.md), not here: the wall time after each table is
+// informational.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
-	overlay "overlay"
-	"overlay/internal/benchops"
-	"overlay/internal/benign"
-	"overlay/internal/expander"
 	"overlay/internal/experiments"
-	"overlay/internal/rng"
-	"overlay/internal/topology"
 )
-
-// jsonResult is one experiment's cost record in the -json output.
-// MessagesTotal and MsgsPerSecond are set only for message-level rows
-// (E12, BuildTreeMessageLevel): they track engine throughput so the
-// perf trajectory is not just wall time.
-type jsonResult struct {
-	Name          string  `json:"name"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Mallocs       uint64  `json:"mallocs"`
-	AllocBytes    uint64  `json:"alloc_bytes"`
-	MessagesTotal int64   `json:"messages_total,omitempty"`
-	MsgsPerSecond float64 `json:"msgs_per_second,omitempty"`
-}
-
-// jsonReport is the top-level -json document.
-type jsonReport struct {
-	Seed        uint64 `json:"seed"`
-	Quick       bool   `json:"quick"`
-	Workers     int    `json:"workers"`
-	GoMaxProcs  int    `json:"gomaxprocs"`
-	GeneratedAt string `json:"generated_at"`
-	// E12ScaleNs records the E12 sweep sizes so downstream consumers
-	// (cmd/benchguard) re-run the exact workload the file measured
-	// instead of hardcoding a copy that could drift.
-	E12ScaleNs []int        `json:"e12_scale_ns"`
-	Results    []jsonResult `json:"results"`
-	// GraphMicrobench records the graph-level fast-path operations at
-	// n = 64k plus a message-level BuildTree (the Makefile bench
-	// targets measure the same ops via `go test -bench`), so the perf
-	// trajectory of the flat CSR layer and the wire-format message
-	// plane is part of every BENCH_results.json.
-	GraphMicrobench []jsonResult `json:"graph_microbench,omitempty"`
-	// Service is the closed-loop service-level section cmd/loadgen
-	// writes (lookups/sec against a live overlayd). The harness never
-	// generates it, but a regeneration must not silently discard it —
-	// cmd/benchguard fences its throughput row — so it is carried
-	// through from the existing file verbatim.
-	Service json.RawMessage `json:"service,omitempty"`
-}
-
-// measured times fn and records its wall/alloc cost under name.
-func measured(name string, fn func()) jsonResult {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return jsonResult{
-		Name:        name,
-		WallSeconds: wall.Seconds(),
-		Mallocs:     after.Mallocs - before.Mallocs,
-		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
-	}
-}
-
-// withThroughput fills the message-level throughput columns.
-func (r jsonResult) withThroughput(msgs int64) jsonResult {
-	r.MessagesTotal = msgs
-	if r.WallSeconds > 0 {
-		r.MsgsPerSecond = float64(msgs) / r.WallSeconds
-	}
-	return r
-}
-
-// graphMicrobench measures one Evolve, SpectralGap, and Simple on the
-// 64k benign ring at its full ∆ = 128 (the go-test SpectralGap_64k
-// bench uses a lighter ∆ = 16 graph, so its wall time is lower), plus
-// one message-level BuildTree at n = 4096 with its wire-message
-// throughput and ten 2%+2% churn epochs against a session opened over
-// that build (the live-maintenance repair cost, tracked like E12) —
-// once with charged accounting (the analytic estimate) and once with
-// measured accounting (each repair run as a wire protocol on the
-// engine). cmd/benchguard fences the measured row.
-func graphMicrobench(workers int) ([]jsonResult, error) {
-	g := topology.Ring(1 << 16)
-	bp := benign.Defaults(g.N, g.MaxDegree())
-	m, err := benign.Prepare(g, bp)
-	if err != nil {
-		return nil, err
-	}
-	p := expander.Params{Delta: bp.Delta, Ell: 16, Evolutions: 1, Workers: workers}
-	out := []jsonResult{
-		measured("Evolve_64k", func() { expander.Evolve(m, p, rng.New(1)) }),
-		measured("SpectralGap_64k", func() { m.SpectralGapWorkers(64, rng.New(1), workers) }),
-		measured("Simple_64k", func() { m.Simple() }),
-	}
-	line := benchops.Line(4096)
-	var build *overlay.BuildResult
-	res := measured("BuildTreeMessageLevel_4096", func() {
-		build, err = overlay.BuildTree(line, &overlay.Options{Seed: 1, MessageLevel: true, Workers: workers})
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, res.withThroughput(build.Stats.Messages))
-
-	for _, acct := range []overlay.Accounting{overlay.Charged, overlay.Measured} {
-		name := "SessionEpoch_4096_x10"
-		if acct == overlay.Measured {
-			name = "SessionEpochMeasured_4096_x10"
-		}
-		var sessErr error
-		var repairMsgs int64
-		sessRes := measured(name, func() {
-			repairMsgs, sessErr = benchops.SessionEpochs(build, workers, 10, acct)
-		})
-		if sessErr != nil {
-			return nil, sessErr
-		}
-		out = append(out, sessRes.withThroughput(repairMsgs))
-	}
-
-	// The derived/workload row: the same churn schedule with the three
-	// maintained hybrid workloads syncing each epoch and the cached
-	// derived views swept between epochs. cmd/benchguard fences it.
-	var derErr error
-	var derMsgs int64
-	derRes := measured("SessionDerived_4096_x10", func() {
-		derMsgs, derErr = benchops.SessionDerived(build, workers, 10)
-	})
-	if derErr != nil {
-		return nil, derErr
-	}
-	out = append(out, derRes.withThroughput(derMsgs))
-	return out, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -166,8 +35,7 @@ func main() {
 		seed       = flag.Uint64("seed", 2021, "experiment seed")
 		quick      = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		only       = flag.String("only", "", "run a single experiment (e.g. E3)")
-		workers    = flag.Int("workers", 0, "worker pool for E12 and the graph-level fast path (0 = GOMAXPROCS)")
-		jsonPath   = flag.String("json", "", "also write per-experiment wall/alloc results to this file (e.g. BENCH_results.json)")
+		workers    = flag.Int("workers", 0, "worker pool for E12 (0 = GOMAXPROCS)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	)
@@ -175,12 +43,12 @@ func main() {
 	// run carries errors back here (rather than exiting in place) so
 	// the deferred profile writers flush even for a failing run — the
 	// run you most want to profile.
-	if err := run(*seed, *quick, *only, *workers, *jsonPath, *cpuProfile, *memProfile); err != nil {
+	if err := run(os.Stdout, *seed, *quick, *only, *workers, *cpuProfile, *memProfile); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(seed uint64, quick bool, only string, workers int, jsonPath, cpuProfile, memProfile string) (err error) {
+func run(out io.Writer, seed uint64, quick bool, only string, workers int, cpuProfile, memProfile string) (err error) {
 	if cpuProfile != "" {
 		f, cerr := os.Create(cpuProfile)
 		if cerr != nil {
@@ -222,10 +90,6 @@ func run(seed uint64, quick bool, only string, workers int, jsonPath, cpuProfile
 		scaleNs = []int{1024, 4096}
 	}
 
-	// msgs is set by message-level runners (E12) so the harness can
-	// attach throughput to the measured row; zero means not message
-	// level.
-	var msgs int64
 	type runner struct {
 		name string
 		fn   func() (*experiments.Table, error)
@@ -242,11 +106,7 @@ func run(seed uint64, quick bool, only string, workers int, jsonPath, cpuProfile
 		{"E9", func() (*experiments.Table, error) { return experiments.E9Biconnectivity(seed) }},
 		{"E10", func() (*experiments.Table, error) { return experiments.E10MIS(misN, misDs, seed) }},
 		{"E11", func() (*experiments.Table, error) { return experiments.E11Spanner(spanNs, seed) }},
-		{"E12", func() (*experiments.Table, error) {
-			t, m, err := experiments.E12ScaleSweepStats(scaleNs, seed, workers)
-			msgs = m
-			return t, err
-		}},
+		{"E12", func() (*experiments.Table, error) { return experiments.E12ScaleSweep(scaleNs, seed, workers) }},
 		{"A1", func() (*experiments.Table, error) {
 			return experiments.AblationWalkLength(256, []int{2, 4, 8, 16, 32}, 5, seed)
 		}},
@@ -254,59 +114,26 @@ func run(seed uint64, quick bool, only string, workers int, jsonPath, cpuProfile
 			return experiments.AblationDelta(256, []int{2, 4, 8, 16}, 5, seed)
 		}},
 	}
-
-	report := jsonReport{
-		Seed:        seed,
-		Quick:       quick,
-		Workers:     workers,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		E12ScaleNs:  scaleNs,
-	}
-	for _, r := range runs {
-		if only != "" && r.name != only {
-			continue
+	if only != "" {
+		var names []string
+		for _, r := range runs {
+			names = append(names, r.name)
+			if r.name == only {
+				runs = []runner{r}
+			}
 		}
-		var tab *experiments.Table
-		msgs = 0
-		var ferr error
-		res := measured(r.name, func() { tab, ferr = r.fn() })
+		if len(runs) != 1 {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", only, strings.Join(names, ", "))
+		}
+	}
+
+	for _, r := range runs {
+		start := time.Now()
+		tab, ferr := r.fn()
 		if ferr != nil {
 			return fmt.Errorf("%s failed: %w", r.name, ferr)
 		}
-		if msgs > 0 {
-			res = res.withThroughput(msgs)
-		}
-		fmt.Printf("%s(%.1fs)\n\n", tab, res.WallSeconds)
-		report.Results = append(report.Results, res)
-	}
-
-	if jsonPath != "" {
-		if only == "" {
-			micro, merr := graphMicrobench(workers)
-			if merr != nil {
-				return fmt.Errorf("graph microbench failed: %w", merr)
-			}
-			report.GraphMicrobench = micro
-		}
-		// Carry the loadgen-owned service section across regeneration.
-		if old, rerr := os.ReadFile(jsonPath); rerr == nil {
-			var prev struct {
-				Service json.RawMessage `json:"service"`
-			}
-			if json.Unmarshal(old, &prev) == nil && len(prev.Service) > 0 {
-				report.Service = prev.Service
-			}
-		}
-		buf, merr := json.MarshalIndent(&report, "", "  ")
-		if merr != nil {
-			return fmt.Errorf("marshal %s: %w", jsonPath, merr)
-		}
-		buf = append(buf, '\n')
-		if werr := os.WriteFile(jsonPath, buf, 0o644); werr != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, werr)
-		}
-		log.Printf("wrote %s (%d experiments)", jsonPath, len(report.Results))
+		fmt.Fprintf(out, "%s(%.1fs)\n\n", tab, time.Since(start).Seconds())
 	}
 	return nil
 }

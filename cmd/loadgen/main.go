@@ -8,8 +8,7 @@
 //
 // The run reports lookups/sec, p50/p95/p99 latency, and the full
 // outcome census (retries, backpressure, stale endpoints, timeouts,
-// errors); -bench-json writes the same numbers into the `service`
-// section of BENCH_results.json via the shared benchops schema.
+// errors).
 //
 // Exit status: 0 when every request ended in an answer or an
 // expected, typed error; 1 under -strict when any error was dropped
@@ -94,7 +93,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 2*time.Second, "per-request deadline")
 		maxBackoff  = flag.Duration("max-backoff", 500*time.Millisecond, "cap on the exponential retry backoff")
 		plan        = flag.String("plan", "", "ParsePlan spec applied over the wire at the run's half-way point")
-		benchJSON   = flag.String("bench-json", "", "merge the service section into this BENCH_results.json")
 		strict      = flag.Bool("strict", false, "exit 1 if any request ended in an unexpected error")
 		expectDrain = flag.Bool("expect-drain", false, "the server is expected to drain mid-run; require the typed drain stop and exit 0 on it")
 	)
@@ -164,13 +162,6 @@ func main() {
 	fmt.Printf("errors:       %d\n", res.Errors)
 	if res.DrainStopped {
 		fmt.Println("stopped by server drain (expected)")
-	}
-
-	if *benchJSON != "" {
-		if err := benchops.WriteServiceSection(*benchJSON, res); err != nil {
-			log.Fatalf("write %s: %v", *benchJSON, err)
-		}
-		log.Printf("service section written to %s", *benchJSON)
 	}
 
 	if *expectDrain && !res.DrainStopped {

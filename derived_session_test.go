@@ -80,7 +80,7 @@ func TestSessionDerivedRoundsBilled(t *testing.T) {
 }
 
 // TestSessionDerivedGoldenAcrossWorkers pins bit-determinism of the
-// derived views across Sequential and every worker count 1..16, after
+// derived views across every worker count 1..16, after
 // a patch epoch, after a forced rebuild epoch, and after a rollback
 // (which must restore the pre-epoch views bit for bit).
 func TestSessionDerivedGoldenAcrossWorkers(t *testing.T) {
@@ -89,13 +89,9 @@ func TestSessionDerivedGoldenAcrossWorkers(t *testing.T) {
 		afterPatch, afterRebuild, prePatch string
 	}
 	var want *golden
-	configs := []Options{{Seed: 7, MessageLevel: true, Sequential: true}}
 	for w := 1; w <= 16; w *= 2 {
-		configs = append(configs, Options{Seed: 7, MessageLevel: true, Workers: w})
-	}
-	for _, opts := range configs {
-		opts := opts
-		label := fmt.Sprintf("workers=%d seq=%v", opts.Workers, opts.Sequential)
+		opts := Options{Seed: 7, MessageLevel: true, Workers: w}
+		label := fmt.Sprintf("workers=%d", w)
 		res, err := BuildTree(lineInput(n), &opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -157,7 +153,7 @@ func TestSessionDerivedGoldenAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if g != *want {
-			t.Fatalf("%s: derived views diverge from the sequential golden", label)
+			t.Fatalf("%s: derived views diverge from the workers=1 golden", label)
 		}
 	}
 }

@@ -453,7 +453,7 @@ func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent
 	k1 := len(p.newMembers)
 	spec := p.patchSpec(seed)
 	spec.BudgetSlack = attempt * (sim.LogBound(k1) + 4)
-	cfg := sim.Config{Seed: seed, Sequential: s.build.Sequential, Workers: s.build.Workers, Interrupt: s.interrupt}
+	cfg := sim.Config{Seed: seed, Workers: s.build.Workers, Interrupt: s.interrupt}
 	if s.build.CapFactor > 0 {
 		c := s.build.CapFactor * sim.LogBound(k1)
 		cfg.SendCap, cfg.RecvCap = c, c

@@ -282,20 +282,21 @@ func (p *FaultPlan) shiftForEpoch(offset, epoch int, members []int) *FaultPlan {
 }
 
 // aliveAfter returns the survivor mask at the end of a build that ran
-// totalRounds global rounds, plus the count of the dead.
-func aliveAfter(crashes []Crash, n, totalRounds int) ([]bool, int) {
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	dead := 0
+// totalRounds global rounds, nil when nobody crashed.
+func aliveAfter(crashes []Crash, n, totalRounds int) []bool {
+	var alive []bool
 	for _, c := range crashes {
-		if c.Node >= 0 && c.Node < n && c.Round <= totalRounds && alive[c.Node] {
+		if c.Node >= 0 && c.Node < n && c.Round <= totalRounds {
+			if alive == nil {
+				alive = make([]bool, n)
+				for i := range alive {
+					alive[i] = true
+				}
+			}
 			alive[c.Node] = false
-			dead++
 		}
 	}
-	return alive, dead
+	return alive
 }
 
 func parseAtPair(s string) (int, int, error) {

@@ -77,7 +77,7 @@ func TestZeroFaultPlanMatchesFaultFree(t *testing.T) {
 // sweep to the fault plane at the public API: a seeded adversary with
 // drops, delays, crashes, and a partition must produce the identical
 // BuildResult (tree or abort, survivors, and statistics) at every
-// worker count, sequential execution included.
+// worker count, single-goroutine execution (workers 1) included.
 func TestFaultedBuildDeterministicAcrossWorkers(t *testing.T) {
 	const n = 257
 	plan := &FaultPlan{
@@ -93,14 +93,13 @@ func TestFaultedBuildDeterministicAcrossWorkers(t *testing.T) {
 	var want uint64
 	for i, opt := range []*Options{
 		{Seed: 3, MessageLevel: true, Faults: plan, Workers: 1},
-		{Seed: 3, MessageLevel: true, Faults: plan, Sequential: true},
 		{Seed: 3, MessageLevel: true, Faults: plan, Workers: 2},
 		{Seed: 3, MessageLevel: true, Faults: plan, Workers: 5},
 		{Seed: 3, MessageLevel: true, Faults: plan, Workers: 16},
 	} {
 		res, err := BuildTree(lineGraph(n), opt)
 		if err != nil {
-			t.Fatalf("workers=%d sequential=%v: %v", opt.Workers, opt.Sequential, err)
+			t.Fatalf("workers=%d: %v", opt.Workers, err)
 		}
 		fp := fingerprintResult(res)
 		if i == 0 {
@@ -114,8 +113,7 @@ func TestFaultedBuildDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if fp != want {
-			t.Errorf("workers=%d sequential=%v: result fingerprint %016x != baseline %016x",
-				opt.Workers, opt.Sequential, fp, want)
+			t.Errorf("workers=%d: result fingerprint %016x != baseline %016x", opt.Workers, fp, want)
 		}
 	}
 }

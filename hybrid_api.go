@@ -14,7 +14,8 @@ import (
 // (bill.go): the total round count, the peak per-node per-round
 // global-message load γ, and the itemized per-phase breakdown
 // (rendered text; phases the paper cites as black-box primitives are
-// marked "charged", simulated phases "measured" — see DESIGN.md §4).
+// marked "charged", simulated phases "measured" — see README, "API
+// migration notes").
 func billOf(l *hybrid.Ledger) Bill {
 	return Bill{
 		Path:           "hybrid",

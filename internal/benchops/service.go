@@ -1,3 +1,8 @@
+// Package benchops is the retrying closed-loop lookup driver behind
+// cmd/loadgen and, through it, `make service-smoke`: it exists to
+// prove every request against a live overlayd ends in an answer or a
+// typed, expected error. It measures nothing the repository reports —
+// bench/ is the perf ledger (bench/README.md).
 package benchops
 
 import (
@@ -7,44 +12,39 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ServiceResult is the `service` section of BENCH_results.json: the
-// closed-loop RouteLookup throughput of a hosted overlay, measured by
-// cmd/loadgen against a live overlayd and re-fenced in-process by
-// cmd/benchguard. Latencies are client-observed round trips.
+// ServiceResult is the outcome census of one DriveLookups run against
+// a hosted overlay. Latencies are client-observed round trips.
 type ServiceResult struct {
-	Name            string  `json:"name"`
-	Clients         int     `json:"clients"`
-	DurationSeconds float64 `json:"duration_seconds"`
-	Lookups         int64   `json:"lookups"`
-	LookupsPerSec   float64 `json:"lookups_per_second"`
-	P50Ms           float64 `json:"p50_ms"`
-	P95Ms           float64 `json:"p95_ms"`
-	P99Ms           float64 `json:"p99_ms"`
+	Clients         int
+	DurationSeconds float64
+	Lookups         int64
+	LookupsPerSec   float64
+	P50Ms           float64
+	P95Ms           float64
+	P99Ms           float64
 	// Retries counts requests re-issued after backpressure or a
 	// timeout; Backpressure the 429/503 responses absorbed by backoff;
 	// StaleEndpoints the 410/404 answers for endpoints churn removed
 	// (the driver refreshes its member pool and moves on); Timeouts
 	// the per-request deadline expiries (client-side or a 504).
-	Retries        int64 `json:"retries"`
-	Backpressure   int64 `json:"backpressure"`
-	StaleEndpoints int64 `json:"stale_endpoints"`
-	Timeouts       int64 `json:"timeouts"`
+	Retries        int64
+	Backpressure   int64
+	StaleEndpoints int64
+	Timeouts       int64
 	// Errors counts answers outside the protocol: unexpected statuses,
 	// malformed bodies, transport failures. A healthy run has zero —
 	// every request must end in an answer or a typed, expected error.
-	Errors int64 `json:"errors"`
+	Errors int64
 	// DrainStopped reports the run ended because the server announced
 	// it was draining (or went away mid-drain) — the expected outcome
 	// when load overlaps a SIGTERM, and an error otherwise.
-	DrainStopped bool   `json:"drain_stopped,omitempty"`
-	GeneratedAt  string `json:"generated_at"`
+	DrainStopped bool
 }
 
 // DriveConfig parameterizes DriveLookups.
@@ -276,7 +276,6 @@ func DriveLookups(cfg DriveConfig) (ServiceResult, error) {
 	sort.Float64s(lats)
 	n := successes.Load()
 	res := ServiceResult{
-		Name:            "ServiceLookup_closedloop",
 		Clients:         cfg.Clients,
 		DurationSeconds: elapsed.Seconds(),
 		Lookups:         n,
@@ -286,7 +285,6 @@ func DriveLookups(cfg DriveConfig) (ServiceResult, error) {
 		Timeouts:        timeouts.Load(),
 		Errors:          errs.Load(),
 		DrainStopped:    drained.Load(),
-		GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
 	}
 	if elapsed > 0 {
 		res.LookupsPerSec = float64(n) / elapsed.Seconds()
@@ -311,28 +309,4 @@ func Percentile(sorted []float64, p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// WriteServiceSection merges res into the report file's `service` key
-// without disturbing the benchharness-owned sections (read-modify-
-// write on the raw JSON). A missing file starts a fresh document.
-func WriteServiceSection(path string, res ServiceResult) error {
-	doc := map[string]json.RawMessage{}
-	if buf, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			return fmt.Errorf("benchops: %s is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	doc["service"] = raw
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

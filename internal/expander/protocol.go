@@ -260,7 +260,7 @@ func FinalGraph(eng *sim.Engine, protos []*Protocol) *graphx.Multi {
 // RunMessageLevel is a convenience wrapper: prepare, run, extract. It
 // returns the final graph, the engine (for metrics), and the protocol
 // nodes (for token statistics). cfg carries the seed and the engine
-// execution knobs (Sequential, Workers); its capacity fields are
+// execution knob (Workers); its capacity fields are
 // overridden to follow the NCC0 regime, κ·⌈log₂ n⌉ units per node per
 // round (capFactor 0 disables the caps for measurement mode).
 func RunMessageLevel(m *graphx.Multi, p Params, cfg sim.Config, capFactor int) (*graphx.Multi, *sim.Engine, []*Protocol) {

@@ -10,7 +10,7 @@ import (
 	"overlay/internal/topology"
 )
 
-// Ablations of the two calibrated design choices (DESIGN.md §4 item 2):
+// Ablations of the two calibrated design choices (tables A1 and A2):
 // the walk length ℓ and the benign degree ∆. The paper leaves both as
 // "big enough" constants; these experiments show where the practical
 // cliff sits, which is the information a downstream user needs to

@@ -1,8 +1,8 @@
-// Package experiments implements the per-claim experiment harness of
-// DESIGN.md §3. Every experiment E1…E11 regenerates one table or
-// series; bench targets in the repository root and cmd/benchharness
-// both run these functions, and EXPERIMENTS.md records their output
-// against the paper's claims.
+// Package experiments implements the per-claim experiment harness:
+// every experiment E1…E12 regenerates one table or series, each headed
+// by the paper claim it checks. Bench targets in the repository root
+// and cmd/benchharness both run these functions (README, "Tests,
+// benches, CI").
 package experiments
 
 import (
@@ -111,7 +111,7 @@ type pipelineResult struct {
 }
 
 // pipelineRun executes the full message-level pipeline with the given
-// engine configuration (Seed, Sequential, Workers; capacity fields are
+// engine configuration (Seed, Workers; capacity fields are
 // left to the caller's cfg for the tree phase and uncapped for the
 // expander phase).
 func pipelineRun(g *graphx.Digraph, cfg sim.Config) (pipelineResult, error) {
@@ -530,21 +530,11 @@ func E11Spanner(ns []int, seed uint64) (*Table, error) {
 // message-level engines and the graph-level oracles (Simple,
 // connectivity, diameter bound, tree extraction) sitting between them.
 func E12ScaleSweep(ns []int, seed uint64, workers int) (*Table, error) {
-	t, _, err := E12ScaleSweepStats(ns, seed, workers)
-	return t, err
-}
-
-// E12ScaleSweepStats is E12ScaleSweep returning also the total number
-// of individually simulated wire messages across the sweep, so bench
-// harnesses can report engine throughput (messages per second) next to
-// wall time.
-func E12ScaleSweepStats(ns []int, seed uint64, workers int) (*Table, int64, error) {
 	t := &Table{
 		Name:   "E12",
 		Claim:  "engine scales message-level builds to 100k-node inputs",
 		Header: []string{"n", "rounds", "rounds/log2n", "peak/round", "total msgs", "allocs", "wall (s)", "engine (s)", "oracle (s)"},
 	}
-	var msgs int64
 	for _, n := range ns {
 		g := topology.Line(n)
 		var before, after runtime.MemStats
@@ -554,9 +544,8 @@ func E12ScaleSweepStats(ns []int, seed uint64, workers int) (*Table, int64, erro
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			return nil, 0, fmt.Errorf("E12 n=%d: %w", n, err)
+			return nil, fmt.Errorf("E12 n=%d: %w", n, err)
 		}
-		msgs += res.TotalMsgs
 		t.Rows = append(t.Rows, []string{
 			itoa(n), itoa(res.Rounds),
 			fmt.Sprintf("%.1f", float64(res.Rounds)/float64(sim.LogBound(n))),
@@ -567,7 +556,7 @@ func E12ScaleSweepStats(ns []int, seed uint64, workers int) (*Table, int64, erro
 			fmt.Sprintf("%.2f", res.OracleWall.Seconds()),
 		})
 	}
-	return t, msgs, nil
+	return t, nil
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }

@@ -34,10 +34,9 @@ type Spec struct {
 	Seed uint64
 	// CapFactor forwards overlay.Options.CapFactor.
 	CapFactor int
-	// Workers and Sequential forward the engine execution knobs; the
-	// result never depends on them.
-	Workers    int
-	Sequential bool
+	// Workers forwards the engine execution knob; the result never
+	// depends on it.
+	Workers int
 	// Faults is the fault schedule; nil runs fault-free. With Churn
 	// set, the plan spans the whole session clock: build-time rounds
 	// fault the initial construction, later rounds are shifted into
@@ -145,7 +144,6 @@ func Run(s Spec) *Report {
 		MessageLevel: true,
 		CapFactor:    s.CapFactor,
 		Workers:      s.Workers,
-		Sequential:   s.Sequential,
 		Faults:       s.Faults,
 	})
 	if err != nil {
@@ -188,7 +186,6 @@ func runChurn(s *Spec, rep *Report) {
 			MessageLevel: true,
 			CapFactor:    s.CapFactor,
 			Workers:      s.Workers,
-			Sequential:   s.Sequential,
 			Faults:       sessionFaults,
 		},
 	})

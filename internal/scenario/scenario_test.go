@@ -252,10 +252,6 @@ func TestChurnScenarioDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d diverged:\n%s\nvs\n%s", workers, got, fp(base))
 		}
 	}
-	spec.Workers, spec.Sequential = 0, true
-	if got := fp(Run(spec)); got != fp(base) {
-		t.Fatalf("sequential diverged:\n%s\nvs\n%s", got, fp(base))
-	}
 }
 
 // TestScenarioDeterminism: running the same spec twice (at different

@@ -118,13 +118,13 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/overlays", s.guard(s.handleList))
 	s.mux.HandleFunc("GET /v1/overlays/{id}", s.guard(s.handleInspect))
 	s.mux.HandleFunc("DELETE /v1/overlays/{id}", s.guard(s.handleDelete))
-	s.mux.HandleFunc("GET /v1/overlays/{id}/nodes", s.guard(s.handleNodes))
-	s.mux.HandleFunc("GET /v1/overlays/{id}/epochs", s.guard(s.handleEpochs))
-	s.mux.HandleFunc("GET /v1/overlays/{id}/bills", s.guard(s.handleBills))
+	s.mux.HandleFunc("GET /v1/overlays/{id}/nodes", s.guard(s.paged(listNodes)))
+	s.mux.HandleFunc("GET /v1/overlays/{id}/epochs", s.guard(s.paged(listEpochs)))
+	s.mux.HandleFunc("GET /v1/overlays/{id}/bills", s.guard(s.paged(listBills)))
 	s.mux.HandleFunc("POST /v1/overlays/{id}/epochs", s.guard(s.handleApplyEpoch))
 	s.mux.HandleFunc("POST /v1/overlays/{id}/plan", s.guard(s.handlePlan))
 	s.mux.HandleFunc("GET /v1/overlays/{id}/lookup", s.guard(s.handleLookup))
-	s.mux.HandleFunc("GET /v1/overlays/{id}/derived", s.guard(s.handleDerived))
+	s.mux.HandleFunc("GET /v1/overlays/{id}/derived", s.guard(s.paged(listDerived)))
 	s.mux.HandleFunc("GET /v1/overlays/{id}/workloads", s.guard(s.handleWorkloads))
 	if s.opts.Debug {
 		s.mux.HandleFunc("POST /v1/overlays/{id}/inject", s.guard(s.handleInject))
@@ -202,10 +202,19 @@ type createRequest struct {
 	Plan string `json:"plan"`
 }
 
+// decodeBody decodes the JSON request body into req, or writes the
+// typed 400 and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		writeError(w, apiErr(http.StatusBadRequest, "bad_request", "body is not valid JSON: "+err.Error()))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, apiErr(http.StatusBadRequest, "bad_request", "body is not valid JSON: "+err.Error()))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.N < 1 || req.N > s.opts.MaxBuildN {
@@ -277,38 +286,29 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	wopt := &overlay.MaintainedOptions{Seed: req.Seed*2 + 1}
-	comp, err := overlay.OpenMaintainedComponents(sess, wopt)
-	if err != nil {
-		writeError(w, apiErr(http.StatusInternalServerError, "internal", err.Error()))
-		return
-	}
-	st, err := overlay.OpenMaintainedSpanningTree(sess, wopt)
-	if err != nil {
-		writeError(w, apiErr(http.StatusInternalServerError, "internal", err.Error()))
-		return
-	}
-	mis, err := overlay.OpenMaintainedMIS(sess, wopt)
-	if err != nil {
-		writeError(w, apiErr(http.StatusInternalServerError, "internal", err.Error()))
-		return
-	}
-
-	s.mu.Lock()
-	s.nextID++
 	ov := &Overlay{
-		ID:           fmt.Sprintf("ov-%d", s.nextID),
 		Name:         req.Name,
-		Created:      time.Now().UTC(),
 		Founded:      len(sess.Members()),
 		Topology:     topologyName(req.Topology),
 		Seed:         req.Seed,
 		MessageLevel: req.MessageLevel,
-		sup:          NewSupervisor(sess, s.opts.QueueDepth),
-		comp:         comp,
-		st:           st,
-		mis:          mis,
 	}
+	wopt := &overlay.MaintainedOptions{Seed: req.Seed*2 + 1}
+	for _, open := range []func() error{
+		func() (err error) { ov.comp, err = overlay.OpenMaintainedComponents(sess, wopt); return },
+		func() (err error) { ov.st, err = overlay.OpenMaintainedSpanningTree(sess, wopt); return },
+		func() (err error) { ov.mis, err = overlay.OpenMaintainedMIS(sess, wopt); return },
+	} {
+		if err := open(); err != nil {
+			writeError(w, apiErr(http.StatusInternalServerError, "internal", err.Error()))
+			return
+		}
+	}
+	ov.sup = NewSupervisor(sess, s.opts.QueueDepth)
+
+	s.mu.Lock()
+	s.nextID++
+	ov.ID, ov.Created = fmt.Sprintf("ov-%d", s.nextID), time.Now().UTC()
 	s.overlays[ov.ID] = ov
 	s.order = append(s.order, ov.ID)
 	s.mu.Unlock()
@@ -424,24 +424,45 @@ func parsePage(r *http.Request) (pageArgs, *APIError) {
 	return p, nil
 }
 
-// page slices one page out of n items: it returns the index sequence
-// (in display order) of the requested page. An out-of-range page is
-// empty, not an error — the paged-listing contract.
-func (p pageArgs) page(n int) []int {
-	lo := (p.current - 1) * p.pageSize
-	if lo >= n {
-		return nil
-	}
+// pageOf copies the requested page out of items, in display order. An
+// out-of-range page is empty (and encodes as [], never null), not an
+// error — the paged-listing contract.
+func pageOf[T any](p pageArgs, items []T) []T {
+	n := len(items)
+	lo := min((p.current-1)*p.pageSize, n)
 	hi := min(lo+p.pageSize, n)
-	idx := make([]int, 0, hi-lo)
+	out := make([]T, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if p.descend {
-			idx = append(idx, n-1-i)
+			out = append(out, items[n-1-i])
 		} else {
-			idx = append(idx, i)
+			out = append(out, items[i])
 		}
 	}
-	return idx
+	return out
+}
+
+// paged adapts a listing of one overlay to the paged-listing contract:
+// it resolves the {id} path value (typed 404), parses the page window
+// (typed 400) and answers with the body list builds — the page under
+// the listing's own key plus "total" — or with list's typed error.
+func (s *Server) paged(list func(ov *Overlay, r *http.Request, p pageArgs) (map[string]any, *APIError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ov := s.overlayOr404(w, r)
+		if ov == nil {
+			return
+		}
+		p, aerr := parsePage(r)
+		var body map[string]any
+		if aerr == nil {
+			body, aerr = list(ov, r, p)
+		}
+		if aerr != nil {
+			writeError(w, aerr)
+			return
+		}
+		writeJSON(w, http.StatusOK, body)
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -454,8 +475,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	ids := append([]string(nil), s.order...)
 	s.mu.RUnlock()
 	infos := make([]overlayInfo, 0, p.pageSize)
-	for _, i := range p.page(len(ids)) {
-		if ov := s.lookupOverlay(ids[i]); ov != nil {
+	for _, id := range pageOf(p, ids) {
+		if ov := s.lookupOverlay(id); ov != nil {
 			infos = append(infos, s.overlayInfo(ov))
 		}
 	}
@@ -519,22 +540,9 @@ func (s *Server) remove(id string) {
 	}
 }
 
-func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
-	ov := s.overlayOr404(w, r)
-	if ov == nil {
-		return
-	}
-	p, aerr := parsePage(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
+func listNodes(ov *Overlay, _ *http.Request, p pageArgs) (map[string]any, *APIError) {
 	members := ov.sup.Session().Members()
-	nodes := make([]int, 0, p.pageSize)
-	for _, i := range p.page(len(members)) {
-		nodes = append(nodes, members[i])
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"nodes": nodes, "total": len(members)})
+	return map[string]any{"nodes": pageOf(p, members), "total": len(members)}, nil
 }
 
 // epochSummary is the paged epoch-listing row.
@@ -586,39 +594,23 @@ type billDetail struct {
 	Itemized            string `json:"itemized,omitempty"`
 }
 
-func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
-	ov := s.overlayOr404(w, r)
-	if ov == nil {
-		return
-	}
-	p, aerr := parsePage(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
+func listEpochs(ov *Overlay, _ *http.Request, p pageArgs) (map[string]any, *APIError) {
 	bills := ov.sup.Session().Bills()
-	out := make([]epochSummary, 0, p.pageSize)
-	for _, i := range p.page(len(bills)) {
-		out = append(out, summarize(&bills[i]))
+	page := pageOf(p, bills)
+	out := make([]epochSummary, len(page))
+	for i := range page {
+		out[i] = summarize(&page[i])
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"epochs": out, "total": len(bills)})
+	return map[string]any{"epochs": out, "total": len(bills)}, nil
 }
 
-func (s *Server) handleBills(w http.ResponseWriter, r *http.Request) {
-	ov := s.overlayOr404(w, r)
-	if ov == nil {
-		return
-	}
-	p, aerr := parsePage(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
+func listBills(ov *Overlay, _ *http.Request, p pageArgs) (map[string]any, *APIError) {
 	bills := ov.sup.Session().Bills()
-	out := make([]billDetail, 0, p.pageSize)
-	for _, i := range p.page(len(bills)) {
-		b := &bills[i]
-		out = append(out, billDetail{
+	page := pageOf(p, bills)
+	out := make([]billDetail, len(page))
+	for i := range page {
+		b := &page[i]
+		out[i] = billDetail{
 			epochSummary:        summarize(b),
 			MaxMessagesPerRound: b.MaxMessagesPerRound,
 			MaxMessagesTotal:    b.MaxMessagesTotal,
@@ -627,9 +619,9 @@ func (s *Server) handleBills(w http.ResponseWriter, r *http.Request) {
 			FaultDelays:         b.FaultDelays,
 			ProtocolAnomalies:   b.ProtocolAnomalies,
 			Itemized:            b.Itemized,
-		})
+		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"bills": out, "total": len(bills)})
+	return map[string]any{"bills": out, "total": len(bills)}, nil
 }
 
 // epochRequest is the POST /v1/overlays/{id}/epochs body: an explicit
@@ -672,8 +664,7 @@ func (s *Server) handleApplyEpoch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req epochRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, apiErr(http.StatusBadRequest, "bad_request", "body is not valid JSON: "+err.Error()))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	out, err := ov.sup.Do(r.Context(), func(ctx context.Context, sess *overlay.Session) (any, bool, error) {
@@ -701,8 +692,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, apiErr(http.StatusBadRequest, "bad_request", "body is not valid JSON: "+err.Error()))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	plan, err := overlay.ParsePlan(req.Spec)
@@ -781,21 +771,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"path": path, "hops": len(path) - 1})
 }
 
-// handleDerived serves GET /v1/overlays/{id}/derived?view=NAME: the
+// listDerived serves GET /v1/overlays/{id}/derived?view=NAME: the
 // named Section 1.4 derived view for the session's current committed
 // epoch, as global-identifier edge pairs, paged. Reads come from the
 // session's per-epoch cache, so concurrent clients polling a view
 // between epochs share one computation.
-func (s *Server) handleDerived(w http.ResponseWriter, r *http.Request) {
-	ov := s.overlayOr404(w, r)
-	if ov == nil {
-		return
-	}
-	p, aerr := parsePage(r)
-	if aerr != nil {
-		writeError(w, aerr)
-		return
-	}
+func listDerived(ov *Overlay, r *http.Request, p pageArgs) (map[string]any, *APIError) {
 	sess := ov.sup.Session()
 	view := r.URL.Query().Get("view")
 	if view == "" {
@@ -812,17 +793,12 @@ func (s *Server) handleDerived(w http.ResponseWriter, r *http.Request) {
 	case "debruijn":
 		edges = sess.DeBruijn()
 	default:
-		writeError(w, apiErr(http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("view=%q is not ring, chord, hypercube, or debruijn", view)))
-		return
+		return nil, apiErr(http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("view=%q is not ring, chord, hypercube, or debruijn", view))
 	}
-	out := make([][2]int, 0, p.pageSize)
-	for _, i := range p.page(len(edges)) {
-		out = append(out, edges[i])
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"view": view, "epoch": sess.Epoch(), "edges": out, "total": len(edges),
-	})
+	return map[string]any{
+		"view": view, "epoch": sess.Epoch(), "edges": pageOf(p, edges), "total": len(edges),
+	}, nil
 }
 
 // workloadBillInfo is the last-sync accounting block of the workloads
@@ -904,8 +880,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req injectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, apiErr(http.StatusBadRequest, "bad_request", "body is not valid JSON: "+err.Error()))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	switch {

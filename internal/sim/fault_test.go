@@ -412,7 +412,7 @@ func TestProbThreshold(t *testing.T) {
 // TestFaultDeterminismAcrossWorkers extends the engine's determinism
 // sweep to the fault plane: a seeded adversary with every fault type
 // active must produce identical receptions and metrics at all worker
-// counts, sequential included.
+// counts, single-goroutine execution (workers 1) included.
 func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	adv := &Adversary{
 		Seed:      11,
@@ -437,7 +437,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if fp != wantFP {
-			t.Errorf("workers=%d: reception fingerprint %016x != sequential %016x", w, fp, wantFP)
+			t.Errorf("workers=%d: reception fingerprint %016x != workers=1 %016x", w, fp, wantFP)
 		}
 		if ms != wantMetrics {
 			t.Errorf("workers=%d: metrics diverged:\n got %s\nwant %s", w, ms, wantMetrics)
@@ -445,11 +445,11 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultSequentialMatchesParallelConfig pins Sequential mode to the
-// sharded fault path as well.
+// TestFaultSequentialMatchesParallelConfig pins single-goroutine
+// execution (workers 1) to the sharded fault path as well.
 func TestFaultSequentialMatchesParallelConfig(t *testing.T) {
 	adv := &Adversary{Seed: 1, DropProb: 0.2, DelayProb: 0.2, DelayMax: 2}
-	seqRecs, _ := runFaultGossip(t, 32, Config{Seed: 8, Sequential: true, Adversary: adv})
+	seqRecs, _ := runFaultGossip(t, 32, Config{Seed: 8, Workers: 1, Adversary: adv})
 	parRecs, _ := runFaultGossip(t, 32, Config{Seed: 8, Workers: 4, Adversary: adv})
 	if a, b := fingerprintRecs(seqRecs), fingerprintRecs(parRecs); a != b {
 		t.Fatalf("sequential fault run diverged from parallel: %016x vs %016x", a, b)

@@ -29,7 +29,7 @@
 // delivered by destination-sharded workers that each scan the outboxes
 // in (sender-index, send-order), so every inbox is filled in exactly
 // the order a sequential merge would produce and a run is a pure
-// function of (protocol, seed) regardless of Sequential or Workers.
+// function of (protocol, seed) regardless of Workers.
 //
 // Scale: the engine is built for 100k+-node message-level runs.
 // Outboxes are columnar (a flat []Wire per sender with a parallel
@@ -96,14 +96,12 @@ type Config struct {
 	// SendCap and RecvCap are per-round unit capacities; 0 disables the
 	// respective cap. The NCC0 model sets both to Θ(log n).
 	SendCap, RecvCap int
-	// Sequential forces single-goroutine execution (useful when
-	// profiling protocol logic). Output is bit-for-bit identical to the
-	// parallel path.
-	Sequential bool
 	// Workers bounds the worker-pool size for node execution and
-	// sharded delivery. 0 means GOMAXPROCS; 1 is equivalent to
-	// Sequential. Values above 1 force the sharded parallel path even
-	// on small inputs, which tests use to exercise it.
+	// sharded delivery. 0 means GOMAXPROCS; 1 forces single-goroutine
+	// execution (useful when profiling protocol logic), bit-for-bit
+	// identical to the parallel path. Values above 1 force the sharded
+	// parallel path even on small inputs, which tests use to exercise
+	// it.
 	Workers int
 	// Adversary installs the fault plane (see Adversary). nil runs the
 	// fault-free fast path with no per-message checks; runs with an
@@ -123,9 +121,6 @@ type Config struct {
 
 // workers resolves the effective worker count.
 func (c Config) workers() int {
-	if c.Sequential {
-		return 1
-	}
 	if c.Workers > 0 {
 		return c.Workers
 	}
@@ -270,7 +265,7 @@ func New(cfg Config, nodes []Node) *Engine {
 		inOff:   make([]int32, n),
 		inCnt:   make([]int32, n),
 		inPos:   make([]int32, n),
-		sharded: !cfg.Sequential && cfg.Workers > 1,
+		sharded: cfg.Workers > 1,
 	}
 	root := rng.New(cfg.Seed)
 	// The first n draws of the identifier stream are the identifiers

@@ -257,7 +257,7 @@ func (g *gossipNode) send(ctx *Ctx) {
 
 func (g *gossipNode) Halted() bool { return g.turns >= 5 }
 
-func runGossip(seed uint64, sequential bool) []uint64 {
+func runGossip(seed uint64, workers int) []uint64 {
 	const n = 128
 	nodes := make([]Node, n)
 	gs := make([]*gossipNode, n)
@@ -265,7 +265,7 @@ func runGossip(seed uint64, sequential bool) []uint64 {
 		gs[i] = &gossipNode{}
 		nodes[i] = gs[i]
 	}
-	e := New(Config{N: n, Seed: seed, Sequential: sequential}, nodes)
+	e := New(Config{N: n, Seed: seed, Workers: workers}, nodes)
 	for i := range gs {
 		gs[i].peers = e.IDs()
 	}
@@ -278,9 +278,9 @@ func runGossip(seed uint64, sequential bool) []uint64 {
 }
 
 func TestDeterminismAcrossExecutionModes(t *testing.T) {
-	a := runGossip(99, false)
-	b := runGossip(99, true)
-	c := runGossip(100, true)
+	a := runGossip(99, 0)
+	b := runGossip(99, 1)
+	c := runGossip(100, 1)
 	diff := false
 	for i := range a {
 		if a[i] != b[i] {
@@ -324,7 +324,7 @@ func runGossipMetrics(cfg Config, recvCap int) ([]uint64, *Metrics) {
 // (with the worker pool forced on) must produce identical node states
 // and bit-for-bit identical Metrics for the same seed.
 func TestShardedDeliveryMatchesSequential(t *testing.T) {
-	seqSums, seqM := runGossipMetrics(Config{Seed: 42, Sequential: true}, 0)
+	seqSums, seqM := runGossipMetrics(Config{Seed: 42, Workers: 1}, 0)
 	for _, workers := range []int{2, 4, 16} {
 		parSums, parM := runGossipMetrics(Config{Seed: 42, Workers: workers}, 0)
 		if !reflect.DeepEqual(seqSums, parSums) {
@@ -342,7 +342,7 @@ func TestShardedDeliveryMatchesSequential(t *testing.T) {
 // drop the same messages (same per-node sums) and report the same
 // RecvDrops count.
 func TestRecvDropsReproducible(t *testing.T) {
-	seqSums, seqM := runGossipMetrics(Config{Seed: 7, Sequential: true}, 2)
+	seqSums, seqM := runGossipMetrics(Config{Seed: 7, Workers: 1}, 2)
 	parSums, parM := runGossipMetrics(Config{Seed: 7, Workers: 4}, 2)
 	if seqM.RecvDrops == 0 {
 		t.Fatal("test needs a cap tight enough to force drops")

@@ -87,7 +87,7 @@ func TestSpraySharedDeterminism(t *testing.T) {
 		}
 		return recv.wires
 	}
-	seq := run(Config{Seed: 5, Sequential: true})
+	seq := run(Config{Seed: 5, Workers: 1})
 	for _, w := range []int{2, 8, 16} {
 		par := run(Config{Seed: 5, Workers: w})
 		if !reflect.DeepEqual(seq, par) {

@@ -526,39 +526,11 @@ func (p *Protocol) routeFind(ctx *sim.Ctx, msg findMsg) {
 	sim.Send(ctx, p.jump[level], msg)
 }
 
-// ExtractTree converts the finished protocol state into a Tree using
-// the engine's identifier mapping, validating as it goes.
+// ExtractTree converts the finished protocol state into a Tree over
+// every node: ExtractTreeSurvivors with nobody crashed.
 func ExtractTree(eng *sim.Engine, protos []*Protocol) (*Tree, error) {
-	n := len(protos)
-	t := &Tree{
-		Rank:   make([]int, n),
-		NodeAt: make([]int, n),
-		Parent: make([]int, n),
-	}
-	for i, p := range protos {
-		if p.rank < 0 || p.rank >= n {
-			return nil, fmt.Errorf("wft: node %d has invalid rank %d", i, p.rank)
-		}
-		t.Rank[i] = p.rank
-		t.NodeAt[p.rank] = i
-		if p.rank == 0 {
-			t.Root = i
-		}
-	}
-	for i, p := range protos {
-		if p.HeapParent == ids.Nil {
-			return nil, fmt.Errorf("wft: node %d has no heap parent", i)
-		}
-		j, ok := eng.IndexOf(p.HeapParent)
-		if !ok {
-			return nil, fmt.Errorf("wft: unknown heap parent id %v", p.HeapParent)
-		}
-		t.Parent[i] = j
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t, _, err := ExtractTreeSurvivors(eng, protos, nil)
+	return t, err
 }
 
 // ExtractTreeSurvivors converts the finished protocol state into a
@@ -572,18 +544,17 @@ func ExtractTree(eng *sim.Engine, protos []*Protocol) (*Tree, error) {
 func ExtractTreeSurvivors(eng *sim.Engine, protos []*Protocol, alive []bool) (*Tree, []int, error) {
 	n := len(protos)
 	nodes := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+	local := make([]int, n) // engine index -> survivor-local index, -1 for the crashed
+	for i := range local {
+		local[i] = -1
 		if alive == nil || alive[i] {
+			local[i] = len(nodes)
 			nodes = append(nodes, i)
 		}
 	}
 	k := len(nodes)
 	if k == 0 {
 		return nil, nil, fmt.Errorf("wft: no survivors")
-	}
-	local := make(map[int]int, k) // engine index -> survivor-local index
-	for li, gi := range nodes {
-		local[gi] = li
 	}
 	t := &Tree{
 		Rank:   make([]int, k),
@@ -619,11 +590,10 @@ func ExtractTreeSurvivors(eng *sim.Engine, protos []*Protocol, alive []bool) (*T
 		if !ok {
 			return nil, nil, fmt.Errorf("wft: unknown heap parent id %v", p.HeapParent)
 		}
-		pl, ok := local[pg]
-		if !ok {
+		if local[pg] < 0 {
 			return nil, nil, fmt.Errorf("wft: survivor %d claims crashed node %d as heap parent", gi, pg)
 		}
-		t.Parent[li] = pl
+		t.Parent[li] = local[pg]
 	}
 	if err := t.Validate(); err != nil {
 		return nil, nil, err

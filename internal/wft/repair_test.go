@@ -178,8 +178,8 @@ func TestRepairProtocolMatchesOracle(t *testing.T) {
 }
 
 // TestRepairDeterministicAcrossWorkers pins bit-identical repair
-// output and metrics across the sequential engine and forced worker
-// counts.
+// output and metrics across the single-goroutine engine (workers 1)
+// and forced worker counts.
 func TestRepairDeterministicAcrossWorkers(t *testing.T) {
 	old := permTree(t, 300, 0x7a11)
 	dead := make([]bool, 300)
@@ -203,8 +203,8 @@ func TestRepairDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return outcome{got, eng.Round(), eng.Metrics().TotalMessages}
 	}
-	ref := run(sim.Config{Sequential: true})
-	for w := 1; w <= 16; w++ {
+	ref := run(sim.Config{Workers: 1})
+	for w := 2; w <= 16; w++ {
 		o := run(sim.Config{Workers: w})
 		if !reflect.DeepEqual(o, ref) {
 			t.Fatalf("workers=%d diverged: %+v vs %+v", w, o, ref)
@@ -328,7 +328,7 @@ func TestRepairSchedulingEquivalence(t *testing.T) {
 		{"crash-rank0", &sim.Adversary{Crashes: []sim.Crash{{Node: rank0, Round: 4}}}},
 		{"crash-everyone", &sim.Adversary{Crashes: everyone}},
 	}
-	modes := []sim.Config{{Sequential: true}}
+	var modes []sim.Config
 	for w := 1; w <= 16; w++ {
 		modes = append(modes, sim.Config{Workers: w})
 	}
@@ -364,8 +364,8 @@ func TestRepairSchedulingEquivalence(t *testing.T) {
 				cfg.Seed, cfg.Adversary = 0x5c4ed, a.adv
 				want, got := run(cfg, true), run(cfg, false)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("sequential=%v workers=%d: idle-halting run diverged from the always-active reference:\ngot  rounds=%d msgs=%d drops=%d delays=%d failure=%q\nwant rounds=%d msgs=%d drops=%d delays=%d failure=%q",
-						cfg.Sequential, cfg.Workers,
+					t.Fatalf("workers=%d: idle-halting run diverged from the always-active reference:\ngot  rounds=%d msgs=%d drops=%d delays=%d failure=%q\nwant rounds=%d msgs=%d drops=%d delays=%d failure=%q",
+						cfg.Workers,
 						got.rounds, got.metrics.TotalMessages, got.metrics.FaultDrops, got.metrics.FaultDelays, got.failure,
 						want.rounds, want.metrics.TotalMessages, want.metrics.FaultDrops, want.metrics.FaultDelays, want.failure)
 				}
@@ -382,7 +382,7 @@ func TestRepairSchedulingEquivalence(t *testing.T) {
 // mode. The session formats the same value as its charged bill, so
 // charged and measured epochs cannot disagree about a phase budget.
 func TestScheduleIsTheSingleSource(t *testing.T) {
-	modes := []sim.Config{{Sequential: true}}
+	var modes []sim.Config
 	for w := 1; w <= 16; w++ {
 		modes = append(modes, sim.Config{Workers: w})
 	}

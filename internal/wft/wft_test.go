@@ -1,12 +1,14 @@
 package wft
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"overlay/internal/benign"
 	"overlay/internal/expander"
 	"overlay/internal/graphx"
+	"overlay/internal/ids"
 	"overlay/internal/rng"
 	"overlay/internal/sim"
 	"overlay/internal/topology"
@@ -223,6 +225,34 @@ func TestProtocolTwoNodes(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExtractTreeRejectsMalformed: ExtractTree is the survivors
+// extraction with everyone alive, so finished state that does not hold
+// a tree is refused with that path's reasons, not folded into a tree.
+func TestExtractTreeRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(protos []*Protocol)
+		want    string
+	}{
+		{"rank collision", func(p []*Protocol) { p[3].rank = p[5].rank }, "survivors 3 and 5 share rank"},
+		{"unranked node", func(p []*Protocol) { p[3].rank = -1 }, "survivor 3 was never ranked"},
+		{"missing heap parent", func(p []*Protocol) { p[3].HeapParent = ids.Nil }, "survivor 3 has no heap parent"},
+	}
+	for _, c := range cases {
+		g := ringGraph(12)
+		flood := g.Diameter() + 2
+		eng, protos := BuildEngine(g, flood, sim.Config{Seed: 21})
+		eng.Run(Rounds(flood, g.N) + 4)
+		if _, err := ExtractTree(eng, protos); err != nil {
+			t.Fatalf("%s: intact state refused: %v", c.name, err)
+		}
+		c.corrupt(protos)
+		if _, err := ExtractTree(eng, protos); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

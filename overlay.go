@@ -89,11 +89,8 @@ type Options struct {
 	// CapFactor κ sets the NCC0 per-round capacity κ·⌈log₂ n⌉ for the
 	// message-level path (0 = uncapped measurement mode).
 	CapFactor int
-	// Sequential forces both execution paths onto a single goroutine.
-	// Output is bit-for-bit identical to the parallel path; use it for
-	// profiling or when running under instrumentation.
-	Sequential bool
-	// Workers bounds the worker pools of both paths (0 = GOMAXPROCS).
+	// Workers bounds the worker pools of both paths (0 = GOMAXPROCS, 1 =
+	// a single goroutine, for profiling or running under instrumentation).
 	// The message-level engine shards message delivery across this many
 	// goroutines; the fast path splits the evolution token walks and
 	// spectral mat-vecs the same way. Results never depend on the
@@ -217,9 +214,6 @@ func BuildTree(g *Graph, opt *Options) (*BuildResult, error) {
 		ep.Evolutions = opt.Evolutions
 	}
 	ep.Workers = opt.Workers
-	if opt.Sequential {
-		ep.Workers = 1
-	}
 
 	if opt.MessageLevel {
 		return buildMessageLevel(m, ep, opt)
@@ -263,7 +257,7 @@ func buildFast(m *graphx.Multi, ep expander.Params, opt *Options) (*BuildResult,
 // compiled adversary; a build the adversary defeats is reported as
 // Aborted (with partial statistics) rather than as an error.
 func buildMessageLevel(m *graphx.Multi, ep expander.Params, opt *Options) (*BuildResult, error) {
-	engCfg := sim.Config{Seed: opt.Seed, Sequential: opt.Sequential, Workers: opt.Workers, Interrupt: opt.Interrupt}
+	engCfg := sim.Config{Seed: opt.Seed, Workers: opt.Workers, Interrupt: opt.Interrupt}
 	// Correlated failure domains flatten into plain crashes and
 	// partitions over the build's id space before compilation.
 	faults := opt.Faults.expandDomains(m.N)
@@ -317,7 +311,7 @@ func buildMessageLevel(m *graphx.Multi, ep expander.Params, opt *Options) (*Buil
 	}
 	cfg2 := sim.Config{
 		Seed: opt.Seed + 1, SendCap: cap, RecvCap: cap,
-		Sequential: opt.Sequential, Workers: opt.Workers, Interrupt: opt.Interrupt,
+		Workers: opt.Workers, Interrupt: opt.Interrupt,
 	}
 	r1 := eng1.Round()
 	if faults != nil {
@@ -333,39 +327,26 @@ func buildMessageLevel(m *graphx.Multi, ep expander.Params, opt *Options) (*Buil
 		anomalies += int64(p.Anomalies())
 	}
 
-	var tree *wft.Tree
-	var survivors []int
-	if faults == nil {
-		var err error
-		tree, err = wft.ExtractTree(eng2, protos)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		alive, dead := aliveAfter(crashes, m.N, r1+eng2.Round())
-		var mask []bool
-		if dead > 0 {
-			mask = alive
-		}
-		var nodes []int
-		var err error
-		tree, nodes, err = wft.ExtractTreeSurvivors(eng2, protos, mask)
-		if err != nil {
-			st := stats(eng2)
-			st.ProtocolAnomalies = anomalies
-			return &BuildResult{
-				Aborted:     true,
-				AbortReason: err.Error(),
-				Stats:       st,
-				expander:    s,
-			}, nil
-		}
-		if dead > 0 {
-			survivors = nodes
-		}
+	// The tree spans the nodes no crash has stopped; Survivors is set
+	// only when somebody died.
+	alive := aliveAfter(crashes, m.N, r1+eng2.Round())
+	tree, survivors, err := wft.ExtractTreeSurvivors(eng2, protos, alive)
+	if err != nil && faults == nil {
+		return nil, err
 	}
 	st := stats(eng2)
 	st.ProtocolAnomalies = anomalies
+	if err != nil {
+		return &BuildResult{
+			Aborted:     true,
+			AbortReason: err.Error(),
+			Stats:       st,
+			expander:    s,
+		}, nil
+	}
+	if alive == nil {
+		survivors = nil
+	}
 	out := &BuildResult{
 		Tree:      tree,
 		Stats:     st,

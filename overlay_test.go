@@ -96,11 +96,11 @@ func TestBuildTreeDeterministic(t *testing.T) {
 }
 
 func TestBuildTreeMessageLevelExecutionModeDeterminism(t *testing.T) {
-	// The sequential engine and the sharded parallel engine must build
+	// The single-worker engine and the sharded parallel engine must build
 	// the identical tree with identical measured statistics — the
 	// public-API guardrail for the engine's delivery refactor.
 	g := lineInput(150)
-	seq, err := BuildTree(g, &Options{Seed: 9, MessageLevel: true, Sequential: true})
+	seq, err := BuildTree(g, &Options{Seed: 9, MessageLevel: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,18 +91,17 @@ func TestSessionLadderRecoversFromPartition(t *testing.T) {
 
 // TestSessionLadderDeterministicAcrossWorkers: the full retry/rollback
 // sequence — every attempt bill included — is a pure function of the
-// session inputs at every worker count and under the sequential
-// engine.
+// session inputs at every worker count, single-goroutine execution
+// (workers 1) being the reference.
 func TestSessionLadderDeterministicAcrossWorkers(t *testing.T) {
 	const n, window = 192, 160
-	run := func(workers int, sequential bool) string {
+	run := func(workers int) string {
 		res, err := BuildTree(lineInput(n), &Options{Seed: 7, MessageLevel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt := ladderSessionOptions(res.Stats.Rounds, window, 1, 3)
 		opt.Build.Workers = workers
-		opt.Build.Sequential = sequential
 		sess, err := Open(res, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -110,14 +109,14 @@ func TestSessionLadderDeterministicAcrossWorkers(t *testing.T) {
 		joins, leaves := measuredEpochArgs(sess)
 		bill, err := sess.ApplyEpoch(joins, leaves)
 		if err != nil {
-			t.Fatalf("workers=%d sequential=%v: %v", workers, sequential, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return fmt.Sprintf("%+v|%v|%+v", *bill, sess.Members(), *sess.Tree())
 	}
-	base := run(0, true)
-	for workers := 1; workers <= 16; workers++ {
-		if got := run(workers, false); got != base {
-			t.Fatalf("workers=%d diverged from sequential:\n%s\nvs\n%s", workers, got, base)
+	base := run(1)
+	for workers := 2; workers <= 16; workers++ {
+		if got := run(workers); got != base {
+			t.Fatalf("workers=%d diverged from workers=1:\n%s\nvs\n%s", workers, got, base)
 		}
 	}
 }

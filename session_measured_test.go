@@ -104,17 +104,18 @@ func TestSessionMeasuredZeroRatePlan(t *testing.T) {
 }
 
 // TestSessionMeasuredDeterministicAcrossWorkers runs faulted measured
-// epochs at every worker count 1..16 and sequentially, requiring
-// bit-identical members, trees, and bills.
+// epochs at every worker count 1..16 (workers 1, single-goroutine
+// execution, is the reference), requiring bit-identical members, trees,
+// and bills.
 func TestSessionMeasuredDeterministicAcrossWorkers(t *testing.T) {
 	type outcome struct {
 		Members []int
 		Tree    *Tree
 		Bills   []EpochBill
 	}
-	run := func(sequential bool, workers int) outcome {
+	run := func(workers int) outcome {
 		res, err := BuildTree(lineInput(192), &Options{
-			Seed: 7, MessageLevel: true, Sequential: sequential, Workers: workers,
+			Seed: 7, MessageLevel: true, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,10 +126,7 @@ func TestSessionMeasuredDeterministicAcrossWorkers(t *testing.T) {
 		plan := &FaultPlan{Seed: 11, DelayProb: 0.05, DelayMax: 3}
 		sess, err := Open(res, &SessionOptions{
 			Accounting: Measured,
-			Build: Options{
-				Seed: 7, MessageLevel: true, Faults: plan,
-				Sequential: sequential, Workers: workers,
-			},
+			Build:      Options{Seed: 7, MessageLevel: true, Faults: plan, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,11 +139,11 @@ func TestSessionMeasuredDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return outcome{sess.Members(), sess.Tree(), sess.Bills()}
 	}
-	ref := run(true, 1)
-	for w := 1; w <= 16; w++ {
-		got := run(false, w)
+	ref := run(1)
+	for w := 2; w <= 16; w++ {
+		got := run(w)
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d diverged from sequential:\n%+v\nvs\n%+v", w, got, ref)
+			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", w, got, ref)
 		}
 	}
 }

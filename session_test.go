@@ -121,7 +121,7 @@ func TestSessionThresholdBoundary(t *testing.T) {
 
 // TestSessionDeterministicAcrossWorkers is the metamorphic pin: the
 // same seed and epoch schedule produce bit-identical members, trees,
-// and bills at every worker count and under Sequential — including a
+// and bills at every worker count — including a
 // rebuild epoch, which runs a real message-level BuildTree.
 func TestSessionDeterministicAcrossWorkers(t *testing.T) {
 	type outcome struct {
@@ -129,15 +129,15 @@ func TestSessionDeterministicAcrossWorkers(t *testing.T) {
 		Tree    Tree
 		Bills   []EpochBill
 	}
-	run := func(workers int, sequential bool) outcome {
+	run := func(workers int) outcome {
 		res, err := BuildTree(lineInput(128), &Options{
-			Seed: 11, MessageLevel: true, Workers: workers, Sequential: sequential,
+			Seed: 11, MessageLevel: true, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sess, err := Open(res, &SessionOptions{Build: Options{
-			Seed: 11, MessageLevel: true, Workers: workers, Sequential: sequential,
+			Seed: 11, MessageLevel: true, Workers: workers,
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -165,14 +165,11 @@ func TestSessionDeterministicAcrossWorkers(t *testing.T) {
 		return outcome{Members: sess.Members(), Tree: *sess.Tree(), Bills: sess.Bills()}
 	}
 
-	base := run(1, false)
+	base := run(1)
 	for _, w := range []int{2, 5, 16} {
-		if got := run(w, false); !reflect.DeepEqual(got, base) {
+		if got := run(w); !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d diverged from workers=1", w)
 		}
-	}
-	if got := run(0, true); !reflect.DeepEqual(got, base) {
-		t.Fatal("Sequential diverged from workers=1")
 	}
 }
 

@@ -3,13 +3,13 @@ package overlay
 import "testing"
 
 // TestFastPathWorkersKnobDeterministic pins the public contract that
-// Options.Workers / Options.Sequential never change fast-path output:
+// Options.Workers never changes fast-path output:
 // the graph-level token walks and spectral oracles are partitioned
 // deterministically, so equal seeds give identical trees and stats at
 // every worker count.
 func TestFastPathWorkersKnobDeterministic(t *testing.T) {
 	g := lineInput(700)
-	base, err := BuildTree(g, &Options{Seed: 5, Sequential: true})
+	base, err := BuildTree(g, &Options{Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
