@@ -7,14 +7,15 @@ import (
 	"sort"
 	"strings"
 
-	"overlay/internal/overlays"
 	"overlay/internal/rng"
 	"overlay/internal/sim"
 	"overlay/internal/wft"
 )
 
 // One churn epoch: argument checks, the epoch plan, the recovery
-// ladder and its rungs. session.go holds the state these write.
+// ladder and its rungs, and the commit. Everything before the commit is
+// a function of the pre-epoch state that returns values; the commit is
+// the one store.
 
 // ApplyEpoch advances the session by one churn epoch: the listed
 // members leave (crash-stop semantics: they say no goodbyes) and the
@@ -26,15 +27,13 @@ import (
 //
 // A defeated epoch climbs the recovery ladder (see
 // SessionOptions.PatchRetries/RebuildRetries). When every rung fails,
-// the session rolls back to its pre-epoch checkpoint and ApplyEpoch
-// returns the aborted bill (Aborted set, every attempt itemized)
-// together with a reasoned error: the caller can re-apply the epoch
-// or keep serving lookups from the last committed state. Invalid
-// arguments return (nil, error) without consuming an epoch.
+// nothing is published and ApplyEpoch returns the aborted bill (Aborted
+// set, every attempt itemized) together with a reasoned error: the
+// caller can re-apply the epoch or keep serving lookups from the last
+// committed state. Invalid arguments return (nil, error) without
+// consuming an epoch.
 func (s *Session) ApplyEpoch(joins, leaves []int) (*EpochBill, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyEpochLocked(joins, leaves)
+	return s.ApplyEpochCtx(context.Background(), joins, leaves)
 }
 
 // ApplyEpochCtx is ApplyEpoch bounded by a context: the deadline (or
@@ -42,43 +41,20 @@ func (s *Session) ApplyEpoch(joins, leaves []int) (*EpochBill, error) {
 // and rebuilds, at rung boundaries of the recovery ladder, and before
 // the analytic paths commit. An epoch the context interrupts is a
 // hard error wrapping both ErrInterrupted and the context's error —
-// the session rolls back to its pre-epoch state (bit-identical, epoch
+// the session stays at its pre-epoch state (the same *Checkpoint, epoch
 // counter not advanced) and keeps serving lookups, so a timed-out
-// request observably never happened. ApplyEpochCtx(context.Background(),
-// …) is exactly ApplyEpoch.
+// request observably never happened.
 func (s *Session) ApplyEpochCtx(ctx context.Context, joins, leaves []int) (*EpochBill, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ctx != nil && ctx.Done() != nil {
-		s.interrupt = func() bool { return ctx.Err() != nil }
-		defer func() { s.interrupt = nil }()
-	}
-	bill, err := s.applyEpochLocked(joins, leaves)
-	if err != nil && errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
-		err = fmt.Errorf("%w: %w", err, ctx.Err())
-	}
-	return bill, err
-}
-
-// interrupted reports whether the in-flight ApplyEpochCtx deadline
-// has fired.
-func (s *Session) interrupted() bool {
-	return s.interrupt != nil && s.interrupt()
-}
-
-// applyEpochLocked is the epoch body; the write lock is held.
-func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
-	joins, leaves, err := s.checkEpochArgs(joins, leaves)
+	cur := s.state.Load()
+	joins, leaves, err := cur.checkEpochArgs(joins, leaves)
 	if err != nil {
 		return nil, err
 	}
-	if s.interrupted() {
-		return nil, fmt.Errorf("%w (before epoch %d started)", ErrInterrupted, s.clock.Epoch())
-	}
-	cp := s.checkpointLocked()
-	k0 := len(s.members)
-	churned := float64(len(joins)+len(leaves)) / float64(k0)
-	epoch, seed := s.clock.NextEpoch()
+	clock := cur.clock
+	epoch, seed := clock.NextEpoch()
+	churned := float64(len(joins)+len(leaves)) / float64(len(cur.members))
 	bill := &EpochBill{
 		Epoch:           epoch,
 		Joined:          len(joins),
@@ -86,41 +62,77 @@ func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
 		ChurnedFraction: churned,
 		Rebuilt:         churned > s.rebuildFrac,
 	}
-	plan, err := s.planEpoch(epoch, joins, leaves, !bill.Rebuilt)
-	if err == nil {
-		err = s.runEpochLadder(plan, seed, bill)
+	p := &epochPlan{cur: cur, epoch: epoch, joins: joins, leaves: leaves}
+	if ctx != nil && ctx.Done() != nil {
+		p.interrupt = func() bool { return ctx.Err() != nil }
+	}
+	var members []int
+	var tree *Tree
+	if p.interrupted() {
+		err = fmt.Errorf("%w (before epoch %d started)", ErrInterrupted, epoch)
+	} else if err = s.planEpoch(p, !bill.Rebuilt); err == nil {
+		members, tree, err = s.runEpochLadder(p, seed, bill)
 	}
 	if err != nil {
-		// Hard specification error (not an adversary defeat): the
-		// session must stay replayable, so the epoch counter must not
-		// advance either.
-		s.restoreLocked(cp)
+		// Hard specification error or interrupt (not an adversary
+		// defeat): nothing was published, so the session stays
+		// replayable and the epoch counter does not advance.
+		if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
+			err = fmt.Errorf("%w: %w", err, ctx.Err())
+		}
 		return nil, err
 	}
 	if bill.Aborted {
-		s.restoreLocked(cp)
-		bill.Members = len(s.members)
-		bill.Clock = s.clock.Round()
+		bill.Members = len(cur.members)
+		bill.Clock = cur.clock.Round()
 		return bill, fmt.Errorf("overlay: epoch %d aborted after %d attempts: %s; session rolled back to the pre-epoch checkpoint", epoch, bill.Attempts, bill.AbortReason)
 	}
-	bill.Members = len(s.members)
-	s.clock.Advance(bill.Rounds)
-	bill.Clock = s.clock.Round()
+	clock.Advance(bill.Rounds)
+	bill.Members = len(members)
+	bill.Clock = clock.Round()
 	// Section 1.4 re-establishment: bill the O(log k) rounds the
 	// derived overlays cost to re-announce over the repaired tree. The
 	// charge is a separate line item, not folded into Bill.Rounds or
 	// the clock (see EpochBill.DerivedRounds).
-	bill.DerivedRounds = sim.LogBound(len(s.members)) + 1
+	bill.DerivedRounds = sim.LogBound(len(members)) + 1
 	bill.Itemized += fmt.Sprintf("%-28s %5d rounds  (charged, off the epoch clock)\n", "derived re-establishment", bill.DerivedRounds)
-	s.noteDepartures(epoch, cp.members, joins)
-	if len(joins) > 0 {
-		if last := joins[len(joins)-1]; last >= s.nextID {
-			s.nextID = last + 1
+	next := &Checkpoint{
+		owner: s, members: members, tree: tree, clock: clock, nextID: cur.nextID,
+		bills: append(cur.bills, *bill), departLog: noteDepartures(cur.departLog, epoch, members, cur.members, joins),
+	}
+	if len(joins) > 0 && joins[len(joins)-1] >= next.nextID {
+		next.nextID = joins[len(joins)-1] + 1
+	}
+	// The commit: the departed index and the state it describes move
+	// together (see Session.departedMu).
+	s.departedMu.Lock()
+	for _, d := range next.departLog[len(cur.departLog):] {
+		s.departed[d.id] = d.epoch
+	}
+	s.state.Store(next)
+	s.departedMu.Unlock()
+	return bill, nil
+}
+
+// noteDepartures extends the departure log with everyone who was in
+// the epoch's world — a pre-epoch member or a scheduled joiner — and is
+// absent from the committed membership: scheduled leavers, rebuild
+// casualties, and joiners a faulted rebuild killed before they arrived.
+// Both worlds and the membership are ascending, so each is one merge
+// against it.
+func noteDepartures(log []departure, epoch int, members []int, worlds ...[]int) []departure {
+	for _, world := range worlds {
+		m := 0
+		for _, id := range world {
+			for m < len(members) && members[m] < id {
+				m++
+			}
+			if m == len(members) || members[m] != id {
+				log = append(log, departure{id, epoch})
+			}
 		}
 	}
-	s.bills = append(s.bills, *bill)
-	s.invalidateDerivedLocked()
-	return bill, nil
+	return log
 }
 
 // billLine formats one rounds-and-messages line of Bill.Itemized; mode
@@ -131,7 +143,7 @@ func billLine(name string, rounds int, msgs int64, mode string) string {
 
 // checkEpochArgs validates and normalizes (sorts copies of) the epoch
 // arguments.
-func (s *Session) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
+func (c *Checkpoint) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
 	joins = append([]int(nil), joins...)
 	leaves = append([]int(nil), leaves...)
 	sort.Ints(joins)
@@ -143,7 +155,7 @@ func (s *Session) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
 		if i > 0 && joins[i-1] == id {
 			return nil, nil, fmt.Errorf("overlay: joiner %d listed twice", id)
 		}
-		if _, ok := s.memberIndex(id); ok {
+		if _, ok := indexIn(c.members, id); ok {
 			return nil, nil, fmt.Errorf("overlay: joiner %d is already a member", id)
 		}
 	}
@@ -151,7 +163,7 @@ func (s *Session) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
 		if i > 0 && leaves[i-1] == id {
 			return nil, nil, fmt.Errorf("overlay: leaver %d listed twice", id)
 		}
-		if _, ok := s.memberIndex(id); !ok {
+		if _, ok := indexIn(c.members, id); !ok {
 			return nil, nil, fmt.Errorf("overlay: leaver %d is not a member", id)
 		}
 	}
@@ -165,7 +177,7 @@ func (s *Session) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
 			return nil, nil, fmt.Errorf("overlay: node %d both joins and leaves this epoch", joins[i])
 		}
 	}
-	if len(leaves) == len(s.members) {
+	if len(leaves) == len(c.members) {
 		return nil, nil, errors.New("overlay: epoch removes every member")
 	}
 	return joins, leaves, nil
@@ -175,6 +187,12 @@ func (s *Session) checkEpochArgs(joins, leaves []int) ([]int, []int, error) {
 // seed they run with, computed once by planEpoch: a rung adds only its
 // own entry draws, budget slack and fault shift.
 type epochPlan struct {
+	// cur is the pre-epoch committed state every rung reads and none
+	// writes; interrupt, when non-nil, is the deadline poll of the
+	// ApplyEpochCtx call this plan belongs to, checked at rung
+	// boundaries and between engine rounds.
+	cur           *Checkpoint
+	interrupt     func() bool
 	epoch         int
 	joins, leaves []int
 	// survivors are the members that stay (ascending globals),
@@ -192,58 +210,61 @@ type epochPlan struct {
 // noop reports an epoch with no churn: there is nothing to plan.
 func (p *epochPlan) noop() bool { return len(p.joins)+len(p.leaves) == 0 }
 
-// planEpoch partitions the membership against the sorted leave list —
-// the dead mask in member-local space, the survivors, and the merged
-// new membership — and, for an epoch that will try patching, runs the
-// rank repair every patch rung shares.
-func (s *Session) planEpoch(epoch int, joins, leaves []int, patch bool) (*epochPlan, error) {
-	p := &epochPlan{epoch: epoch, joins: joins, leaves: leaves}
+// interrupted reports whether the epoch's deadline has fired.
+func (p *epochPlan) interrupted() bool { return p.interrupt != nil && p.interrupt() }
+
+// planEpoch partitions the pre-epoch membership against the sorted
+// leave list — the dead mask in member-local space, the survivors, and
+// the merged new membership — and, for an epoch that will try patching,
+// runs the rank repair every patch rung shares.
+func (s *Session) planEpoch(p *epochPlan, patch bool) error {
 	if p.noop() {
-		return p, nil
+		return nil
 	}
+	members, tree := p.cur.members, p.cur.tree
 	// dead stays nil when nobody leaves: wft reads nil as "none died".
 	var dead []bool
-	p.survivors = s.members
-	if len(leaves) > 0 {
-		dead = make([]bool, len(s.members))
-		for _, id := range leaves {
-			li, _ := s.memberIndex(id)
+	p.survivors = members
+	if len(p.leaves) > 0 {
+		dead = make([]bool, len(members))
+		for _, id := range p.leaves {
+			li, _ := indexIn(members, id)
 			dead[li] = true
 		}
-		p.survivors = make([]int, 0, len(s.members)-len(leaves))
-		for li, id := range s.members {
+		p.survivors = make([]int, 0, len(members)-len(p.leaves))
+		for li, id := range members {
 			if !dead[li] {
 				p.survivors = append(p.survivors, id)
 			}
 		}
 	}
-	s0, j := len(p.survivors), len(joins)
+	s0, j := len(p.survivors), len(p.joins)
 	p.newMembers = make([]int, 0, s0+j)
 	p.newOf = make([]int, s0+j)
 	for i, jj := 0, 0; i < s0 || jj < j; {
-		if jj >= j || (i < s0 && p.survivors[i] < joins[jj]) {
+		if jj >= j || (i < s0 && p.survivors[i] < p.joins[jj]) {
 			p.newOf[i] = len(p.newMembers)
 			p.newMembers = append(p.newMembers, p.survivors[i])
 			i++
 		} else {
 			p.newOf[s0+jj] = len(p.newMembers)
-			p.newMembers = append(p.newMembers, joins[jj])
+			p.newMembers = append(p.newMembers, p.joins[jj])
 			jj++
 		}
 	}
 	if !patch {
-		return p, nil
+		return nil
 	}
-	rt, err := wft.Repair(s.tree, dead, j)
+	rt, err := wft.Repair(tree, dead, j)
 	if err != nil {
-		return nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
+		return fmt.Errorf("overlay: epoch patch failed: %w", err)
 	}
 	p.repaired = rt
-	p.spec = wft.RepairSpec{Survivors: s0, Joiners: j, OldDepth: s.tree.Depth(), NewRank: rt.Rank}
+	p.spec = wft.RepairSpec{Survivors: s0, Joiners: j, OldDepth: tree.Depth(), NewRank: rt.Rank}
 	if dead != nil && s.accounting == Measured {
-		p.spec.SweepParent = wft.SweepParents(s.tree, dead)
+		p.spec.SweepParent = wft.SweepParents(tree, dead)
 	}
-	return p, nil
+	return nil
 }
 
 // entryDraws draws each joiner's bootstrap contact from the rung's
@@ -283,11 +304,20 @@ func (s *Session) rungFaults(p *epochPlan, attempt, spent int) *FaultPlan {
 	if s.faults == nil {
 		return nil
 	}
-	q := s.faults.shiftForEpoch(s.clock.Round()+spent, p.epoch, p.newMembers)
+	q := s.faults.shiftForEpoch(p.cur.clock.Round()+spent, p.epoch, p.newMembers)
 	if attempt > 0 {
 		q.Seed = rng.New(q.Seed).Split(uint64(attempt) + 0xfa7e).Uint64()
 	}
 	return q
+}
+
+// rung is one ladder attempt's outcome: its bill and either the
+// repaired membership and tree or the reason the adversary defeated it.
+type rung struct {
+	Bill
+	members []int
+	tree    *Tree
+	defeat  error
 }
 
 // runEpochLadder executes the epoch's recovery ladder: the patch
@@ -296,11 +326,11 @@ func (s *Session) rungFaults(p *epochPlan, attempt, spent int) *FaultPlan {
 // with a per-attempt derived seed and fate stream, a fault plan
 // shifted past the rounds earlier failed rungs consumed, and — for
 // patch rungs — a growing round-budget slack. The first rung that
-// commits wins; its state is already applied when this returns. When
-// every rung fails, bill.Aborted is set with every attempt itemized
-// and the session left for the caller to roll back. A non-nil error
-// is a hard specification failure, never an adversary defeat.
-func (s *Session) runEpochLadder(p *epochPlan, seed uint64, bill *EpochBill) error {
+// commits wins: its membership and tree come back for the caller to
+// publish. When every rung fails, bill.Aborted is set with every
+// attempt itemized and nothing comes back. A non-nil error is a hard
+// specification failure, never an adversary defeat.
+func (s *Session) runEpochLadder(p *epochPlan, seed uint64, bill *EpochBill) ([]int, *Tree, error) {
 	var attempts []Bill
 	var reasons []string
 	spent := 0 // rounds consumed by failed attempts, advancing each retry's fault-plan offset
@@ -319,44 +349,44 @@ func (s *Session) runEpochLadder(p *epochPlan, seed uint64, bill *EpochBill) err
 	switch {
 	case p.noop():
 		commit(Bill{Path: "patch/noop", Itemized: billLine("no-op epoch", 0, 0, "charged")}, false)
-		return nil
+		return p.cur.members, p.cur.tree, nil
 	case !bill.Rebuilt && s.accounting == Charged:
-		commit(s.patchCharged(p, seed), false)
-		return nil
+		commit(patchCharged(p, seed), false)
+		return p.newMembers, relabelTree(p.repaired, p.newOf), nil
 	case !bill.Rebuilt:
 		for a := 0; a <= s.patchRetries; a++ {
-			if s.interrupted() {
-				return fmt.Errorf("%w (patch rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
+			if p.interrupted() {
+				return nil, nil, fmt.Errorf("%w (patch rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
 			}
-			b, reason, err := s.patchMeasuredAttempt(p, attemptSeed(seed, 0x9a7c, a), a, spent)
+			r, err := s.patchMeasuredAttempt(p, attemptSeed(seed, 0x9a7c, a), a, spent)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			if reason == nil {
-				commit(b, false)
-				return nil
+			if r.defeat == nil {
+				commit(r.Bill, false)
+				return r.members, r.tree, nil
 			}
-			fail(b, "patch", reason)
+			fail(r.Bill, "patch", r.defeat)
 		}
 	}
 	for a := 0; a <= s.rebuildRetries; a++ {
-		if s.interrupted() {
-			return fmt.Errorf("%w (rebuild rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
+		if p.interrupted() {
+			return nil, nil, fmt.Errorf("%w (rebuild rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
 		}
-		b, reason, err := s.rebuildAttempt(p, attemptSeed(seed, 0x4eb1, a), bill, a, spent)
+		r, err := s.rebuildAttempt(p, attemptSeed(seed, 0x4eb1, a), bill, a, spent)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if reason == nil {
-			commit(b, true)
-			return nil
+		if r.defeat == nil {
+			commit(r.Bill, true)
+			return r.members, r.tree, nil
 		}
-		fail(b, "rebuild", reason)
+		fail(r.Bill, "rebuild", r.defeat)
 	}
 	bill.Aborted = true
 	bill.AbortReason = compressRuns(reasons, "; ")
 	sealLadderBill(bill, attempts)
-	return nil
+	return nil, nil, nil
 }
 
 // attemptSeed derives rung a's seed: attempt 0 uses the epoch seed
@@ -415,8 +445,9 @@ func compressRuns(parts []string, sep string) string {
 // new membership count down the new tree. The bill is that protocol's
 // wft.Schedule — the value the measured rungs time the wire protocol
 // by — formatted phase by phase; everything is rank arithmetic
-// afterwards, exactly as in the one-shot build.
-func (s *Session) patchCharged(p *epochPlan, seed uint64) Bill {
+// afterwards, exactly as in the one-shot build: the repaired tree is
+// the plan's, relabelled.
+func patchCharged(p *epochPlan, seed uint64) Bill {
 	sched := p.patchSpec(seed).Schedule(len(p.leaves) > 0)
 	b := Bill{Path: "patch/charged", Rounds: sched.Rounds(), Messages: sched.Messages()}
 	for _, ph := range []struct {
@@ -431,8 +462,6 @@ func (s *Session) patchCharged(p *epochPlan, seed uint64) Bill {
 			b.Itemized += billLine(ph.name, ph.Rounds, ph.Messages, "charged")
 		}
 	}
-	s.members = p.newMembers
-	s.tree = relabelTree(p.repaired, p.newOf)
 	return b
 }
 
@@ -446,14 +475,14 @@ func (s *Session) patchCharged(p *epochPlan, seed uint64) Bill {
 // topology bit for bit. seed is the rung's derived seed; spent is the
 // rounds earlier failed rungs consumed (advancing the fault-plan
 // offset), and attempt > 0 re-derives the fate stream and stretches
-// the engine budget (backoff). A committed attempt applies the new
-// state and returns a nil reason; a defeated one returns its wasted
-// bill and the defeat reason. A non-nil error is a hard failure.
-func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent int) (Bill, error, error) {
+// the engine budget (backoff). A committed attempt returns the new
+// membership and tree; a defeated one its wasted bill and the defeat
+// reason. A non-nil error is a hard failure.
+func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent int) (rung, error) {
 	k1 := len(p.newMembers)
 	spec := p.patchSpec(seed)
 	spec.BudgetSlack = attempt * (sim.LogBound(k1) + 4)
-	cfg := sim.Config{Seed: seed, Workers: s.build.Workers, Interrupt: s.interrupt}
+	cfg := sim.Config{Seed: seed, Workers: s.build.Workers, Interrupt: p.interrupt}
 	if s.build.CapFactor > 0 {
 		c := s.build.CapFactor * sim.LogBound(k1)
 		cfg.SendCap, cfg.RecvCap = c, c
@@ -478,11 +507,11 @@ func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent
 	}
 	eng, protos, budget, err := wft.NewRepairEngine(spec, cfg)
 	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
+		return rung{}, fmt.Errorf("overlay: epoch patch failed: %w", err)
 	}
 	eng.Run(budget)
 	if eng.Interrupted() {
-		return Bill{}, nil, fmt.Errorf("%w (measured patch, round %d)", ErrInterrupted, eng.Round())
+		return rung{}, fmt.Errorf("%w (measured patch, round %d)", ErrInterrupted, eng.Round())
 	}
 	patch := engineBill("patch/measured", eng)
 	for _, node := range protos {
@@ -497,11 +526,9 @@ func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent
 		// The adversary defeated the repair: hand the wasted traffic
 		// and the reason back to the ladder, which decides whether to
 		// retry the patch or fall to the recovery rebuild.
-		return patch, err, nil
+		return rung{Bill: patch, defeat: err}, nil
 	}
-	s.members = p.newMembers
-	s.tree = relabelTree(mt, p.newOf)
-	return patch, nil, nil
+	return rung{Bill: patch, members: p.newMembers, tree: relabelTree(mt, p.newOf)}, nil
 }
 
 // rebuildAttempt is one rung of the recovery path: a full BuildTree
@@ -511,16 +538,16 @@ func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent
 // runs on the rung's derived seed; a session fault plan is shifted
 // into the rebuild's local clock (past the spent rounds of earlier
 // failed rungs) and index space, with attempt > 0 re-deriving the
-// fate stream. A committed rebuild applies the new state (its
-// casualties shrink the membership beyond the scheduled leavers,
-// counted into bill.Left) and returns a nil reason; an
-// adversary-aborted one returns its partial bill and the abort
-// reason. A non-nil error is a hard failure that ends the ladder.
-func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, attempt, spent int) (Bill, error, error) {
+// fate stream. A committed rebuild returns the new membership and tree
+// (its casualties shrink the membership beyond the scheduled leavers,
+// counted into bill.Left); an adversary-aborted one its partial bill
+// and the abort reason. A non-nil error is a hard failure that ends
+// the ladder.
+func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, attempt, spent int) (rung, error) {
 	newMembers, newOf := p.newMembers, p.newOf
 	s0, k1 := len(p.survivors), len(newMembers)
 	if s0 == 0 {
-		return Bill{}, nil, errors.New("overlay: rebuild has no survivors to anchor on")
+		return rung{}, errors.New("overlay: rebuild has no survivors to anchor on")
 	}
 
 	// Survivor substrate: the current finger ring, restricted to
@@ -535,8 +562,8 @@ func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, att
 			g.AddEdge(u, v)
 		}
 	}
-	for _, e := range overlays.Chord(s.tree.NodeAt).Edges() {
-		addSurviving(s.members[e[0]], s.members[e[1]])
+	for _, e := range p.cur.Chord() {
+		addSurviving(e[0], e[1])
 	}
 	// Rebuild-substrate union: the retained expander's surviving edges
 	// widen the recovery graph beyond the finger ring, so a rebuild
@@ -556,13 +583,13 @@ func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, att
 
 	opts := s.build
 	opts.Seed = seed
-	opts.Interrupt = s.interrupt
+	opts.Interrupt = p.interrupt
 	if q := s.rungFaults(p, attempt, spent); q != nil {
 		opts.Faults = q
 	}
 	res, err := BuildTree(g, &opts)
 	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch rebuild failed: %w", err)
+		return rung{}, fmt.Errorf("overlay: epoch rebuild failed: %w", err)
 	}
 	b := res.Stats.Bill
 	mode := "charged"
@@ -573,7 +600,7 @@ func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, att
 	}
 	if res.Aborted {
 		b.Itemized = billLine("rebuild attempt (BuildTree)", b.Rounds, b.Messages, mode)
-		return b, errors.New(res.AbortReason), nil
+		return rung{Bill: b, defeat: errors.New(res.AbortReason)}, nil
 	}
 	if res.Survivors != nil {
 		picked := make([]int, len(res.Survivors))
@@ -583,10 +610,8 @@ func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, att
 		newMembers = picked
 		bill.Left += k1 - len(picked)
 	}
-	s.members = newMembers
-	s.tree = copyTree(res.Tree)
 	b.Itemized = billLine("full rebuild (BuildTree)", b.Rounds, b.Messages, mode)
-	return b, nil, nil
+	return rung{Bill: b, members: newMembers, tree: copyTree(res.Tree)}, nil
 }
 
 // relabelTree maps a repaired wft tree (survivors-then-joiners index

@@ -7,14 +7,14 @@ import (
 )
 
 // sessionWriterFiles are the only files of the root overlay package
-// allowed to write overlay.Session state: session.go owns the session
-// lifecycle, epoch.go the epoch plan, ladder and rungs, and churn.go the
-// epoch schedule machinery. Everything else reads sessions through
-// their exported read-side methods.
+// allowed to write overlay.Session state — assign a Session field or
+// publish a committed state with state.Store: session.go owns the
+// session lifecycle (Open, Restore), epoch.go the epoch and its commit.
+// Everything else reads sessions through their exported read-side
+// methods.
 var sessionWriterFiles = map[string]bool{
 	"session.go": true,
 	"epoch.go":   true,
-	"churn.go":   true,
 }
 
 // sessionMutators are the exported overlay.Session methods that write
@@ -40,14 +40,15 @@ var supervisorWorkerMethods = map[string]bool{
 
 // SingleWriter proves the session single-writer contract at both ends:
 // in the root overlay package, fields of overlay.Session are assigned
-// only from session.go/epoch.go/churn.go (the files that hold mu
-// exclusively); in internal/service, the exported session mutators are
+// and its committed state is stored only from session.go/epoch.go (the
+// files that hold the writer lock); in internal/service, the exported
+// session mutators are
 // called only from the supervisor worker goroutine's job functions —
 // the contract the -race concurrency tests sample, checked here on
 // every call site.
 var SingleWriter = &Analyzer{
 	Name: "singlewriter",
-	Doc:  "overlay.Session fields are written only from session.go/epoch.go/churn.go; internal/service mutates sessions only from supervisor job functions",
+	Doc:  "overlay.Session fields are assigned and Session.state stored only from session.go/epoch.go; internal/service mutates sessions only from supervisor job functions",
 	Run:  runSingleWriter,
 }
 
@@ -61,8 +62,9 @@ func runSingleWriter(pass *Pass) error {
 	return nil
 }
 
-// checkSessionFieldWrites flags assignments to Session fields outside
-// the designated writer files.
+// checkSessionFieldWrites flags assignments to Session fields, and
+// stores through the Session.state pointer, outside the designated
+// writer files.
 func checkSessionFieldWrites(pass *Pass) {
 	for _, file := range pass.Files {
 		name := filepath.Base(pass.Fset.Position(file.Pos()).Filename)
@@ -77,6 +79,12 @@ func checkSessionFieldWrites(pass *Pass) {
 				}
 			case *ast.IncDecStmt:
 				reportSessionFieldWrite(pass, name, n.X)
+			case *ast.CallExpr:
+				// s.state.Store(next): the receiver of Store is a field
+				// selection on a Session.
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Store" {
+					reportSessionFieldWrite(pass, name, sel.X)
+				}
 			}
 			return true
 		})
@@ -95,7 +103,7 @@ func reportSessionFieldWrite(pass *Pass, filename string, lhs ast.Expr) {
 	if !isSessionType(pass, selection.Recv()) {
 		return
 	}
-	pass.Reportf(sel.Pos(), "write to Session.%s from %s: Session state is single-writer and only session.go/epoch.go/churn.go may assign its fields", sel.Sel.Name, filename)
+	pass.Reportf(sel.Pos(), "write to Session.%s from %s: Session state is single-writer and only session.go/epoch.go may assign its fields or store its state", sel.Sel.Name, filename)
 }
 
 // isSessionType reports whether t is (a pointer to) this package's

@@ -361,7 +361,9 @@ type overlayInfo struct {
 }
 
 func (s *Server) overlayInfo(ov *Overlay) overlayInfo {
-	sess := ov.sup.Session()
+	// One committed state for the whole body: members, epoch, clock and
+	// next id always belong to the same epoch.
+	cp := ov.sup.Session().Checkpoint()
 	return overlayInfo{
 		ID:           ov.ID,
 		Name:         ov.Name,
@@ -370,10 +372,10 @@ func (s *Server) overlayInfo(ov *Overlay) overlayInfo {
 		Seed:         ov.Seed,
 		MessageLevel: ov.MessageLevel,
 		Founded:      ov.Founded,
-		Members:      len(sess.Members()),
-		Epoch:        sess.Epoch(),
-		ClockRound:   sess.ClockRound(),
-		NextID:       sess.NextID(),
+		Members:      len(cp.Members()),
+		Epoch:        cp.Epoch(),
+		ClockRound:   cp.ClockRound(),
+		NextID:       cp.NextID(),
 		QueueLen:     ov.sup.QueueLen(),
 		QueueDepth:   ov.sup.QueueDepth(),
 		LastFault:    ov.sup.LastFault(),
@@ -756,9 +758,9 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr(http.StatusBadRequest, "bad_request", "lookup needs integer from= and to= parameters"))
 		return
 	}
-	// Deadline-aware even though lookups are fast: a request that
-	// arrived already expired must not consume read-lock time under a
-	// heavy epoch.
+	// Deadline-aware even though lookups are fast and never wait on an
+	// epoch: a request that arrived already expired gets its typed
+	// deadline verdict, not a path nobody is waiting for.
 	if err := r.Context().Err(); err != nil {
 		writeError(w, fmt.Errorf("%w: %w", overlay.ErrInterrupted, err))
 		return
@@ -772,12 +774,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 // listDerived serves GET /v1/overlays/{id}/derived?view=NAME: the
-// named Section 1.4 derived view for the session's current committed
-// epoch, as global-identifier edge pairs, paged. Reads come from the
-// session's per-epoch cache, so concurrent clients polling a view
-// between epochs share one computation.
+// named Section 1.4 derived view of the session's committed state, as
+// global-identifier edge pairs, paged. The edges and the epoch in the
+// body come from one checkpoint, which computes each view once, so
+// concurrent clients polling a view between epochs share one
+// computation.
 func listDerived(ov *Overlay, r *http.Request, p pageArgs) (map[string]any, *APIError) {
-	sess := ov.sup.Session()
+	cp := ov.sup.Session().Checkpoint()
 	view := r.URL.Query().Get("view")
 	if view == "" {
 		view = "ring"
@@ -785,19 +788,19 @@ func listDerived(ov *Overlay, r *http.Request, p pageArgs) (map[string]any, *API
 	var edges [][2]int
 	switch view {
 	case "ring":
-		edges = sess.Ring()
+		edges = cp.Ring()
 	case "chord":
-		edges = sess.Chord()
+		edges = cp.Chord()
 	case "hypercube":
-		edges = sess.Hypercube()
+		edges = cp.Hypercube()
 	case "debruijn":
-		edges = sess.DeBruijn()
+		edges = cp.DeBruijn()
 	default:
 		return nil, apiErr(http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("view=%q is not ring, chord, hypercube, or debruijn", view))
 	}
 	return map[string]any{
-		"view": view, "epoch": sess.Epoch(), "edges": pageOf(p, edges), "total": len(edges),
+		"view": view, "epoch": cp.Epoch(), "edges": pageOf(p, edges), "total": len(edges),
 	}, nil
 }
 
@@ -954,9 +957,9 @@ func (s *Server) Drain(ctx context.Context) (DrainReport, error) {
 			continue
 		}
 		rep.Checkpointed++
-		sess := ov.sup.Session()
-		rep.EpochsServed += sess.Epoch()
-		rep.MembersTotal += len(sess.Members())
+		cp := ov.sup.Session().Checkpoint()
+		rep.EpochsServed += cp.Epoch()
+		rep.MembersTotal += len(cp.Members())
 	}
 	return rep, firstErr
 }

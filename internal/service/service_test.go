@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"overlay"
@@ -427,6 +428,105 @@ func TestWorkloadsEndpoint(t *testing.T) {
 }
 
 // --- epochs and plans over the wire ------------------------------------
+
+// TestReadBodiesBelongToOneEpoch pins that every read body is built
+// from one committed state: while epochs that each grow the membership
+// commit concurrently, a /derived?view=ring body's total (the ring on k
+// members has k edges) is the membership of the very epoch its epoch
+// field names, and an inspect body's members, epoch and clock_round are
+// one bill's. Stitched from separately taken reads, a body can pair
+// epoch e+1 with epoch e's edges.
+func TestReadBodiesBelongToOneEpoch(t *testing.T) {
+	const founders, epochs = 32, 40
+	s := newServer(t, Options{})
+	id := createOverlay(t, s, founders, nil)
+	var founding overlayInfo
+	mustStatus(t, do(t, s, "GET", "/v1/overlays/"+id, nil, &founding), http.StatusOK)
+
+	type ringBody struct{ Epoch, Total int }
+	var rings []ringBody
+	var infos []overlayInfo
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg, warm sync.WaitGroup
+	// poll requests path until done, handing each 200 body to keep. The
+	// epochs start once every poller has an answer, so they overlap
+	// live reads.
+	poll := func(path string, keep func(body []byte) error) {
+		defer wg.Done()
+		warmed := sync.OnceFunc(warm.Done)
+		defer warmed()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			err := keep(rec.Body.Bytes())
+			if rec.Code != http.StatusOK {
+				err = fmt.Errorf("GET %s: status %d (%s)", path, rec.Code, rec.Body.String())
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+			warmed()
+		}
+	}
+	wg.Add(2)
+	warm.Add(2)
+	go poll("/v1/overlays/"+id+"/derived?view=ring&pageSize=1", func(body []byte) error {
+		rings = append(rings, ringBody{})
+		return json.Unmarshal(body, &rings[len(rings)-1])
+	})
+	go poll("/v1/overlays/"+id, func(body []byte) error {
+		infos = append(infos, overlayInfo{})
+		return json.Unmarshal(body, &infos[len(infos)-1])
+	})
+	warm.Wait()
+	for e := 0; e < epochs; e++ {
+		mustStatus(t, do(t, s, "POST", "/v1/overlays/"+id+"/epochs",
+			map[string]any{"joins": []int{founders + 2*e, founders + 2*e + 1}, "leaves": []int{e}}, nil), http.StatusOK)
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
+	var listing struct {
+		Epochs []epochSummary `json:"epochs"`
+	}
+	mustStatus(t, do(t, s, "GET", fmt.Sprintf("/v1/overlays/%s/epochs?pageSize=%d", id, epochs), nil, &listing), http.StatusOK)
+	if len(listing.Epochs) != epochs {
+		t.Fatalf("epoch listing has %d rows, want %d", len(listing.Epochs), epochs)
+	}
+	// stateAt is the (members, clock) of the state with e epochs applied.
+	stateAt := func(e int) (int, int) {
+		if e == 0 {
+			return founding.Members, founding.ClockRound
+		}
+		return listing.Epochs[e-1].Members, listing.Epochs[e-1].Clock
+	}
+	for _, b := range rings {
+		if members, _ := stateAt(b.Epoch); b.Total != members {
+			t.Fatalf("ring body names epoch %d (%d members) but carries %d edges", b.Epoch, members, b.Total)
+		}
+	}
+	for _, info := range infos {
+		if members, clock := stateAt(info.Epoch); info.Members != members || info.ClockRound != clock {
+			t.Fatalf("inspect body names epoch %d (%d members, clock %d) but carries %d members, clock %d",
+				info.Epoch, members, clock, info.Members, info.ClockRound)
+		}
+	}
+	if len(rings) == 0 || len(infos) == 0 {
+		t.Fatal("the readers never completed a request")
+	}
+}
 
 func TestApplyEpochAndBills(t *testing.T) {
 	s := newServer(t, Options{})

@@ -299,9 +299,10 @@ func (sup *Supervisor) runJob(j *job) (r jobResult) {
 	cp := sup.sess.Checkpoint()
 	defer func() {
 		if rec := recover(); rec != nil {
-			// The panic may have left the session mid-mutation; the
-			// checkpoint rewinds it to the last committed state, so it
-			// keeps serving lookups as if the mutation never started.
+			// A panic inside an epoch published nothing; a job that
+			// committed before it panicked did. Restoring the pre-job
+			// checkpoint covers both, so the session keeps serving
+			// lookups as if the mutation never started.
 			if rerr := sup.sess.Restore(cp); rerr != nil {
 				panic(fmt.Sprintf("service: rollback after panic failed: %v (panic: %v)", rerr, rec))
 			}

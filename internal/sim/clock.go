@@ -39,24 +39,12 @@ func (c *Clock) Advance(rounds int) {
 	}
 }
 
-// RetractEpoch undoes the most recent NextEpoch, for callers whose
-// epoch failed without changing any state: the retried epoch must
-// replay the same index and seed.
-func (c *Clock) RetractEpoch() {
-	if c.epoch > 0 {
-		c.epoch--
-	}
-}
-
 // Snapshot returns a value copy of the clock's complete state. The
 // seed source is a pure value (splitting never mutates it), so the
-// copy is an independent clock: restoring it replays rounds, epoch
-// index, and per-epoch seeds exactly.
+// copy is an independent clock that replays rounds, epoch index, and
+// per-epoch seeds exactly — which is what lets a session's committed
+// state hold its clock by value.
 func (c *Clock) Snapshot() Clock { return *c }
-
-// Restore rewinds the clock to a state previously captured by
-// Snapshot.
-func (c *Clock) Restore(s Clock) { *c = s }
 
 // NextEpoch closes the current epoch and returns its index along with
 // the epoch's deterministic seed. The seed depends only on the base

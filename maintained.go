@@ -91,6 +91,8 @@ type maintainedCore struct {
 	contacts int
 	seed     uint64
 
+	// members is the member list of the checkpoint the workload is synced
+	// to, shared with it: read-only.
 	mu      sync.RWMutex
 	epoch   int
 	members []int
@@ -115,18 +117,19 @@ func openCore(sess *Session, opt *MaintainedOptions) (*maintainedCore, error) {
 	if o.Contacts == 0 {
 		o.Contacts = 2
 	}
+	cp := sess.Checkpoint()
 	c := &maintainedCore{
 		sess:     sess,
 		contacts: o.Contacts,
 		seed:     o.Seed,
-		members:  sess.Members(),
-		epoch:    sess.Epoch(),
+		members:  cp.members,
+		epoch:    cp.Epoch(),
 		adj:      map[int][]int{},
 	}
 	for _, id := range c.members {
 		c.adj[id] = nil
 	}
-	for _, e := range sess.Ring() {
+	for _, e := range cp.Ring() {
 		c.addEdge(e[0], e[1])
 	}
 	return c, nil
@@ -166,25 +169,22 @@ func (c *maintainedCore) addEdge(u, v int) {
 	c.edges++
 }
 
-// advance diffs the session against the workload snapshot and applies
-// the membership delta to the workload graph. It returns the removed
-// identifiers, the sorted dirty seeds (survivors whose neighborhoods
-// changed, joiner contacts, and the joiners themselves), and whether
-// the covered epochs force a from-scratch recompute (a rebuild epoch,
-// or a session restored past the snapshot). The caller holds mu
-// exclusively.
+// advance diffs the session's committed state against the workload
+// snapshot and applies the membership delta to the workload graph. It
+// returns the removed identifiers, the sorted dirty seeds (survivors
+// whose neighborhoods changed, joiner contacts, and the joiners
+// themselves), and whether the covered epochs force a from-scratch
+// recompute (a rebuild epoch, or a session restored past the snapshot).
+// The caller holds mu exclusively.
 func (c *maintainedCore) advance() (removed, dirty []int, scratch bool) {
-	nowEpoch := c.sess.Epoch()
-	nowMembers := c.sess.Members()
-	if nowEpoch < c.epoch {
-		// Restored past the snapshot: the per-epoch rebuild record for
-		// the interval is gone, so resync wholesale.
-		scratch = true
-	}
-	for _, b := range c.sess.Bills() {
-		if b.Epoch >= c.epoch && b.Rebuilt {
-			scratch = true
-		}
+	cp := c.sess.Checkpoint()
+	nowEpoch, nowMembers := cp.Epoch(), cp.members
+	// Restored past the snapshot: the per-epoch rebuild record for the
+	// interval is gone, so resync wholesale. Otherwise the epochs since
+	// the snapshot are the newest bills.
+	scratch = nowEpoch < c.epoch
+	for i := len(cp.bills) - 1; i >= 0 && cp.bills[i].Epoch >= c.epoch; i-- {
+		scratch = scratch || cp.bills[i].Rebuilt
 	}
 
 	var added []int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"overlay/internal/graphx"
 	"overlay/internal/overlays"
@@ -65,10 +66,9 @@ type SessionOptions struct {
 	// then falls to the recovery rebuild, itself retried up to
 	// RebuildRetries times the same way. Zero (the default) keeps the
 	// pre-ladder semantics: one patch attempt, one fallback rebuild.
-	// When every rung fails, ApplyEpoch rolls the session back to its
-	// pre-epoch checkpoint and returns the aborted bill alongside a
-	// reasoned error — the session keeps serving lookups from the last
-	// committed state.
+	// When every rung fails, ApplyEpoch publishes nothing and returns
+	// the aborted bill alongside a reasoned error — the session keeps
+	// serving lookups from the last committed state.
 	PatchRetries   int
 	RebuildRetries int
 }
@@ -110,9 +110,9 @@ type EpochBill struct {
 	// order; the embedded Bill is their fold.
 	Attempts     int
 	AttemptBills []Bill
-	// Aborted reports that every ladder rung failed: the session was
-	// rolled back to its pre-epoch checkpoint and AbortReason joins
-	// the per-rung defeat reasons. ApplyEpoch returns the aborted bill
+	// Aborted reports that every ladder rung failed: the session stays
+	// at its pre-epoch state and AbortReason joins the per-rung defeat
+	// reasons. ApplyEpoch returns the aborted bill
 	// alongside its error; aborted bills are never appended to Bills.
 	Aborted     bool
 	AbortReason string
@@ -134,24 +134,25 @@ type EpochBill struct {
 // original build for founding members, and whatever integers later
 // epochs admitted for joiners.
 //
-// Concurrency contract: a Session is single-writer, multi-reader. The
-// read-side methods (RouteLookup, Members, Tree, Chord, Bills, Epoch,
-// ClockRound, NextID, Checkpoint) may be called from any number of
+// Concurrency contract: a Session is single-writer, multi-reader, and
+// its readers never block on a writer. The committed state is one
+// immutable *Checkpoint behind an atomic pointer: every read-side method
+// is s.Checkpoint().X(), a pointer load, callable from any number of
 // goroutines concurrently with each other and with one in-flight
-// mutation (ApplyEpoch, ApplyEpochCtx, Restore, SetFaults); mutations
-// themselves must not overlap, and the Session serializes them with
-// an internal write lock so misuse degrades to queueing, never to a
-// data race. Readers observe either the pre-epoch or the committed
-// post-epoch state, never a partial repair.
+// mutation (ApplyEpoch, ApplyEpochCtx, Restore, SetFaults) — even from
+// inside one. A mutation computes its successor state on the side and
+// publishes it with a single store, so readers observe either the
+// pre-epoch or the committed post-epoch state, never a partial repair,
+// and an epoch that errors, aborts or panics has published nothing.
+// Mutations themselves must not overlap; mu serializes them so misuse
+// degrades to queueing, never to a data race.
 type Session struct {
-	// mu is the single-writer/multi-reader guard: mutating methods
-	// hold it exclusively for their full duration (an epoch repair is
-	// atomic from a reader's point of view), readers share it.
-	mu sync.RWMutex
-	// interrupt, when non-nil, is the installed deadline poll of the
-	// in-flight ApplyEpochCtx call; engine runs and rebuilds check it
-	// between rounds. Only touched while mu is held exclusively.
-	interrupt func() bool
+	// mu is the writer lock: mutating methods hold it for their full
+	// duration. Readers never touch it.
+	mu sync.Mutex
+	// state is the committed state. Open, Restore and an epoch's commit
+	// are the only stores.
+	state atomic.Pointer[Checkpoint]
 
 	rebuildFrac    float64
 	build          Options
@@ -165,38 +166,18 @@ type Session struct {
 	// edges, so recovery does not depend on the finger ring alone.
 	expander *graphx.Graph
 
-	// members lists the current population as strictly ascending global
-	// identifiers; tree is the current well-formed tree in member-local
-	// index space (tree node v is global node members[v]).
-	members []int
-	tree    *Tree
-
-	clock  *sim.Clock
-	nextID int
-	bills  []EpochBill
-
-	// derived is the per-epoch derived-overlay cache: view name →
-	// global-identifier edge list, computed once per committed epoch
-	// and invalidated whenever the tree changes (epoch commit, abort
-	// rollback, Restore). derivedMu guards the map so concurrent
-	// readers (who hold mu only shared) can fill it; invalidation
-	// happens under mu held exclusively, which excludes every reader.
-	derivedMu sync.Mutex
-	derived   map[string][][2]int
-
-	// departLog records every identifier that was once part of this
-	// session's world and is gone, with the epoch it left or crashed in
-	// (-1 for founders who died during the initial build), in the order
-	// the departures were noted. It is only ever appended to, which is
-	// what lets a checkpoint keep a prefix of it instead of a copy.
-	// departed is the id → epoch index over it (an identifier that left
-	// twice keeps the later epoch); RouteLookup uses it to distinguish a
-	// departed endpoint from one that never existed.
-	departLog []departure
-	departed  map[int]int
+	// departed is the id → epoch index over the committed state's
+	// departure log (an identifier that left twice keeps the later
+	// epoch): the one piece of state too large to copy per epoch.
+	// departedMu makes an index update and the store of the state it
+	// describes one step, so whoever holds it sees the index of exactly
+	// state.Load(). It is held for a commit's inserts, a Restore's swap
+	// and a lookup's not-a-member error path, never across a rung.
+	departedMu sync.Mutex
+	departed   map[int]int
 }
 
-// departure is one entry of the session's departure log.
+// departure is one entry of a session's departure log.
 type departure struct{ id, epoch int }
 
 // Open starts a maintenance session over a completed build. The
@@ -259,139 +240,157 @@ func Open(res *BuildResult, opt *SessionOptions) (*Session, error) {
 		patchRetries:   opt.PatchRetries,
 		rebuildRetries: opt.RebuildRetries,
 		expander:       res.expander,
-		members:        members,
-		tree:           copyTree(res.Tree),
-		clock:          sim.NewClock(opt.Build.Seed),
-		nextID:         nextID,
 		departed:       map[int]int{},
 	}
+	clock := sim.NewClock(opt.Build.Seed)
+	clock.Advance(res.Stats.Rounds)
+	founding := &Checkpoint{owner: s, members: members, tree: copyTree(res.Tree), clock: *clock, nextID: nextID}
 	// Founders the faulted build killed are departed from the start.
 	for id := 0; id < nextID; id++ {
-		if _, ok := s.memberIndex(id); !ok {
-			s.depart(id, -1)
+		if _, ok := indexIn(members, id); !ok {
+			founding.departLog = append(founding.departLog, departure{id, -1})
+			s.departed[id] = -1
 		}
 	}
-	s.clock.Advance(res.Stats.Rounds)
+	s.state.Store(founding)
 	return s, nil
 }
 
+// Checkpoint returns the session's committed state: a consistent read
+// view and the token Restore takes. It is a pointer load — two calls
+// with no commit between them return the same *Checkpoint.
+func (s *Session) Checkpoint() *Checkpoint { return s.state.Load() }
+
 // Members returns the current population, ascending. The slice is a
 // copy.
-func (s *Session) Members() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, len(s.members))
-	copy(out, s.members)
-	return out
-}
+func (s *Session) Members() []int { return s.Checkpoint().Members() }
 
-// Tree returns the current well-formed tree in member-local index
-// space: tree node v is global node Members()[v]. Callers must not
-// mutate it. Epochs replace the tree wholesale (they never mutate one
-// in place), so a returned tree stays internally consistent even if
-// an epoch commits after the call — it is simply the snapshot it was.
-func (s *Session) Tree() *Tree {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree
-}
+// Tree returns the current well-formed tree; see Checkpoint.Tree.
+func (s *Session) Tree() *Tree { return s.Checkpoint().Tree() }
 
 // Epoch returns the number of epochs applied so far.
-func (s *Session) Epoch() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.clock.Epoch()
-}
+func (s *Session) Epoch() int { return s.Checkpoint().Epoch() }
 
 // ClockRound returns the session's global round count: the initial
 // build plus every epoch repair so far.
-func (s *Session) ClockRound() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.clock.Round()
-}
+func (s *Session) ClockRound() int { return s.Checkpoint().ClockRound() }
 
 // NextID returns the smallest global identifier never yet used by this
 // session — the conventional identifier source for joiners (past
 // identifiers are never reused, so a rejoining peer is a new node).
-func (s *Session) NextID() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nextID
-}
+func (s *Session) NextID() int { return s.Checkpoint().NextID() }
 
 // Bills returns the per-epoch accounting, one entry per applied
 // epoch. The slice is a copy.
-func (s *Session) Bills() []EpochBill {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]EpochBill(nil), s.bills...)
+func (s *Session) Bills() []EpochBill { return s.Checkpoint().Bills() }
+
+// Ring, Chord, Hypercube and DeBruijn return the committed state's
+// Section 1.4 derived views; see the Checkpoint methods.
+func (s *Session) Ring() [][2]int      { return s.Checkpoint().Ring() }
+func (s *Session) Chord() [][2]int     { return s.Checkpoint().Chord() }
+func (s *Session) Hypercube() [][2]int { return s.Checkpoint().Hypercube() }
+func (s *Session) DeBruijn() [][2]int  { return s.Checkpoint().DeBruijn() }
+
+// RouteLookup routes between two current members; see
+// Checkpoint.RouteLookup.
+func (s *Session) RouteLookup(from, to int) ([]int, error) {
+	return s.Checkpoint().RouteLookup(from, to)
 }
 
-// Chord returns the current finger-ring edges as global identifier
-// pairs — the routing substrate RouteLookup greedily descends and the
-// knowledge graph an epoch rebuild starts from. Like the other derived
-// views it is served from the per-epoch cache: the first read after an
-// epoch computes the O(k log k) edge list, every further read until
-// the next epoch returns the same slice. Callers must not mutate it.
-func (s *Session) Chord() [][2]int {
-	return s.derivedView("chord", overlays.Chord)
+// Checkpoint is one committed state of a session: membership, the
+// well-formed tree (topology, ranks, and thereby the Chord fingers),
+// the per-epoch bills, the departure record, and the session clock. It
+// is immutable, which makes it two things at once: a consistent read
+// view — everything read from one Checkpoint belongs to one epoch,
+// however many epochs commit meanwhile — and the restore token.
+// Taking one is a pointer load however long the session has run:
+// epochs build the member list and the tree afresh and only ever
+// append to the two histories, so successive states share what did not
+// change. Slices and trees a Checkpoint hands out uncopied (Tree, the
+// derived views) are shared by every reader of that state — treat them
+// as read-only. A checkpoint is reusable, and any number of them can
+// be restored in any order.
+type Checkpoint struct {
+	owner *Session
+	// members lists the population as strictly ascending global
+	// identifiers; tree is the well-formed tree in member-local index
+	// space (tree node v is global node members[v]).
+	members []int
+	tree    *Tree
+	clock   sim.Clock
+	nextID  int
+	// bills and departLog are the histories up to this state: every
+	// applied epoch's bill, and every identifier that was once part of
+	// the session's world and is gone, with the epoch it left or crashed
+	// in (-1 for founders who died during the initial build). A commit
+	// appends through the committed tip's spare capacity, beyond what the
+	// tip itself reads.
+	bills     []EpochBill
+	departLog []departure
+	// The derived views, each computed by the first reader that asks:
+	// they belong to this state, so there is nothing to invalidate.
+	ring, chord, hypercube, debruijn derivedView
 }
 
-// Ring returns the rank ring (rank r ↔ r+1 mod k) as global
-// identifier pairs, from the per-epoch derived-view cache. Callers
-// must not mutate the returned slice.
-func (s *Session) Ring() [][2]int {
-	return s.derivedView("ring", overlays.Ring)
+// derivedView is one lazily computed derived overlay of a Checkpoint.
+type derivedView struct {
+	once  sync.Once
+	edges [][2]int
 }
+
+// Members returns the population, ascending. The slice is a copy.
+func (c *Checkpoint) Members() []int { return append([]int(nil), c.members...) }
+
+// Tree returns the well-formed tree in member-local index space: tree
+// node v is global node Members()[v]. Callers must not mutate it.
+func (c *Checkpoint) Tree() *Tree { return c.tree }
+
+// Epoch returns the number of epochs applied up to this state.
+func (c *Checkpoint) Epoch() int { return c.clock.Epoch() }
+
+// ClockRound returns the global round count: the initial build plus
+// every epoch repair up to this state.
+func (c *Checkpoint) ClockRound() int { return c.clock.Round() }
+
+// NextID returns the smallest global identifier never yet used.
+func (c *Checkpoint) NextID() int { return c.nextID }
+
+// Bills returns the per-epoch accounting, one entry per applied
+// epoch. The slice is a copy.
+func (c *Checkpoint) Bills() []EpochBill { return append([]EpochBill(nil), c.bills...) }
+
+// Chord returns the finger-ring edges as global identifier pairs — the
+// routing substrate RouteLookup greedily descends and the knowledge
+// graph an epoch rebuild starts from. Like the other derived views it
+// is computed once per state: the first read pays the O(k log k) edge
+// list, every further read returns the same slice. Callers must not
+// mutate it.
+func (c *Checkpoint) Chord() [][2]int { return c.view(&c.chord, overlays.Chord) }
+
+// Ring returns the rank ring (rank r ↔ r+1 mod k) as global identifier
+// pairs. Callers must not mutate the returned slice.
+func (c *Checkpoint) Ring() [][2]int { return c.view(&c.ring, overlays.Ring) }
 
 // Hypercube returns the (possibly incomplete) hypercube over ranks as
-// global identifier pairs, from the per-epoch derived-view cache.
-// Callers must not mutate the returned slice.
-func (s *Session) Hypercube() [][2]int {
-	return s.derivedView("hypercube", overlays.Hypercube)
-}
+// global identifier pairs. Callers must not mutate the returned slice.
+func (c *Checkpoint) Hypercube() [][2]int { return c.view(&c.hypercube, overlays.Hypercube) }
 
 // DeBruijn returns the binary De Bruijn overlay over ranks as global
-// identifier pairs, from the per-epoch derived-view cache. Callers
-// must not mutate the returned slice.
-func (s *Session) DeBruijn() [][2]int {
-	return s.derivedView("debruijn", overlays.DeBruijn)
-}
+// identifier pairs. Callers must not mutate the returned slice.
+func (c *Checkpoint) DeBruijn() [][2]int { return c.view(&c.debruijn, overlays.DeBruijn) }
 
-// derivedView serves one Section 1.4 derived overlay from the
-// per-epoch cache: on a miss the view is computed from the current
-// tree's rank arithmetic and mapped into global identifiers, then kept
-// until the next tree change invalidates the cache. Readers share mu,
-// so cache fills interleave with lookups; derivedMu serializes
-// concurrent fills of the same epoch's map. The returned slice is
-// shared by every caller until the next epoch — treat it as read-only,
-// exactly like Tree().
-func (s *Session) derivedView(name string, gen func([]int) *graphx.Graph) [][2]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.derivedMu.Lock()
-	defer s.derivedMu.Unlock()
-	if edges, ok := s.derived[name]; ok {
-		return edges
-	}
-	local := gen(s.tree.NodeAt).Edges()
-	out := make([][2]int, len(local))
-	for i, e := range local {
-		out[i] = [2]int{s.members[e[0]], s.members[e[1]]}
-	}
-	if s.derived == nil {
-		s.derived = make(map[string][][2]int, 4)
-	}
-	s.derived[name] = out
-	return out
-}
-
-// invalidateDerivedLocked drops the derived-view cache; the caller
-// holds mu exclusively (which excludes every derivedView reader, so
-// touching the map without derivedMu is safe).
-func (s *Session) invalidateDerivedLocked() {
-	s.derived = nil
+// view serves one Section 1.4 derived overlay: the first call computes
+// it from the tree's rank arithmetic and maps it into global
+// identifiers, concurrent first calls wait for that one computation.
+func (c *Checkpoint) view(v *derivedView, gen func([]int) *graphx.Graph) [][2]int {
+	v.once.Do(func() {
+		local := gen(c.tree.NodeAt).Edges()
+		v.edges = make([][2]int, len(local))
+		for i, e := range local {
+			v.edges[i] = [2]int{c.members[e[0]], c.members[e[1]]}
+		}
+	})
+	return v.edges
 }
 
 // ErrDeparted reports a lookup endpoint that was once part of the
@@ -436,93 +435,56 @@ func (e *NotMemberError) Error() string {
 func (e *NotMemberError) Unwrap() error { return ErrNotMember }
 
 // RouteLookup returns the greedy Chord routing path between two
-// current members as a global-identifier sequence of length O(log n).
-// A non-member endpoint yields a reasoned error: a *DepartedError
-// (naming the epoch the node left or crashed in, or the initial
-// build) when the identifier was once part of the session, and a
-// *NotMemberError when it never was.
-func (s *Session) RouteLookup(from, to int) ([]int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fi, ok1 := s.memberIndex(from)
-	ti, ok2 := s.memberIndex(to)
+// members of this state as a global-identifier sequence of length
+// O(log n). A non-member endpoint yields a reasoned error: a
+// *DepartedError (naming the epoch the node left or crashed in, or the
+// initial build) when the identifier was once part of the session, and
+// a *NotMemberError when it never was.
+func (c *Checkpoint) RouteLookup(from, to int) ([]int, error) {
+	fi, ok1 := indexIn(c.members, from)
+	ti, ok2 := indexIn(c.members, to)
 	if !ok1 {
-		return nil, s.lookupErr(from)
+		return nil, c.lookupErr(from)
 	}
 	if !ok2 {
-		return nil, s.lookupErr(to)
+		return nil, c.lookupErr(to)
 	}
-	ranks := overlays.RouteChord(len(s.members), s.tree.Rank[fi], s.tree.Rank[ti])
+	ranks := overlays.RouteChord(len(c.members), c.tree.Rank[fi], c.tree.Rank[ti])
 	path := make([]int, len(ranks))
 	for i, r := range ranks {
-		path[i] = s.members[s.tree.NodeAt[r]]
+		path[i] = c.members[c.tree.NodeAt[r]]
 	}
 	return path, nil
 }
 
-// lookupErr explains why a non-member identifier cannot be routed to.
-func (s *Session) lookupErr(id int) error {
-	if e, ok := s.departed[id]; ok {
-		return &DepartedError{Node: id, Epoch: e}
+// lookupErr explains why a non-member identifier cannot be routed to,
+// as of this state: from the session's departed index while this is
+// still the committed state, from its own departure log (newest entry
+// first) once a later commit or a Restore has moved the index on.
+func (c *Checkpoint) lookupErr(id int) error {
+	s := c.owner
+	s.departedMu.Lock()
+	current := s.state.Load() == c
+	epoch, gone := s.departed[id]
+	s.departedMu.Unlock()
+	if !current {
+		gone = false
+		for i := len(c.departLog) - 1; i >= 0 && !gone; i-- {
+			if d := c.departLog[i]; d.id == id {
+				epoch, gone = d.epoch, true
+			}
+		}
+	}
+	if gone {
+		return &DepartedError{Node: id, Epoch: epoch}
 	}
 	return &NotMemberError{Node: id}
 }
-
-// memberIndex locates a global identifier in the member list.
-func (s *Session) memberIndex(id int) (int, bool) { return indexIn(s.members, id) }
 
 // indexIn locates id in an ascending identifier list.
 func indexIn(ids []int, id int) (int, bool) {
 	k := sort.SearchInts(ids, id)
 	return k, k < len(ids) && ids[k] == id
-}
-
-// Checkpoint is a restorable snapshot of a session's committed state:
-// membership, the well-formed tree (topology, ranks, and thereby the
-// Chord fingers), the per-epoch bills, the departure record, and the
-// session clock. Taking one costs the same however long the session
-// has run: epochs replace the member list and the tree wholesale and
-// never write into the old ones, and bills and departures are only ever
-// appended, so a checkpoint shares the immutable values and keeps
-// prefixes of the two histories instead of copying them. A checkpoint
-// is reusable, and any number of them can be restored in any order:
-// Restore never writes through what a checkpoint shares.
-type Checkpoint struct {
-	owner   *Session
-	members []int
-	tree    *Tree
-	clock   sim.Clock
-	nextID  int
-	// bills and departLog are the histories as of the checkpoint, capped
-	// at their length: an append to a restored history reallocates
-	// rather than overwrite entries a later checkpoint still reads.
-	bills     []EpochBill
-	departLog []departure
-}
-
-// Checkpoint snapshots the session's current committed state.
-// ApplyEpoch takes one internally before every epoch and restores it
-// when the whole recovery ladder fails; callers can take their own to
-// re-apply an epoch later or to bracket experiments.
-func (s *Session) Checkpoint() *Checkpoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.checkpointLocked()
-}
-
-// checkpointLocked is Checkpoint with the lock already held (shared
-// or exclusive).
-func (s *Session) checkpointLocked() *Checkpoint {
-	nb, nd := len(s.bills), len(s.departLog)
-	return &Checkpoint{
-		owner:     s,
-		members:   s.members,
-		tree:      s.tree,
-		clock:     s.clock.Snapshot(),
-		nextID:    s.nextID,
-		bills:     s.bills[:nb:nb],
-		departLog: s.departLog[:nd:nd],
-	}
 }
 
 // Restore rolls the session back to a checkpoint previously taken
@@ -531,43 +493,29 @@ func (s *Session) checkpointLocked() *Checkpoint {
 // lookups, bills, and epochs exactly as it did when the checkpoint
 // was taken — bit for bit.
 func (s *Session) Restore(cp *Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restoreLocked(cp)
-}
-
-// restoreLocked is Restore with the write lock already held.
-func (s *Session) restoreLocked(cp *Checkpoint) error {
 	if cp == nil || cp.owner != s {
 		return errors.New("overlay: Restore needs a checkpoint taken from this session")
 	}
-	s.members = cp.members
-	s.tree = cp.tree
-	s.clock.Restore(cp.clock)
-	s.nextID = cp.nextID
-	// A history's backing array is written once per position, so two
-	// views of equal length over the same array hold the same entries:
-	// the rollback of a failed epoch, which billed nothing and noted no
-	// departure, leaves both histories — spare capacity included — and
-	// the departure index as they are.
-	if !sameHistory(s.bills, cp.bills) {
-		s.bills = cp.bills
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// cp may be an interior state whose histories later commits appended
+	// through: the restored tip is a copy with both capped at their
+	// length, so the next commit's append reallocates instead of
+	// overwriting entries those later checkpoints still read.
+	nb, nd := len(cp.bills), len(cp.departLog)
+	tip := &Checkpoint{
+		owner: s, members: cp.members, tree: cp.tree, clock: cp.clock, nextID: cp.nextID,
+		bills: cp.bills[:nb:nb], departLog: cp.departLog[:nd:nd],
 	}
-	if !sameHistory(s.departLog, cp.departLog) {
-		s.departLog = cp.departLog
-		s.departed = make(map[int]int, len(cp.departLog))
-		for _, d := range cp.departLog {
-			s.departed[d.id] = d.epoch
-		}
+	departed := make(map[int]int, nd)
+	for _, d := range cp.departLog {
+		departed[d.id] = d.epoch
 	}
-	s.invalidateDerivedLocked()
+	s.departedMu.Lock()
+	s.departed = departed
+	s.state.Store(tip)
+	s.departedMu.Unlock()
 	return nil
-}
-
-// sameHistory reports whether two views of an append-only history are
-// the same prefix of the same backing array.
-func sameHistory[T any](a, b []T) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // SetFaults installs (or, with nil, removes) a session fault plan for
@@ -586,33 +534,8 @@ func (s *Session) SetFaults(p *FaultPlan) error {
 	if p != nil && !s.build.MessageLevel {
 		return errors.New("overlay: SetFaults requires a MessageLevel build configuration (the fast path simulates no messages to fault)")
 	}
-	s.faults = p.expandDomains(s.nextID)
+	s.faults = p.expandDomains(s.Checkpoint().nextID)
 	return nil
-}
-
-// depart appends one departure to the log and indexes it.
-func (s *Session) depart(id, epoch int) {
-	s.departLog = append(s.departLog, departure{id, epoch})
-	s.departed[id] = epoch
-}
-
-// noteDepartures records everyone who was in the epoch's world — a
-// pre-epoch member or a scheduled joiner — and is absent from the
-// committed membership: scheduled leavers, rebuild casualties, and
-// joiners a faulted rebuild killed before they arrived. Both lists and
-// the membership are ascending, so each is one merge against it.
-func (s *Session) noteDepartures(epoch int, prevMembers, joins []int) {
-	for _, world := range [2][]int{prevMembers, joins} {
-		m := 0
-		for _, id := range world {
-			for m < len(s.members) && s.members[m] < id {
-				m++
-			}
-			if m == len(s.members) || s.members[m] != id {
-				s.depart(id, epoch)
-			}
-		}
-	}
 }
 
 // copyTree deep-copies a tree.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -98,8 +99,9 @@ func TestCheckpointAliasing(t *testing.T) {
 				// session all read one backing array each: the case in
 				// which an append through a restored prefix could reach
 				// entries the other checkpoint still needs.
-				sess.bills = make([]EpochBill, 0, 64)
-				sess.departLog = append(make([]departure, 0, 1024), sess.departLog...)
+				st := sess.Checkpoint()
+				st.bills = make([]EpochBill, 0, 64)
+				st.departLog = append(make([]departure, 0, 1024), st.departLog...)
 				apply(sess, mainline, 3)
 				a, imgA := sess.Checkpoint(), imageOf(t, sess)
 				apply(sess, mainline, 4)
@@ -140,22 +142,85 @@ func TestCheckpointAliasing(t *testing.T) {
 	}
 }
 
-// TestCheckpointCostIndependentOfHistory pins the point of sharing:
-// what Checkpoint allocates does not grow with the epochs behind it.
+// churnTo applies plan epochs until the session has run `epochs` of
+// them.
+func churnTo(t *testing.T, sess *Session, plan *ChurnPlan, epochs int) {
+	t.Helper()
+	for sess.Epoch() < epochs {
+		joins, leaves := plan.Epoch(sess.Epoch(), sess.Members(), sess.NextID())
+		if _, err := sess.ApplyEpoch(joins, leaves); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointCostIndependentOfHistory pins the point of one
+// committed state: Checkpoint is a pointer load — it allocates nothing
+// however many epochs lie behind it, and returns the same state until
+// the next commit.
 func TestCheckpointCostIndependentOfHistory(t *testing.T) {
 	sess, _ := openLineSession(t, 128, &SessionOptions{})
 	plan := &ChurnPlan{Seed: 3, Epochs: 1 << 20, JoinFrac: 0.04, LeaveFrac: 0.04}
-	allocsAfter := func(epochs int) float64 {
-		for sess.Epoch() < epochs {
-			joins, leaves := plan.Epoch(sess.Epoch(), sess.Members(), sess.NextID())
-			if _, err := sess.ApplyEpoch(joins, leaves); err != nil {
+	for _, epochs := range []int{1, 200} {
+		churnTo(t, sess, plan, epochs)
+		if allocs := testing.AllocsPerRun(100, func() { sess.Checkpoint() }); allocs != 0 {
+			t.Errorf("Checkpoint allocates %.0f objects after %d epochs; want 0", allocs, epochs)
+		}
+		if a, b := sess.Checkpoint(), sess.Checkpoint(); a != b {
+			t.Errorf("two Checkpoint calls with no epoch between them returned different states after %d epochs", epochs)
+		}
+	}
+}
+
+// bytesPerRun is the mean heap bytes one call of f allocates.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestEpochCostIndependentOfHistory pins that committing an epoch and
+// syncing a maintained workload do no work proportional to the
+// session's age: a no-churn ApplyEpoch and a no-churn Sync allocate the
+// same bytes after 1 epoch and after 400 — neither the bill history,
+// the departure log nor the departed index is copied. The histories
+// are given room up front so that an append's amortized growth, which
+// is not per-epoch work, stays out of the measurement.
+func TestEpochCostIndependentOfHistory(t *testing.T) {
+	sess, _ := openLineSession(t, 128, &SessionOptions{})
+	st := sess.Checkpoint()
+	st.bills = make([]EpochBill, 0, 2048)
+	st.departLog = append(make([]departure, 0, 8192), st.departLog...)
+	mis, err := OpenMaintainedMIS(sess, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mis.bills = append(make([]WorkloadBill, 0, 2048), mis.bills...)
+	plan := &ChurnPlan{Seed: 3, Epochs: 1 << 20, JoinFrac: 0.04, LeaveFrac: 0.04}
+	measure := func(epochs int) (epoch, sync uint64) {
+		churnTo(t, sess, plan, epochs)
+		mis.Sync()
+		sync = bytesPerRun(50, func() { mis.Sync() })
+		epoch = bytesPerRun(50, func() {
+			if _, err := sess.ApplyEpoch(nil, nil); err != nil {
 				t.Fatal(err)
 			}
-		}
-		return testing.AllocsPerRun(100, func() { sess.Checkpoint() })
+		})
+		return epoch, sync
 	}
-	first, later := allocsAfter(1), allocsAfter(200)
-	if first != later || first > 2 {
-		t.Errorf("Checkpoint allocates %.0f objects after 1 epoch and %.0f after 200; want equal and at most 2", first, later)
+	epoch1, sync1 := measure(1)
+	epoch400, sync400 := measure(400)
+	// Equal up to what the runtime itself allocates while measuring: one
+	// copied history entry per epoch would be 399 × 224 B.
+	const noise = 256
+	if epoch400 > epoch1+noise {
+		t.Errorf("a no-churn ApplyEpoch allocates %d B after 1 epoch and %d B after 400; want equal", epoch1, epoch400)
+	}
+	if sync400 > sync1+noise {
+		t.Errorf("a no-churn Sync allocates %d B after 1 epoch and %d B after 400; want equal", sync1, sync400)
 	}
 }

@@ -3,9 +3,12 @@ package overlay
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSessionConcurrentReadsDuringEpoch pins the single-writer /
@@ -136,5 +139,122 @@ func TestApplyEpochCtxExpired(t *testing.T) {
 	bill, err = sess.ApplyEpochCtx(context.Background(), []int{24}, nil)
 	if err != nil || bill.Epoch != 0 {
 		t.Fatalf("live-context epoch: %+v, %v", bill, err)
+	}
+}
+
+// pollCtx is a live context whose Err — the poll an epoch runs between
+// engine rounds and at rung boundaries — first runs a hook: code that
+// executes from inside an in-flight epoch.
+type pollCtx struct {
+	context.Context
+	poll func()
+}
+
+func (c pollCtx) Err() error {
+	c.poll()
+	return c.Context.Err()
+}
+
+// TestSessionReadsFromInsideEpoch pins that readers never block on a
+// writer, at the sharpest point: reads issued by the epoch's own
+// goroutine while it holds the writer lock. Every one must return the
+// pre-epoch committed state; behind a read lock the first of them
+// would deadlock against its own writer, which the watchdog turns into
+// a failure.
+func TestSessionReadsFromInsideEpoch(t *testing.T) {
+	sess, _ := openLineSession(t, 48, &SessionOptions{Accounting: Measured})
+	before := sess.Checkpoint()
+	joins, leaves := measuredEpochArgs(sess)
+	m := sess.Members()
+
+	var polls int
+	var torn []string
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := pollCtx{live, func() {
+		polls++
+		if cp := sess.Checkpoint(); cp != before {
+			torn = append(torn, "Checkpoint moved before the commit")
+		}
+		if e := sess.Epoch(); e != 0 {
+			torn = append(torn, fmt.Sprintf("Epoch() = %d inside epoch 0", e))
+		}
+		if got := sess.Members(); !reflect.DeepEqual(got, m) {
+			torn = append(torn, "Members() is not the pre-epoch membership")
+		}
+		if path, err := sess.RouteLookup(m[0], leaves[0]); err != nil || path[len(path)-1] != leaves[0] {
+			torn = append(torn, fmt.Sprintf("lookup of a leaver inside the epoch: %v, %v", path, err))
+		}
+		if len(sess.Chord()) == 0 {
+			torn = append(torn, "empty Chord view")
+		}
+	}}
+
+	var bill *EpochBill
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		bill, err = sess.ApplyEpochCtx(ctx, joins, leaves)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a read from inside the epoch blocked on its own writer")
+	}
+	if err != nil {
+		t.Fatalf("epoch: %v", err)
+	}
+	if polls == 0 {
+		t.Fatal("the epoch never polled its context")
+	}
+	for _, msg := range torn {
+		t.Error(msg)
+	}
+	if after := sess.Checkpoint(); after == before || after.Epoch() != 1 || bill.Epoch != 0 {
+		t.Fatalf("after the call: epoch %d (bill %d), want the commit of epoch 0", after.Epoch(), bill.Epoch)
+	}
+	if _, err := sess.RouteLookup(m[0], leaves[0]); !errors.Is(err, ErrDeparted) {
+		t.Fatalf("lookup of a leaver after the commit: %v, want ErrDeparted", err)
+	}
+}
+
+// TestUnpublishedEpochKeepsCheckpoint pins that an epoch which does not
+// commit needs no rollback because it published nothing: after an
+// exhausted recovery ladder, and after an epoch interrupted mid-run,
+// Checkpoint returns the very state it returned before the call.
+func TestUnpublishedEpochKeepsCheckpoint(t *testing.T) {
+	sess, _ := openLineSession(t, 192, &SessionOptions{
+		Accounting:   Measured,
+		PatchRetries: 1,
+		Build:        Options{Seed: 7, MessageLevel: true, Faults: &FaultPlan{Seed: 3, DropProb: 0.25}},
+	})
+	before := sess.Checkpoint()
+	joins, leaves := measuredEpochArgs(sess)
+	if bill, err := sess.ApplyEpoch(joins, leaves); err == nil || bill == nil || !bill.Aborted {
+		t.Fatalf("epoch under a 25%% drop rate: bill %+v, err %v; want an aborted ladder", bill, err)
+	}
+	if sess.Checkpoint() != before {
+		t.Error("an aborted ladder replaced the committed state")
+	}
+
+	if err := sess.SetFaults(nil); err != nil {
+		t.Fatal(err)
+	}
+	live, cancel := context.WithCancel(context.Background())
+	polls := 0
+	ctx := pollCtx{live, func() {
+		if polls++; polls == 4 { // past the rung boundary: between engine rounds
+			cancel()
+		}
+	}}
+	if _, err := sess.ApplyEpochCtx(ctx, joins, leaves); !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted epoch: %v, want ErrInterrupted wrapping context.Canceled", err)
+	}
+	if sess.Checkpoint() != before {
+		t.Error("an interrupted epoch replaced the committed state")
+	}
+	if bill, err := sess.ApplyEpoch(joins, leaves); err != nil || bill.Epoch != 0 {
+		t.Fatalf("re-applying the epoch: %+v, %v", bill, err)
 	}
 }

@@ -258,7 +258,7 @@ func TestSessionMeasuredCrashMidRepair(t *testing.T) {
 	if !strings.Contains(bill.Itemized, "patch aborted") {
 		t.Errorf("itemized bill does not show the abort:\n%s", bill.Itemized)
 	}
-	if _, ok := sess.memberIndex(victim); ok {
+	if _, ok := indexIn(sess.Members(), victim); ok {
 		t.Errorf("crashed member %d still in the membership", victim)
 	}
 	if bill.Left < len(leaves)+1 {
