@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke ci
+.PHONY: all build loc test race bench bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke fuzz-smoke ci
 
 # The committed coverage floor (total statement coverage, percent).
 # Raise it when coverage rises; CI fails below it.
@@ -28,7 +28,9 @@ race:
 
 # The CI bench smoke run: one iteration of the two core build benches,
 # the graph-level 64k micro-benchmarks (Evolve, SpectralGap, Simple)
-# that pin the flat fast path, and the session epoch-repair bench.
+# that pin the flat fast path, and the session epoch benches (every
+# BenchmarkSessionEpoch*: the charged and measured repair, the cached
+# and uncached Chord reads, the first view reads, the maintained sync).
 bench:
 	$(GO) test -run='^$$' -bench='BuildTreeFast_1k|BuildTreeMessageLevel_256|Evolve_64k|SpectralGap_64k|Simple_64k|SessionEpoch' -benchtime=1x -benchmem ./...
 
@@ -69,6 +71,16 @@ scenario-smoke:
 service-smoke:
 	bash scripts/service_smoke.sh
 
+# The fuzz smoke: 10 s of each native fuzz target — the derived-view
+# rank arithmetic against its graph-built specification, and the three
+# wire round-trips. go test -fuzz takes one target and one package per
+# run.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDerivedEdges$$' -fuzztime=10s ./internal/overlays
+	$(GO) test -run='^$$' -fuzz='^FuzzFloodIntervalRoundTrip$$' -fuzztime=10s ./internal/wft
+	$(GO) test -run='^$$' -fuzz='^FuzzJumpFindRoundTrip$$' -fuzztime=10s ./internal/wft
+	$(GO) test -run='^$$' -fuzz='^FuzzTokenRoundTrip$$' -fuzztime=10s ./internal/expander
+
 # Fail (like CI) when any file needs formatting.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -97,4 +109,4 @@ vulncheck:
 		echo "govulncheck: unavailable (rc=$$rc), skipping (informational)"; \
 	fi
 
-ci: fmt vet lint vulncheck build loc race bench bench-claim cover scenario-smoke service-smoke
+ci: fmt vet lint vulncheck build loc race bench bench-claim cover scenario-smoke service-smoke fuzz-smoke

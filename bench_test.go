@@ -242,10 +242,10 @@ func BenchmarkSessionEpochMeasured_4096(b *testing.B) { benchSessionEpochMeasure
 
 // BenchmarkSessionEpochChordReads measures repeated Chord-view reads
 // between epochs — the overlayd hot path the per-epoch derived-view
-// cache exists for: every read after the first returns the cached
-// global-identifier edge list under RLock. Contrast with
-// BenchmarkSessionEpochChordReadsUncached below, which pays the
-// pre-cache cost on every read.
+// cache exists for: every read after the first is a pointer load and
+// returns the committed state's cached global-identifier edge list.
+// Contrast with BenchmarkSessionEpochChordReadsUncached below, which
+// pays the first read's cost on every read.
 func BenchmarkSessionEpochChordReads(b *testing.B) {
 	sess, err := Open(benchBuild(b, 4096), nil)
 	if err != nil {
@@ -261,10 +261,10 @@ func BenchmarkSessionEpochChordReads(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionEpochChordReadsUncached recomputes the O(n log n)
-// finger edge list and its global-identifier mapping on every read —
-// exactly what Session.Chord did before the per-epoch cache. The gap
-// against BenchmarkSessionEpochChordReads is the repeated-read win.
+// BenchmarkSessionEpochChordReadsUncached writes the finger edge list
+// in global identifiers on every read — what the first Chord read of
+// each committed state pays. The gap against
+// BenchmarkSessionEpochChordReads is the repeated-read win.
 func BenchmarkSessionEpochChordReadsUncached(b *testing.B) {
 	sess, err := Open(benchBuild(b, 4096), nil)
 	if err != nil {
@@ -273,14 +273,63 @@ func BenchmarkSessionEpochChordReadsUncached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		members := sess.Members()
-		local := overlays.Chord(sess.Tree().NodeAt).Edges()
-		out := make([][2]int, len(local))
-		for j, e := range local {
-			out[j] = [2]int{members[e[0]], members[e[1]]}
-		}
-		if len(out) == 0 {
+		if len(overlays.ChordEdges(sess.Tree().NodeAt, sess.Members())) == 0 {
 			b.Fatal("empty chord view")
+		}
+	}
+}
+
+// BenchmarkSessionEpochViewFirstReads measures the first read of all
+// four derived views of a committed state — what churn_derived pays
+// after every epoch. Restoring the session's own state commits a fresh
+// Checkpoint with no view computed yet.
+func BenchmarkSessionEpochViewFirstReads(b *testing.B) {
+	sess, err := Open(benchBuild(b, 4096), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sess.Restore(sess.Checkpoint()); err != nil {
+			b.Fatal(err)
+		}
+		if len(sess.Ring())+len(sess.Chord())+len(sess.Hypercube())+len(sess.DeBruijn()) == 0 {
+			b.Fatal("empty derived views")
+		}
+	}
+}
+
+// BenchmarkSessionEpochMaintainedSync measures one charged epoch (2%
+// join + 2% leave) on a 4096-member session followed by the
+// incremental Sync of the three maintained workloads.
+func BenchmarkSessionEpochMaintainedSync(b *testing.B) {
+	sess, err := Open(benchBuild(b, 4096), &SessionOptions{Build: Options{Seed: 7, MessageLevel: true, Workers: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	comp, err := OpenMaintainedComponents(sess, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := OpenMaintainedSpanningTree(sess, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mis, err := OpenMaintainedMIS(sess, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := &ChurnPlan{Seed: 9, Epochs: 1 << 30, JoinFrac: 0.02, LeaveFrac: 0.02}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		joins, leaves := plan.Epoch(i, sess.Members(), sess.NextID())
+		if _, err := sess.ApplyEpoch(joins, leaves); err != nil {
+			b.Fatal(err)
+		}
+		if !comp.Sync().Incremental || !st.Sync().Incremental || !mis.Sync().Incremental {
+			b.Fatal("bench epoch synced from scratch")
 		}
 	}
 }
@@ -346,18 +395,20 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 }
 
 // TestAllocFence is the tier-1 guard against an allocation blow-up on
-// the message plane, the charged and measured epoch paths and the
-// derived-view cache: it runs the benches above through
+// the message plane, the charged and measured epoch paths, the derived
+// views and the maintained workloads: it runs the benches above through
 // testing.Benchmark and fails when one allocates more per op than its
-// budget, set to 2x the count measured when the fence was written
-// (4031, 66, 324 and 0; the cached Chord read must stay at 0). Only
-// allocation counts are fenced: they are deterministic enough to gate
-// on, wall time is not, and bench/ is where time is measured. Sharded
-// rounds allocate per-worker state, so the two rows that run the
+// budget, set to 2x the count measured when the row was written (4031,
+// 66, 324, 0, 10 and 449; the cached Chord read must stay at 0, and the
+// first read of the four views — two allocations each, beside the
+// restored state — at 16: a map or a graph on that path costs hundreds).
+// Only allocation counts are fenced: they are deterministic enough to
+// gate on, wall time is not, and bench/ is where time is measured.
+// Sharded rounds allocate per-worker state, so the rows that can run the
 // engine pin Workers: 1 to read the same on every host.
 func TestAllocFence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four benchmarks")
+		t.Skip("runs six benchmarks")
 	}
 	for _, row := range []struct {
 		name   string
@@ -368,6 +419,8 @@ func TestAllocFence(t *testing.T) {
 		{"SessionEpoch", BenchmarkSessionEpoch, 130},
 		{"SessionEpochMeasured_4096", func(b *testing.B) { benchSessionEpochMeasured(b, 1) }, 640},
 		{"SessionEpochChordReads", BenchmarkSessionEpochChordReads, 0},
+		{"SessionEpochViewFirstReads", BenchmarkSessionEpochViewFirstReads, 16},
+		{"SessionEpochMaintainedSync", BenchmarkSessionEpochMaintainedSync, 900},
 	} {
 		r := testing.Benchmark(row.bench)
 		if r.N == 0 {

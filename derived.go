@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"overlay/internal/graphx"
 	"overlay/internal/overlays"
 )
 
@@ -22,7 +21,7 @@ func (r *BuildResult) Ring() [][2]int {
 	if r.Tree == nil {
 		return nil
 	}
-	return edgePairs(overlays.Ring(r.Tree.NodeAt))
+	return overlays.RingEdges(r.Tree.NodeAt, nil)
 }
 
 // Chord returns the finger ring (rank r to ranks r+2^k mod n): degree
@@ -31,7 +30,7 @@ func (r *BuildResult) Chord() [][2]int {
 	if r.Tree == nil {
 		return nil
 	}
-	return edgePairs(overlays.Chord(r.Tree.NodeAt))
+	return overlays.ChordEdges(r.Tree.NodeAt, nil)
 }
 
 // Hypercube returns the (possibly incomplete) hypercube over ranks.
@@ -39,7 +38,7 @@ func (r *BuildResult) Hypercube() [][2]int {
 	if r.Tree == nil {
 		return nil
 	}
-	return edgePairs(overlays.Hypercube(r.Tree.NodeAt))
+	return overlays.HypercubeEdges(r.Tree.NodeAt, nil)
 }
 
 // DeBruijn returns the binary De Bruijn overlay over ranks: constant
@@ -48,7 +47,7 @@ func (r *BuildResult) DeBruijn() [][2]int {
 	if r.Tree == nil {
 		return nil
 	}
-	return edgePairs(overlays.DeBruijn(r.Tree.NodeAt))
+	return overlays.DeBruijnEdges(r.Tree.NodeAt, nil)
 }
 
 // ErrAborted reports a routing request against an aborted build: there
@@ -88,12 +87,8 @@ func (r *BuildResult) RouteLookupErr(from, to int) ([]int, error) {
 // ExpanderEdges returns the evolved low-diameter graph's edges, for
 // callers that want the expander itself rather than the tree.
 func (r *BuildResult) ExpanderEdges() [][2]int {
-	return edgePairs(r.expander)
-}
-
-func edgePairs(g *graphx.Graph) [][2]int {
-	if g == nil {
+	if r.expander == nil {
 		return nil
 	}
-	return g.Edges()
+	return r.expander.Edges()
 }

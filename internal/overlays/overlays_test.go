@@ -1,12 +1,156 @@
 package overlays
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"overlay/internal/graphx"
 	"overlay/internal/rng"
 	"overlay/internal/sim"
 )
+
+// Ring, Chord, Hypercube and DeBruijn are the specification: each
+// overlay built edge by edge as a graph, duplicates decided by a set.
+// The edge lists the package writes by rank arithmetic must equal
+// their Edges(), and the structural tests below run on them.
+
+func Ring(nodeAt []int) *graphx.Graph {
+	n := len(nodeAt)
+	g := graphx.NewGraph(n)
+	if n < 2 {
+		return g
+	}
+	for r := 0; r < n; r++ {
+		s := (r + 1) % n
+		if r < s || n == 2 && r == 0 {
+			g.AddEdge(nodeAt[r], nodeAt[s])
+		}
+	}
+	if n > 2 {
+		g.AddEdge(nodeAt[n-1], nodeAt[0])
+	}
+	return g
+}
+
+func Chord(nodeAt []int) *graphx.Graph {
+	n := len(nodeAt)
+	g := graphx.NewGraph(n)
+	seen := make(map[[2]int]bool, 2*n)
+	for r := 0; r < n; r++ {
+		for step := 1; step < n; step <<= 1 {
+			s := (r + step) % n
+			u, v := nodeAt[r], nodeAt[s]
+			if u > v {
+				u, v = v, u
+			}
+			if u != v && !seen[[2]int{u, v}] {
+				seen[[2]int{u, v}] = true
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+func Hypercube(nodeAt []int) *graphx.Graph {
+	n := len(nodeAt)
+	g := graphx.NewGraph(n)
+	for r := 0; r < n; r++ {
+		for b := 1; b < n; b <<= 1 {
+			s := r ^ b
+			if s < n && r < s {
+				g.AddEdge(nodeAt[r], nodeAt[s])
+			}
+		}
+	}
+	return g
+}
+
+func DeBruijn(nodeAt []int) *graphx.Graph {
+	n := len(nodeAt)
+	g := graphx.NewGraph(n)
+	seen := make(map[[2]int]bool, 2*n)
+	for r := 0; r < n; r++ {
+		for _, s := range []int{(2 * r) % n, (2*r + 1) % n} {
+			u, v := nodeAt[r], nodeAt[s]
+			if u > v {
+				u, v = v, u
+			}
+			if u != v && !seen[[2]int{u, v}] {
+				seen[[2]int{u, v}] = true
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+var views = []struct {
+	name   string
+	spec   func(nodeAt []int) *graphx.Graph
+	direct func(nodeAt, members []int) [][2]int
+}{
+	{"ring", Ring, RingEdges},
+	{"chord", Chord, ChordEdges},
+	{"hypercube", Hypercube, HypercubeEdges},
+	{"debruijn", DeBruijn, DeBruijnEdges},
+}
+
+// checkAgainstSpec compares the four direct edge lists against the
+// specification graphs' Edges() on one rank assignment, bare and
+// mapped through an ascending member list.
+func checkAgainstSpec(t *testing.T, nodeAt []int) {
+	t.Helper()
+	n := len(nodeAt)
+	members := make([]int, n)
+	for i := range members {
+		members[i] = 3*i + i%2 + 5
+	}
+	for _, v := range views {
+		want := v.spec(nodeAt).Edges()
+		got := v.direct(nodeAt, nil)
+		if got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s n=%d: direct edge list differs from the graph-built one\n got %v\nwant %v", v.name, n, got, want)
+		}
+		for i, e := range want {
+			want[i] = [2]int{members[e[0]], members[e[1]]}
+		}
+		if got := v.direct(nodeAt, members); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s n=%d: member-mapped edge list differs from the mapped graph-built one", v.name, n)
+		}
+	}
+}
+
+// TestDirectEdgesMatchSpec is the differential test of the rank
+// arithmetic: every n up to 300 — which holds n = 0, 1, 2, 3, every
+// 2^a and 2^a+2^b (the sizes at which Chord fingers coincide) — plus
+// 4096 and 4100, on the identity and on random rank assignments.
+func TestDirectEdgesMatchSpec(t *testing.T) {
+	sizes := []int{4096, 4100}
+	for n := 0; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		checkAgainstSpec(t, identity(n))
+		checkAgainstSpec(t, rng.New(uint64(n)+1).Perm(n))
+		checkAgainstSpec(t, rng.New(uint64(n)*0x9e3779b97f4a7c15).Perm(n))
+	}
+}
+
+// FuzzDerivedEdges runs the same comparison on fuzzer-chosen sizes and
+// rank assignments; the seed corpus under testdata/fuzz replays in
+// every plain go test run.
+func FuzzDerivedEdges(f *testing.F) {
+	f.Add(uint16(0), uint64(0))
+	f.Add(uint16(1), uint64(1))
+	f.Add(uint16(2), uint64(2))
+	f.Add(uint16(24), uint64(3))
+	f.Add(uint16(1024), uint64(4))
+	f.Fuzz(func(t *testing.T, n uint16, seed uint64) {
+		checkAgainstSpec(t, rng.New(seed).Perm(int(n)%5000))
+	})
+}
 
 func identity(n int) []int {
 	nodeAt := make([]int, n)

@@ -815,8 +815,7 @@ type workloadBillInfo struct {
 	Messages    int64  `json:"messages"`
 }
 
-func lastWorkloadBill(bills []overlay.WorkloadBill) workloadBillInfo {
-	b := bills[len(bills)-1]
+func workloadBill(b overlay.WorkloadBill) workloadBillInfo {
 	return workloadBillInfo{
 		Epoch:       b.Epoch,
 		Incremental: b.Incremental,
@@ -841,16 +840,16 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		"edges":   len(ov.comp.GraphEdges()),
 		"components": map[string]any{
 			"count":     ov.comp.NumComponents(),
-			"last_sync": lastWorkloadBill(ov.comp.Bills()),
+			"last_sync": workloadBill(ov.comp.LastBill()),
 		},
 		"spanning_tree": map[string]any{
 			"roots":        ov.st.Roots(),
 			"forest_edges": len(ov.st.Forest()),
-			"last_sync":    lastWorkloadBill(ov.st.Bills()),
+			"last_sync":    workloadBill(ov.st.LastBill()),
 		},
 		"mis": map[string]any{
 			"size":      len(ov.mis.Set()),
-			"last_sync": lastWorkloadBill(ov.mis.Bills()),
+			"last_sync": workloadBill(ov.mis.LastBill()),
 		},
 	})
 }

@@ -423,6 +423,27 @@ func TestWorkloadsEndpoint(t *testing.T) {
 		}
 	}
 
+	// last_sync is the newest entry of each workload's bill history,
+	// however long that has grown.
+	for e := 0; e < 3; e++ {
+		mustStatus(t, do(t, s, "POST", "/v1/overlays/"+id+"/epochs",
+			map[string]any{"joins": []int{25 + e}, "leaves": []int{6 + e}}, nil), http.StatusOK)
+	}
+	mustStatus(t, do(t, s, "GET", "/v1/overlays/"+id+"/workloads", nil, &resp), http.StatusOK)
+	ov := s.lookupOverlay(id)
+	for name, c := range map[string]struct {
+		got   workloadBillInfo
+		bills []overlay.WorkloadBill
+	}{
+		"components":    {resp.Components.LastSync, ov.comp.Bills()},
+		"spanning_tree": {resp.SpanningTree.LastSync, ov.st.Bills()},
+		"mis":           {resp.MIS.LastSync, ov.mis.Bills()},
+	} {
+		if len(c.bills) != 5 || c.got != workloadBill(c.bills[4]) || c.got.Epoch != 4 {
+			t.Fatalf("%s last sync %+v is not the newest of %d bills", name, c.got, len(c.bills))
+		}
+	}
+
 	mustStatus(t, do(t, s, "GET", "/v1/overlays/nope/workloads", nil, nil), http.StatusNotFound)
 	mustStatus(t, do(t, s, "GET", "/v1/overlays/nope/derived", nil, nil), http.StatusNotFound)
 }

@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,21 +85,41 @@ type MaintainedOptions struct {
 
 // maintainedCore is the shared membership/graph sync every maintained
 // workload embeds: the snapshot of the session it is synced to, the
-// workload graph (sorted adjacency over global identifiers), and the
-// per-sync bills.
+// workload graph, and the per-sync bills.
+//
+// All per-member state — here and in the workloads — is indexed by
+// member position (members[p] is the p-th smallest identifier) and
+// refers to other members by position. Positions order like
+// identifiers, so "ascending", "smallest" and every scan order mean
+// what they mean on identifiers; advance renumbers everything once per
+// sync, and identifiers appear only at the accessors.
 type maintainedCore struct {
 	sess     *Session
 	contacts int
 	seed     uint64
 
 	// members is the member list of the checkpoint the workload is synced
-	// to, shared with it: read-only.
+	// to, shared with it: read-only. adj[p] lists p's neighbors,
+	// ascending.
 	mu      sync.RWMutex
 	epoch   int
 	members []int
-	adj     map[int][]int
+	adj     [][]int32
 	edges   int
 	bills   []WorkloadBill
+
+	// What the last advance left for the workload's recompute: where each
+	// position came from (-1 for a joiner), where each previous position
+	// went (-1 for a leaver), and the ascending dirty seeds — survivors
+	// whose neighborhoods changed, joiner contacts, and the joiners.
+	oldOf, newOf, dirty []int32
+
+	// Buffers a sync reuses: the previous adjacency table, an all-false
+	// mask over positions (every user clears what it set) and one over
+	// previous positions, and a position queue.
+	spareAdj    [][]int32
+	mark, touch []bool
+	queue       []int32
 }
 
 // openCore snapshots the session and seeds the workload graph with
@@ -124,40 +145,37 @@ func openCore(sess *Session, opt *MaintainedOptions) (*maintainedCore, error) {
 		seed:     o.Seed,
 		members:  cp.members,
 		epoch:    cp.Epoch(),
-		adj:      map[int][]int{},
-	}
-	for _, id := range c.members {
-		c.adj[id] = nil
+		adj:      make([][]int32, len(cp.members)),
 	}
 	for _, e := range cp.Ring() {
-		c.addEdge(e[0], e[1])
+		u, _ := indexIn(cp.members, e[0])
+		v, _ := indexIn(cp.members, e[1])
+		c.addEdge(int32(u), int32(v))
 	}
 	return c, nil
 }
 
-// insertSorted inserts x into the ascending slice if absent.
-func insertSorted(s []int, x int) ([]int, bool) {
-	i := sort.SearchInts(s, x)
-	if i < len(s) && s[i] == x {
-		return s, false
+// fit returns s with length n, reusing its storage when that is large
+// enough. A reallocated slice is zeroed and gets some headroom, since
+// the membership drifts by a few members per epoch.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/8)
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s, true
+	return s[:n]
 }
 
-// removeSorted removes x from the ascending slice if present.
-func removeSorted(s []int, x int) ([]int, bool) {
-	i := sort.SearchInts(s, x)
-	if i >= len(s) || s[i] != x {
+// insertSorted inserts x into the ascending slice if absent.
+func insertSorted(s []int32, x int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(s, x)
+	if found {
 		return s, false
 	}
-	return append(s[:i], s[i+1:]...), true
+	return slices.Insert(s, i, x), true
 }
 
 // addEdge inserts the undirected edge (u, v) if absent.
-func (c *maintainedCore) addEdge(u, v int) {
+func (c *maintainedCore) addEdge(u, v int32) {
 	if u == v {
 		return
 	}
@@ -170,100 +188,101 @@ func (c *maintainedCore) addEdge(u, v int) {
 }
 
 // advance diffs the session's committed state against the workload
-// snapshot and applies the membership delta to the workload graph. It
-// returns the removed identifiers, the sorted dirty seeds (survivors
-// whose neighborhoods changed, joiner contacts, and the joiners
-// themselves), and whether the covered epochs force a from-scratch
-// recompute (a rebuild epoch, or a session restored past the snapshot).
-// The caller holds mu exclusively.
-func (c *maintainedCore) advance() (removed, dirty []int, scratch bool) {
+// snapshot, applies the membership delta to the workload graph and
+// renumbers it to the new positions, leaving oldOf, newOf and dirty for
+// the workload. It reports whether the covered epochs force a
+// from-scratch recompute (a rebuild epoch, or a session restored past
+// the snapshot). The caller holds mu exclusively.
+func (c *maintainedCore) advance() (scratch bool) {
 	cp := c.sess.Checkpoint()
-	nowEpoch, nowMembers := cp.Epoch(), cp.members
 	// Restored past the snapshot: the per-epoch rebuild record for the
 	// interval is gone, so resync wholesale. Otherwise the epochs since
 	// the snapshot are the newest bills.
-	scratch = nowEpoch < c.epoch
+	scratch = cp.Epoch() < c.epoch
 	for i := len(cp.bills) - 1; i >= 0 && cp.bills[i].Epoch >= c.epoch; i-- {
 		scratch = scratch || cp.bills[i].Rebuilt
 	}
 
-	var added []int
-	i, j := 0, 0
-	for i < len(c.members) || j < len(nowMembers) {
+	// Both member lists ascend, so one merge numbers the survivors. After
+	// plain churn it is a compaction and an append (joiners take fresh
+	// identifiers); after a Restore the resurrected identifiers land in
+	// between, as joiners.
+	old, now := c.members, cp.members
+	c.newOf, c.oldOf = fit(c.newOf, len(old)), fit(c.oldOf, len(now))
+	for i, j := 0, 0; i < len(old) || j < len(now); {
 		switch {
-		case j >= len(nowMembers) || (i < len(c.members) && c.members[i] < nowMembers[j]):
-			removed = append(removed, c.members[i])
+		case j >= len(now) || (i < len(old) && old[i] < now[j]):
+			c.newOf[i] = -1
 			i++
-		case i >= len(c.members) || nowMembers[j] < c.members[i]:
-			added = append(added, nowMembers[j])
+		case i >= len(old) || now[j] < old[i]:
+			c.oldOf[j] = -1
 			j++
 		default:
+			c.newOf[i], c.oldOf[j] = int32(j), int32(i)
 			i, j = i+1, j+1
 		}
 	}
 
-	dirtySet := map[int]bool{}
-	removedSet := make(map[int]bool, len(removed))
-	for _, id := range removed {
-		removedSet[id] = true
-	}
 	// Survivor-local repair: leavers vanish with their incident edges.
-	for _, id := range removed {
-		for _, nb := range c.adj[id] {
-			if removedSet[nb] {
-				if id < nb {
-					c.edges--
-				}
-				continue
-			}
-			c.adj[nb], _ = removeSorted(c.adj[nb], id)
-			c.edges--
-			dirtySet[nb] = true
+	adj := fit(c.spareAdj, len(now))
+	c.mark, c.touch = fit(c.mark, len(now)), fit(c.touch, len(old))
+	survivors := fit(c.queue, len(now))[:0]
+	entries := 0
+	for p, op := range c.oldOf {
+		if op < 0 {
+			adj[p] = nil
+			continue
 		}
-		delete(c.adj, id)
+		survivors = append(survivors, int32(p))
+		row := c.adj[op]
+		kept := row[:0]
+		for _, q := range row {
+			if nq := c.newOf[q]; nq >= 0 {
+				kept = append(kept, nq)
+			}
+		}
+		c.mark[p] = len(kept) < len(row)
+		entries += len(kept)
+		adj[p] = kept
 	}
+	c.adj, c.spareAdj = adj, c.adj
+	c.edges = entries / 2
 	// Joiner attachment: deterministic bootstrap contacts among the
 	// survivors (the membership after removals, before additions).
-	addedSet := make(map[int]bool, len(added))
-	for _, id := range added {
-		addedSet[id] = true
-	}
-	survivors := make([]int, 0, len(nowMembers)-len(added))
-	for _, id := range nowMembers {
-		if !addedSet[id] {
-			survivors = append(survivors, id)
+	prev := int32(-1)
+	for p, op := range c.oldOf {
+		if op >= 0 {
+			continue
 		}
-	}
-	for ji, id := range added {
-		if _, ok := c.adj[id]; !ok {
-			c.adj[id] = nil
-		}
-		dirtySet[id] = true
+		c.mark[p] = true
 		if len(survivors) == 0 {
 			// Degenerate: the whole prior population vanished; chain the
 			// joiners so the workload graph stays non-trivial.
-			if ji > 0 {
-				c.addEdge(added[ji-1], id)
+			if prev >= 0 {
+				c.addEdge(prev, int32(p))
 			}
+			prev = int32(p)
 			continue
 		}
-		src := rng.New(c.seed).Split(0xdb + uint64(id))
+		src := rng.New(c.seed).Split(0xdb + uint64(now[p]))
 		for t := 0; t < c.contacts; t++ {
 			contact := survivors[src.Intn(len(survivors))]
-			c.addEdge(id, contact)
-			dirtySet[contact] = true
+			c.addEdge(int32(p), contact)
+			c.mark[contact] = true
 		}
 	}
+	c.queue = survivors
 
-	c.members = nowMembers
-	c.epoch = nowEpoch
-	dirty = make([]int, 0, len(dirtySet))
-	//lint:ordered dirty ids are collected then sorted before return
-	for id := range dirtySet {
-		dirty = append(dirty, id)
+	c.members = now
+	c.epoch = cp.Epoch()
+	c.dirty = c.dirty[:0]
+	for p, d := range c.mark {
+		if d {
+			c.dirty = append(c.dirty, int32(p))
+			c.mark[p] = false
+		}
 	}
-	sort.Ints(dirty)
-	return removed, dirty, scratch
+	return scratch
 }
 
 // scratchBill seals a from-scratch recompute's accounting from the
@@ -328,10 +347,10 @@ func (c *maintainedCore) GraphEdges() [][2]int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([][2]int, 0, c.edges)
-	for _, u := range c.members {
-		for _, v := range c.adj[u] {
-			if u < v {
-				out = append(out, [2]int{u, v})
+	for p, row := range c.adj {
+		for _, q := range row {
+			if int32(p) < q {
+				out = append(out, [2]int{c.members[p], c.members[q]})
 			}
 		}
 	}
@@ -346,37 +365,64 @@ func (c *maintainedCore) Bills() []WorkloadBill {
 	return append([]WorkloadBill(nil), c.bills...)
 }
 
-// allMembers returns the full population as an affected set.
-func (c *maintainedCore) allMembers() map[int]bool {
-	aff := make(map[int]bool, len(c.members))
-	for _, id := range c.members {
-		aff[id] = true
+// LastBill returns the newest sync's accounting: Bills' last entry
+// without the copy of the history before it.
+func (c *maintainedCore) LastBill() WorkloadBill {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.bills[len(c.bills)-1]
+}
+
+// everyone returns the full population as an affected mask.
+func (c *maintainedCore) everyone() []bool {
+	c.mark = fit(c.mark, len(c.members))
+	for p := range c.mark {
+		c.mark[p] = true
 	}
-	return aff
+	return c.mark
 }
 
 // affectedRegion expands the dirty seeds into the edge-closed affected
-// region: every current member whose old component was touched, plus
-// the joiners (dirty vertices with no old label). Old components are
-// edge-closed and new edges only touch joiners and contacts, so the
-// region contains every vertex whose label or tree attachment can
-// change.
-func (c *maintainedCore) affectedRegion(oldLabels map[int]int, dirty []int) map[int]bool {
-	touched := map[int]bool{}
-	aff := map[int]bool{}
-	for _, d := range dirty {
-		if l, ok := oldLabels[d]; ok {
-			touched[l] = true
+// region, as a mask over positions: every member whose old component
+// was touched, plus the joiners. oldLabels is the labeling before the
+// advance, in the positions before it. Old components are edge-closed
+// and new edges only touch joiners and contacts, so the region contains
+// every vertex whose label or tree attachment can change.
+func (c *maintainedCore) affectedRegion(oldLabels []int32) []bool {
+	aff := c.mark
+	for _, d := range c.dirty {
+		if op := c.oldOf[d]; op >= 0 {
+			c.touch[oldLabels[op]] = true
 		} else {
 			aff[d] = true
 		}
 	}
-	for _, id := range c.members {
-		if l, ok := oldLabels[id]; ok && touched[l] {
-			aff[id] = true
+	for p, op := range c.oldOf {
+		if op >= 0 && c.touch[oldLabels[op]] {
+			aff[p] = true
+		}
+	}
+	for _, d := range c.dirty {
+		if op := c.oldOf[d]; op >= 0 {
+			c.touch[oldLabels[op]] = false
 		}
 	}
 	return aff
+}
+
+// carry renumbers a per-member array of positions (labels, parents)
+// across the last advance into the buffer next: members outside the
+// affected region keep their entry, which points inside their
+// untouched component and so at a survivor; the region's entries are
+// left for the recompute to write.
+func (c *maintainedCore) carry(from, next []int32, aff []bool) []int32 {
+	next = fit(next, len(aff))
+	for p, op := range c.oldOf {
+		if !aff[p] {
+			next[p] = c.newOf[from[op]]
+		}
+	}
+	return next
 }
 
 // recomputeRegion canonically recomputes the affected region: one BFS
@@ -384,52 +430,46 @@ func (c *maintainedCore) affectedRegion(oldLabels map[int]int, dirty []int) map[
 // ascending adjacency — so labels (the component minimum) and, when
 // parent is non-nil, the canonical BFS forest come out as the pure
 // function of the component subgraph a from-scratch oracle computes.
-// Stale labels/parents inside the region are dropped first; vertices
-// outside keep theirs. Returns nodes touched and adjacency entries
-// scanned.
-func recomputeRegion(c *maintainedCore, labels map[int]int, parent map[int]int, affected map[int]bool) (nodes, scanned int) {
-	ids := make([]int, 0, len(affected))
-	//lint:ordered affected ids are collected then sorted before the recompute walks them
-	for id := range affected {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		delete(labels, id)
-		if parent != nil {
-			delete(parent, id)
-		}
-	}
-	seen := make(map[int]bool, len(ids))
-	for _, root := range ids {
-		if seen[root] {
+// Vertices outside the region keep their entries. The mask doubles as
+// the BFS's unvisited set (the region is edge-closed) and comes back
+// all false. Returns nodes touched and adjacency entries scanned.
+//
+//overlay:hotpath
+func recomputeRegion(c *maintainedCore, labels, parent []int32, affected []bool) (nodes, scanned int) {
+	queue := fit(c.queue, len(affected))
+	for p := range affected {
+		if !affected[p] {
 			continue
 		}
-		// The region is edge-closed and ids ascend, so the first unseen
-		// vertex of a component is its minimum: the canonical root.
-		seen[root] = true
+		// Positions ascend, so the first unvisited vertex of a component is
+		// its minimum: the canonical root.
+		root := int32(p)
+		affected[root] = false
 		labels[root] = root
 		if parent != nil {
 			parent[root] = root
 		}
-		comp := []int{root}
-		for h := 0; h < len(comp); h++ {
-			v := comp[h]
+		queue[0] = root
+		tail := 1
+		for h := 0; h < tail; h++ {
+			v := queue[h]
 			scanned += len(c.adj[v])
 			for _, nb := range c.adj[v] {
-				if seen[nb] {
+				if !affected[nb] {
 					continue
 				}
-				seen[nb] = true
+				affected[nb] = false
 				labels[nb] = root
 				if parent != nil {
 					parent[nb] = v
 				}
-				comp = append(comp, nb)
+				queue[tail] = nb
+				tail++
 			}
 		}
-		nodes += len(comp)
+		nodes += tail
 	}
+	c.queue = queue
 	return nodes, scanned
 }
 
@@ -437,7 +477,9 @@ func recomputeRegion(c *maintainedCore, labels map[int]int, parent map[int]int, 
 // a session's churn epochs (Theorem 1.2 as a continuous workload).
 type MaintainedComponents struct {
 	*maintainedCore
-	labels map[int]int
+	// labels[p] is the smallest member of p's component; spareLabels is
+	// the array the next sync writes.
+	labels, spareLabels []int32
 }
 
 // OpenMaintainedComponents opens the components workload over a
@@ -447,10 +489,16 @@ func OpenMaintainedComponents(sess *Session, opt *MaintainedOptions) (*Maintaine
 	if err != nil {
 		return nil, err
 	}
-	m := &MaintainedComponents{maintainedCore: core, labels: map[int]int{}}
-	recomputeRegion(core, m.labels, nil, core.allMembers())
-	core.seal(core.scratchBill(hybrid.ChargeComponents(len(core.members), core.edges)))
+	m := &MaintainedComponents{maintainedCore: core}
+	m.scratch()
 	return m, nil
+}
+
+// scratch relabels the whole population and seals the scratch bill.
+func (m *MaintainedComponents) scratch() WorkloadBill {
+	m.labels = fit(m.labels, len(m.members))
+	recomputeRegion(m.maintainedCore, m.labels, nil, m.everyone())
+	return m.seal(m.scratchBill(hybrid.ChargeComponents(len(m.members), m.edges)))
 }
 
 // Sync advances the workload to the session's committed epoch and
@@ -458,16 +506,11 @@ func OpenMaintainedComponents(sess *Session, opt *MaintainedOptions) (*Maintaine
 func (m *MaintainedComponents) Sync() WorkloadBill {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	removed, dirty, scratch := m.advance()
-	if scratch {
-		m.labels = map[int]int{}
-		recomputeRegion(m.maintainedCore, m.labels, nil, m.allMembers())
-		return m.seal(m.scratchBill(hybrid.ChargeComponents(len(m.members), m.edges)))
+	if m.advance() {
+		return m.scratch()
 	}
-	aff := m.affectedRegion(m.labels, dirty)
-	for _, id := range removed {
-		delete(m.labels, id)
-	}
+	aff := m.affectedRegion(m.labels)
+	m.labels, m.spareLabels = m.carry(m.labels, m.spareLabels, aff), m.labels
 	nodes, scanned := recomputeRegion(m.maintainedCore, m.labels, nil, aff)
 	return m.seal(m.incrementalBill(nodes, scanned))
 }
@@ -478,9 +521,8 @@ func (m *MaintainedComponents) Labels() map[int]int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make(map[int]int, len(m.labels))
-	//lint:ordered map-to-map copy; the result has no order
-	for id, l := range m.labels {
-		out[id] = l
+	for p, l := range m.labels {
+		out[m.members[p]] = m.members[l]
 	}
 	return out
 }
@@ -490,9 +532,8 @@ func (m *MaintainedComponents) NumComponents() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	n := 0
-	//lint:ordered commutative count of label fixpoints
-	for id, l := range m.labels {
-		if id == l {
+	for p, l := range m.labels {
+		if int32(p) == l {
 			n++
 		}
 	}
@@ -513,8 +554,10 @@ func (m *MaintainedComponents) ScratchBill() WorkloadBill {
 // session's churn epochs (Theorem 1.3 as a continuous workload).
 type MaintainedSpanningTree struct {
 	*maintainedCore
-	labels map[int]int
-	parent map[int]int
+	// labels[p] is the root of p's tree and parent[p] its BFS parent (p
+	// itself at a root); the spares are the arrays the next sync writes.
+	labels, parent           []int32
+	spareLabels, spareParent []int32
 }
 
 // OpenMaintainedSpanningTree opens the spanning-forest workload over
@@ -524,10 +567,16 @@ func OpenMaintainedSpanningTree(sess *Session, opt *MaintainedOptions) (*Maintai
 	if err != nil {
 		return nil, err
 	}
-	m := &MaintainedSpanningTree{maintainedCore: core, labels: map[int]int{}, parent: map[int]int{}}
-	recomputeRegion(core, m.labels, m.parent, core.allMembers())
-	core.seal(core.scratchBill(hybrid.ChargeSpanningTree(len(core.members), core.edges)))
+	m := &MaintainedSpanningTree{maintainedCore: core}
+	m.scratch()
 	return m, nil
+}
+
+// scratch regrows the whole forest and seals the scratch bill.
+func (m *MaintainedSpanningTree) scratch() WorkloadBill {
+	m.labels, m.parent = fit(m.labels, len(m.members)), fit(m.parent, len(m.members))
+	recomputeRegion(m.maintainedCore, m.labels, m.parent, m.everyone())
+	return m.seal(m.scratchBill(hybrid.ChargeSpanningTree(len(m.members), m.edges)))
 }
 
 // Sync advances the workload to the session's committed epoch and
@@ -535,17 +584,12 @@ func OpenMaintainedSpanningTree(sess *Session, opt *MaintainedOptions) (*Maintai
 func (m *MaintainedSpanningTree) Sync() WorkloadBill {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	removed, dirty, scratch := m.advance()
-	if scratch {
-		m.labels, m.parent = map[int]int{}, map[int]int{}
-		recomputeRegion(m.maintainedCore, m.labels, m.parent, m.allMembers())
-		return m.seal(m.scratchBill(hybrid.ChargeSpanningTree(len(m.members), m.edges)))
+	if m.advance() {
+		return m.scratch()
 	}
-	aff := m.affectedRegion(m.labels, dirty)
-	for _, id := range removed {
-		delete(m.labels, id)
-		delete(m.parent, id)
-	}
+	aff := m.affectedRegion(m.labels)
+	m.labels, m.spareLabels = m.carry(m.labels, m.spareLabels, aff), m.labels
+	m.parent, m.spareParent = m.carry(m.parent, m.spareParent, aff), m.parent
 	nodes, scanned := recomputeRegion(m.maintainedCore, m.labels, m.parent, aff)
 	return m.seal(m.incrementalBill(nodes, scanned))
 }
@@ -556,15 +600,12 @@ func (m *MaintainedSpanningTree) Forest() [][2]int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([][2]int, 0, len(m.parent))
-	for _, v := range m.members {
-		p := m.parent[v]
-		if p == v {
-			continue
-		}
-		if p < v {
-			out = append(out, [2]int{p, v})
-		} else {
-			out = append(out, [2]int{v, p})
+	for v, p := range m.parent {
+		switch {
+		case int(p) < v:
+			out = append(out, [2]int{m.members[p], m.members[v]})
+		case int(p) > v:
+			out = append(out, [2]int{m.members[v], m.members[p]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -581,9 +622,9 @@ func (m *MaintainedSpanningTree) Roots() []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []int
-	for _, v := range m.members {
-		if m.parent[v] == v {
-			out = append(out, v)
+	for v, p := range m.parent {
+		if int(p) == v {
+			out = append(out, m.members[v])
 		}
 	}
 	return out
@@ -606,7 +647,9 @@ func (m *MaintainedSpanningTree) ScratchBill() WorkloadBill {
 // answer while touching only the vertices the churn actually reached.
 type MaintainedMIS struct {
 	*maintainedCore
-	in map[int]bool
+	// in[p] reports whether p is in the set; spareIn is the array the
+	// next sync writes.
+	in, spareIn []bool
 }
 
 // OpenMaintainedMIS opens the MIS workload over a session and runs
@@ -616,28 +659,32 @@ func OpenMaintainedMIS(sess *Session, opt *MaintainedOptions) (*MaintainedMIS, e
 	if err != nil {
 		return nil, err
 	}
-	m := &MaintainedMIS{maintainedCore: core, in: map[int]bool{}}
-	m.recomputeScratch()
-	core.seal(core.scratchBill(hybrid.ChargeMIS(len(core.members), core.edges)))
+	m := &MaintainedMIS{maintainedCore: core}
+	m.scratch()
 	return m, nil
 }
 
-// recomputeScratch rebuilds the lex-MIS by the ascending greedy scan.
-func (m *MaintainedMIS) recomputeScratch() {
-	m.in = make(map[int]bool, len(m.members))
-	for _, v := range m.members {
-		st := true
-		for _, nb := range m.adj[v] {
-			if nb >= v {
-				break
-			}
-			if m.in[nb] {
-				st = false
-				break
-			}
+// status computes v's membership from its smaller neighbors'.
+func (m *MaintainedMIS) status(v int32) bool {
+	for _, nb := range m.adj[v] {
+		if nb >= v {
+			break
 		}
-		m.in[v] = st
+		if m.in[nb] {
+			return false
+		}
 	}
+	return true
+}
+
+// scratch rebuilds the lex-MIS by the ascending greedy scan and seals
+// the scratch bill.
+func (m *MaintainedMIS) scratch() WorkloadBill {
+	m.in = fit(m.in, len(m.members))
+	for v := range m.in {
+		m.in[v] = m.status(int32(v))
+	}
+	return m.seal(m.scratchBill(hybrid.ChargeMIS(len(m.members), m.edges)))
 }
 
 // Sync advances the workload to the session's committed epoch and
@@ -645,50 +692,42 @@ func (m *MaintainedMIS) recomputeScratch() {
 func (m *MaintainedMIS) Sync() WorkloadBill {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	removed, dirty, scratch := m.advance()
-	if scratch {
-		m.recomputeScratch()
-		return m.seal(m.scratchBill(hybrid.ChargeMIS(len(m.members), m.edges)))
+	if m.advance() {
+		return m.scratch()
 	}
-	for _, id := range removed {
-		delete(m.in, id)
+	next := fit(m.spareIn, len(m.members))
+	for p, op := range m.oldOf {
+		next[p] = op >= 0 && m.in[op]
 	}
+	m.in, m.spareIn = next, m.in
 	// Ascending worklist: recompute each dirty vertex's status from its
 	// smaller neighbors; a flip pushes the larger neighbors. Pops are
 	// nondecreasing (pushes are always strictly larger than the popped
 	// vertex), so when v pops every smaller vertex already holds its
-	// final status — the pass lands on the lex fixpoint.
-	h := newIntHeap(dirty)
-	processed := map[int]bool{}
-	for h.len() > 0 {
+	// final status and v never returns to the list — the pass lands on
+	// the lex fixpoint.
+	h := intHeap{data: m.queue[:0], queued: m.mark}
+	for _, d := range m.dirty {
+		h.push(d)
+	}
+	affected, scanned := 0, 0
+	for len(h.data) > 0 {
 		v := h.pop()
-		processed[v] = true
-		st := true
-		for _, nb := range m.adj[v] {
-			if nb >= v {
-				break
-			}
-			if m.in[nb] {
-				st = false
-				break
-			}
-		}
-		old, had := m.in[v]
-		m.in[v] = st
-		if had && old == st {
+		affected++
+		scanned += len(m.adj[v])
+		st := m.status(v)
+		// A joiner has no status to keep: it always announces itself.
+		if m.oldOf[v] >= 0 && m.in[v] == st {
 			continue
 		}
+		m.in[v] = st
 		for _, nb := range m.adj[v] {
 			if nb > v {
 				h.push(nb)
 			}
 		}
 	}
-	affected, scanned := len(processed), 0
-	//lint:ordered commutative sum of adjacency sizes
-	for v := range processed {
-		scanned += len(m.adj[v])
-	}
+	m.queue = h.data
 	return m.seal(m.incrementalBill(affected, scanned))
 }
 
@@ -698,9 +737,9 @@ func (m *MaintainedMIS) Set() []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []int
-	for _, v := range m.members {
-		if m.in[v] {
-			out = append(out, v)
+	for v, in := range m.in {
+		if in {
+			out = append(out, m.members[v])
 		}
 	}
 	return out
@@ -710,7 +749,8 @@ func (m *MaintainedMIS) Set() []int {
 func (m *MaintainedMIS) InSet(id int) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.in[id]
+	v, ok := indexIn(m.members, id)
+	return ok && m.in[v]
 }
 
 // ScratchBill prices what a from-scratch recompute would cost right
@@ -721,24 +761,15 @@ func (m *MaintainedMIS) ScratchBill() WorkloadBill {
 	return m.scratchBill(hybrid.ChargeMIS(len(m.members), m.edges))
 }
 
-// intHeap is a deduplicating binary min-heap over ints (the MIS
-// worklist).
+// intHeap is a deduplicating binary min-heap over positions (the MIS
+// worklist). queued is an all-false mask over them, and is again once
+// the heap drains.
 type intHeap struct {
-	data   []int
-	queued map[int]bool
+	data   []int32
+	queued []bool
 }
 
-func newIntHeap(init []int) *intHeap {
-	h := &intHeap{queued: map[int]bool{}}
-	for _, v := range init {
-		h.push(v)
-	}
-	return h
-}
-
-func (h *intHeap) len() int { return len(h.data) }
-
-func (h *intHeap) push(v int) {
+func (h *intHeap) push(v int32) {
 	if h.queued[v] {
 		return
 	}
@@ -755,7 +786,7 @@ func (h *intHeap) push(v int) {
 	}
 }
 
-func (h *intHeap) pop() int {
+func (h *intHeap) pop() int32 {
 	v := h.data[0]
 	last := len(h.data) - 1
 	h.data[0] = h.data[last]
@@ -776,6 +807,6 @@ func (h *intHeap) pop() int {
 		h.data[i], h.data[small] = h.data[small], h.data[i]
 		i = small
 	}
-	delete(h.queued, v)
+	h.queued[v] = false
 	return v
 }

@@ -2,8 +2,11 @@ package overlay
 
 import (
 	"fmt"
+	"hash/fnv"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -144,44 +147,155 @@ func checkMaintainedOracles(t *testing.T, tag string, comp *MaintainedComponents
 	}
 }
 
-func TestMaintainedOracleUnderChurn(t *testing.T) {
+// maintainedScript drives the three workloads through 60 churn epochs
+// on a 128-member session and returns one transcript line for the open
+// state and one per sync round: the three bills and a hash over every
+// accessor's result. The script covers every way a sync can go: plain
+// patch epochs, a rebuild epoch, a Restore past the workload's snapshot
+// (scratch resync), a Restore that stops short of it (incremental), and
+// a Restore followed by a different history that overtakes the snapshot,
+// so leavers the workload graph already repaired away come back through
+// an incremental sync. check, when non-nil, runs on the open state and
+// after every sync round.
+func maintainedScript(t *testing.T, check func(tag string, bill *EpochBill, syncs []WorkloadBill, comp *MaintainedComponents, st *MaintainedSpanningTree, mis *MaintainedMIS)) []string {
+	t.Helper()
 	sess, _ := openLineSession(t, 128, nil)
 	comp, st, mis := openMaintained(t, sess)
-	checkMaintainedOracles(t, "open", comp, st, mis)
-
-	plan := &ChurnPlan{Seed: 11, Epochs: 10, JoinFrac: 0.05, LeaveFrac: 0.05}
-	for e := 0; e < plan.Epochs; e++ {
-		joins, leaves := plan.Epoch(e, sess.Members(), sess.NextID())
+	plan := &ChurnPlan{Seed: 11, Epochs: 1 << 20, JoinFrac: 0.05, LeaveFrac: 0.05}
+	var lines []string
+	var sealed []WorkloadBill
+	step := 0
+	churn := func() *EpochBill {
+		t.Helper()
+		joins, leaves := plan.Epoch(step, sess.Members(), sess.NextID())
+		step++
 		bill, err := sess.ApplyEpoch(joins, leaves)
 		if err != nil {
-			t.Fatalf("epoch %d: %v", e, err)
+			t.Fatalf("step %d: %v", step, err)
 		}
-		for name, w := range map[string]interface {
-			Sync() WorkloadBill
-			ScratchBill() WorkloadBill
-		}{"components": comp, "spanning-tree": st, "mis": mis} {
-			b := w.Sync()
-			if bill.Rebuilt {
+		return bill
+	}
+	record := func(tag string, bill *EpochBill, syncs []WorkloadBill) {
+		t.Helper()
+		sealed = append(sealed, syncs...)
+		h := fnv.New64a()
+		labels := comp.Labels()
+		for _, id := range comp.Members() {
+			fmt.Fprintf(h, "%d:%d,", id, labels[id])
+		}
+		fmt.Fprintf(h, "|%d|%v|%v|%v|%v", comp.NumComponents(), st.Forest(), st.Roots(), mis.Set(), comp.GraphEdges())
+		line := fmt.Sprintf("step %2d %-9s", step, tag)
+		for _, b := range syncs {
+			fmt.Fprintf(h, "|%s", b.Itemized)
+			line += fmt.Sprintf(" {e%d %s aff=%d r=%d m=%d g=%d}", b.Epoch, b.Path, b.Affected, b.Rounds, b.Messages, b.GlobalCapacity)
+		}
+		lines = append(lines, fmt.Sprintf("%s state=%016x", line, h.Sum64()))
+		if check != nil {
+			check(fmt.Sprintf("step %d (%s)", step, tag), bill, syncs, comp, st, mis)
+		}
+	}
+	sync := func(tag string, bill *EpochBill) {
+		t.Helper()
+		record(tag, bill, []WorkloadBill{comp.Sync(), st.Sync(), mis.Sync()})
+	}
+	restore := func(cp *Checkpoint) {
+		t.Helper()
+		if err := sess.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	patches := func(n int) {
+		for i := 0; i < n; i++ {
+			sync("patch", churn())
+		}
+	}
+
+	record("open", nil, []WorkloadBill{comp.Bills()[0], st.Bills()[0], mis.Bills()[0]})
+	patches(20)
+	// A rebuild epoch: far more leavers than the patch threshold.
+	members := sess.Members()
+	bill, err := sess.ApplyEpoch(nil, members[:len(members)*2/5])
+	if err != nil || !bill.Rebuilt {
+		t.Fatalf("expected a rebuild epoch, got %+v, %v", bill, err)
+	}
+	sync("rebuild", bill)
+	patches(9)
+
+	// Restore past the snapshot: the workloads are three epochs ahead of
+	// the restored session.
+	cp := sess.Checkpoint()
+	patches(3)
+	restore(cp)
+	sync("past", nil)
+	patches(8)
+
+	// Restore short of the snapshot: two unsynced epochs, the second
+	// rolled back.
+	churn()
+	cp = sess.Checkpoint()
+	churn()
+	restore(cp)
+	sync("short", nil)
+	patches(6)
+
+	// Restore, then a different history that overtakes the snapshot: the
+	// next sync is incremental and finds identifiers it removed, and
+	// joiner identifiers it has already seen, among the members.
+	cp = sess.Checkpoint()
+	patches(2)
+	restore(cp)
+	for i := 0; i < 3; i++ {
+		bill = churn()
+	}
+	sync("overtake", bill)
+	patches(6)
+
+	for i, w := range [][]WorkloadBill{comp.Bills(), st.Bills(), mis.Bills()} {
+		if 3*len(w) != len(sealed) {
+			t.Fatalf("workload %d: Bills() holds %d entries, %d syncs ran", i, len(w), len(sealed)/3)
+		}
+		for j, b := range w {
+			if b != sealed[3*j+i] {
+				t.Fatalf("workload %d: Bills()[%d] = %+v, its Sync returned %+v", i, j, b, sealed[3*j+i])
+			}
+		}
+	}
+	if comp.Epoch() != sess.Epoch() {
+		t.Fatalf("workload synced to epoch %d, session at %d", comp.Epoch(), sess.Epoch())
+	}
+	return lines
+}
+
+func TestMaintainedOracleUnderChurn(t *testing.T) {
+	incremental := 0
+	maintainedScript(t, func(tag string, bill *EpochBill, syncs []WorkloadBill, comp *MaintainedComponents, st *MaintainedSpanningTree, mis *MaintainedMIS) {
+		for i, w := range []interface{ ScratchBill() WorkloadBill }{comp, st, mis} {
+			b := syncs[i]
+			if bill != nil && bill.Rebuilt {
 				if b.Incremental {
-					t.Fatalf("epoch %d %s: rebuild epoch synced incrementally", e, name)
+					t.Fatalf("%s workload %d: rebuild epoch synced incrementally", tag, i)
 				}
 				continue
 			}
 			if !b.Incremental {
-				t.Fatalf("epoch %d %s: patch epoch synced from scratch", e, name)
+				if bill != nil {
+					t.Fatalf("%s workload %d: patch epoch synced from scratch", tag, i)
+				}
+				continue
 			}
+			incremental++
 			sb := w.ScratchBill()
 			if b.Rounds >= sb.Rounds {
-				t.Fatalf("epoch %d %s: incremental %d rounds vs scratch %d — not strictly cheaper", e, name, b.Rounds, sb.Rounds)
+				t.Fatalf("%s workload %d: incremental %d rounds vs scratch %d — not strictly cheaper", tag, i, b.Rounds, sb.Rounds)
 			}
 			if b.Messages >= sb.Messages {
-				t.Fatalf("epoch %d %s: incremental %d msgs vs scratch %d — not strictly cheaper", e, name, b.Messages, sb.Messages)
+				t.Fatalf("%s workload %d: incremental %d msgs vs scratch %d — not strictly cheaper", tag, i, b.Messages, sb.Messages)
 			}
 		}
-		checkMaintainedOracles(t, fmt.Sprintf("epoch %d", e), comp, st, mis)
-	}
-	if comp.Epoch() != sess.Epoch() {
-		t.Fatalf("workload synced to epoch %d, session at %d", comp.Epoch(), sess.Epoch())
+		checkMaintainedOracles(t, tag, comp, st, mis)
+	})
+	if incremental == 0 {
+		t.Fatal("the script never synced incrementally")
 	}
 }
 
@@ -243,32 +357,33 @@ func TestMaintainedRollbackResync(t *testing.T) {
 	checkMaintainedOracles(t, "after rollback", comp, st, mis)
 }
 
+// TestMaintainedDeterminism pins the script's transcript — every bill's
+// Affected, Rounds, Messages and Itemized, and Labels, Forest, Roots,
+// Set and GraphEdges on open and after every sync — against
+// testdata/maintained_golden.txt. The file is a recording of the
+// map-based implementation at the commit its header names, not of this
+// one: on an intended behaviour change, re-record it from the failure
+// output and say so in its header.
 func TestMaintainedDeterminism(t *testing.T) {
-	fingerprint := func() string {
-		sess, _ := openLineSession(t, 128, nil)
-		comp, st, mis := openMaintained(t, sess)
-		plan := &ChurnPlan{Seed: 13, Epochs: 5, JoinFrac: 0.04, LeaveFrac: 0.04}
-		var fp string
-		for e := 0; e < plan.Epochs; e++ {
-			joins, leaves := plan.Epoch(e, sess.Members(), sess.NextID())
-			if _, err := sess.ApplyEpoch(joins, leaves); err != nil {
-				t.Fatal(err)
-			}
-			fp += fmt.Sprintf("%+v|%+v|%+v|", comp.Sync(), st.Sync(), mis.Sync())
-		}
-		labels := comp.Labels()
-		keys := make([]int, 0, len(labels))
-		for k := range labels {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			fp += fmt.Sprintf("%d:%d,", k, labels[k])
-		}
-		return fp + fmt.Sprintf("%v|%v|%v", st.Forest(), st.Roots(), mis.Set())
+	const path = "testdata/maintained_golden.txt"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fingerprint() != fingerprint() {
-		t.Fatal("maintained workloads are not deterministic across identical runs")
+	var want []string
+	for _, l := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			want = append(want, l)
+		}
+	}
+	got := maintainedScript(t, nil)
+	for i := range got {
+		if i >= len(want) || got[i] != want[i] {
+			t.Fatalf("transcript line %d diverges from %s:\n got %s\nwant %s", i+1, path, got[i], append(want, "")[min(i, len(want))])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("transcript has %d lines, %s has %d", len(got), path, len(want))
 	}
 }
 

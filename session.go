@@ -362,34 +362,28 @@ func (c *Checkpoint) Bills() []EpochBill { return append([]EpochBill(nil), c.bil
 // Chord returns the finger-ring edges as global identifier pairs — the
 // routing substrate RouteLookup greedily descends and the knowledge
 // graph an epoch rebuild starts from. Like the other derived views it
-// is computed once per state: the first read pays the O(k log k) edge
-// list, every further read returns the same slice. Callers must not
-// mutate it.
-func (c *Checkpoint) Chord() [][2]int { return c.view(&c.chord, overlays.Chord) }
+// is computed once per state: the first read writes the k·⌈log₂ k⌉ or
+// so edges straight from the ranks, every further read returns the same
+// slice. Callers must not mutate it.
+func (c *Checkpoint) Chord() [][2]int { return c.view(&c.chord, overlays.ChordEdges) }
 
 // Ring returns the rank ring (rank r ↔ r+1 mod k) as global identifier
 // pairs. Callers must not mutate the returned slice.
-func (c *Checkpoint) Ring() [][2]int { return c.view(&c.ring, overlays.Ring) }
+func (c *Checkpoint) Ring() [][2]int { return c.view(&c.ring, overlays.RingEdges) }
 
 // Hypercube returns the (possibly incomplete) hypercube over ranks as
 // global identifier pairs. Callers must not mutate the returned slice.
-func (c *Checkpoint) Hypercube() [][2]int { return c.view(&c.hypercube, overlays.Hypercube) }
+func (c *Checkpoint) Hypercube() [][2]int { return c.view(&c.hypercube, overlays.HypercubeEdges) }
 
 // DeBruijn returns the binary De Bruijn overlay over ranks as global
 // identifier pairs. Callers must not mutate the returned slice.
-func (c *Checkpoint) DeBruijn() [][2]int { return c.view(&c.debruijn, overlays.DeBruijn) }
+func (c *Checkpoint) DeBruijn() [][2]int { return c.view(&c.debruijn, overlays.DeBruijnEdges) }
 
-// view serves one Section 1.4 derived overlay: the first call computes
-// it from the tree's rank arithmetic and maps it into global
-// identifiers, concurrent first calls wait for that one computation.
-func (c *Checkpoint) view(v *derivedView, gen func([]int) *graphx.Graph) [][2]int {
-	v.once.Do(func() {
-		local := gen(c.tree.NodeAt).Edges()
-		v.edges = make([][2]int, len(local))
-		for i, e := range local {
-			v.edges[i] = [2]int{c.members[e[0]], c.members[e[1]]}
-		}
-	})
+// view serves one Section 1.4 derived overlay: the first call writes
+// it from the tree's rank arithmetic in global identifiers, concurrent
+// first calls wait for that one computation.
+func (c *Checkpoint) view(v *derivedView, gen func(nodeAt, members []int) [][2]int) [][2]int {
+	v.once.Do(func() { v.edges = gen(c.tree.NodeAt, c.members) })
 	return v.edges
 }
 
