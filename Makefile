@@ -28,11 +28,12 @@ race:
 
 # The CI bench smoke run: one iteration of the two core build benches,
 # the graph-level 64k micro-benchmarks (Evolve, SpectralGap, Simple)
-# that pin the flat fast path, and the session epoch benches (every
+# that pin the flat fast path, the evolution sequence of the build_fast
+# workload (CreateExpander_16k), and the session epoch benches (every
 # BenchmarkSessionEpoch*: the charged and measured repair, the cached
 # and uncached Chord reads, the first view reads, the maintained sync).
 bench:
-	$(GO) test -run='^$$' -bench='BuildTreeFast_1k|BuildTreeMessageLevel_256|Evolve_64k|SpectralGap_64k|Simple_64k|SessionEpoch' -benchtime=1x -benchmem ./...
+	$(GO) test -run='^$$' -bench='BuildTreeFast_1k|BuildTreeMessageLevel_256|Evolve_64k|CreateExpander_16k|SpectralGap_64k|Simple_64k|SessionEpoch' -benchtime=1x -benchmem ./...
 
 # The claim-ledger smoke: bench/run.sh builds ./bench (the benchmark
 # BENCHMARK.json declares, see bench/README.md) and runs one short
@@ -72,11 +73,12 @@ service-smoke:
 	bash scripts/service_smoke.sh
 
 # The fuzz smoke: 10 s of each native fuzz target — the derived-view
-# rank arithmetic against its graph-built specification, and the three
-# wire round-trips. go test -fuzz takes one target and one package per
-# run.
+# rank arithmetic and the evolver, each against its specification, and
+# the three wire round-trips. go test -fuzz takes one target and one
+# package per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDerivedEdges$$' -fuzztime=10s ./internal/overlays
+	$(GO) test -run='^$$' -fuzz='^FuzzEvolveMatchesSpec$$' -fuzztime=10s ./internal/expander
 	$(GO) test -run='^$$' -fuzz='^FuzzFloodIntervalRoundTrip$$' -fuzztime=10s ./internal/wft
 	$(GO) test -run='^$$' -fuzz='^FuzzJumpFindRoundTrip$$' -fuzztime=10s ./internal/wft
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenRoundTrip$$' -fuzztime=10s ./internal/expander

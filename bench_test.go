@@ -139,15 +139,20 @@ func BenchmarkE12_ScaleSweep(b *testing.B) {
 // Micro-benchmarks of the core operations, for profiling the library
 // itself rather than regenerating experiment tables.
 
-func BenchmarkBuildTreeFast_1k(b *testing.B) {
-	g := lineInput(1024)
+// benchBuildFast is the fast-path build bench at n nodes and the given
+// Options.Workers (0 = GOMAXPROCS).
+func benchBuildFast(b *testing.B, n, workers int) {
+	g := lineInput(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildTree(g, &Options{Seed: uint64(i)}); err != nil {
+		if _, err := BuildTree(g, &Options{Seed: uint64(i), Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func BenchmarkBuildTreeFast_1k(b *testing.B)   { benchBuildFast(b, 1024, 0) }
+func BenchmarkBuildTreeFast_4096(b *testing.B) { benchBuildFast(b, 4096, 0) }
 
 // benchBuildMessageLevel is the message-level build bench at n nodes
 // and the given Options.Workers (0 = GOMAXPROCS).
@@ -395,38 +400,50 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 }
 
 // TestAllocFence is the tier-1 guard against an allocation blow-up on
-// the message plane, the charged and measured epoch paths, the derived
-// views and the maintained workloads: it runs the benches above through
-// testing.Benchmark and fails when one allocates more per op than its
-// budget, set to 2x the count measured when the row was written (4031,
-// 66, 324, 0, 10 and 449; the cached Chord read must stay at 0, and the
-// first read of the four views — two allocations each, beside the
-// restored state — at 16: a map or a graph on that path costs hundreds).
-// Only allocation counts are fenced: they are deterministic enough to
-// gate on, wall time is not, and bench/ is where time is measured.
-// Sharded rounds allocate per-worker state, so the rows that can run the
-// engine pin Workers: 1 to read the same on every host.
+// the message plane, the fast build, the charged and measured epoch
+// paths, the derived views and the maintained workloads: it runs the
+// benches above through testing.Benchmark and fails when one allocates
+// more per op than its budget, set to 2x the count measured when the row
+// was written (4031, 4353, 66, 324, 0, 10 and 449; the cached Chord read
+// must stay at 0, and the first read of the four views — two allocations
+// each, beside the restored state — at 16: a map or a graph on that path
+// costs hundreds). A row may also budget bytes per op (0 = unchecked):
+// the fast build's is the two ping-pong graphs of CreateExpander
+// (2·n·∆·4 B = 3.1 MB at n = 4096, ∆ = 96) plus the evolver's scratch
+// and the rest of the build — 7.33 MB measured — with 30 % head-room;
+// retaining every intermediate graph in Result.History, as the code did
+// until the evolver, reads 76 MB. Wall time is not fenced: it is not
+// deterministic enough to gate on, and bench/ is where it is measured.
+// Sharded rounds and parallel phases allocate per-worker state, so the
+// rows that can run them pin Workers: 1 to read the same on every host.
 func TestAllocFence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six benchmarks")
+		t.Skip("runs seven benchmarks")
 	}
 	for _, row := range []struct {
 		name   string
 		bench  func(*testing.B)
-		budget int64
+		budget int64 // allocs/op
+		bytes  int64 // B/op; 0 = unchecked
 	}{
-		{"BuildTreeMessageLevel_256", func(b *testing.B) { benchBuildMessageLevel(b, 256, 1) }, 8000},
-		{"SessionEpoch", BenchmarkSessionEpoch, 130},
-		{"SessionEpochMeasured_4096", func(b *testing.B) { benchSessionEpochMeasured(b, 1) }, 640},
-		{"SessionEpochChordReads", BenchmarkSessionEpochChordReads, 0},
-		{"SessionEpochViewFirstReads", BenchmarkSessionEpochViewFirstReads, 16},
-		{"SessionEpochMaintainedSync", BenchmarkSessionEpochMaintainedSync, 900},
+		{"BuildTreeMessageLevel_256", func(b *testing.B) { benchBuildMessageLevel(b, 256, 1) }, 8000, 0},
+		{"BuildTreeFast_4096", func(b *testing.B) { benchBuildFast(b, 4096, 1) }, 8800, 9_500_000},
+		{"SessionEpoch", BenchmarkSessionEpoch, 130, 0},
+		{"SessionEpochMeasured_4096", func(b *testing.B) { benchSessionEpochMeasured(b, 1) }, 640, 0},
+		{"SessionEpochChordReads", BenchmarkSessionEpochChordReads, 0, 0},
+		{"SessionEpochViewFirstReads", BenchmarkSessionEpochViewFirstReads, 16, 0},
+		{"SessionEpochMaintainedSync", BenchmarkSessionEpochMaintainedSync, 900, 0},
 	} {
 		r := testing.Benchmark(row.bench)
 		if r.N == 0 {
 			t.Errorf("%s: the benchmark failed", row.name)
-		} else if got := r.AllocsPerOp(); got > row.budget {
+			continue
+		}
+		if got := r.AllocsPerOp(); got > row.budget {
 			t.Errorf("%s: %d allocs/op, budget %d", row.name, got, row.budget)
+		}
+		if got := r.AllocedBytesPerOp(); row.bytes > 0 && got > row.bytes {
+			t.Errorf("%s: %d B/op, budget %d", row.name, got, row.bytes)
 		}
 	}
 }

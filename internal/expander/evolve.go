@@ -28,15 +28,16 @@
 // the evolution seed by its token index, and every node owns a private
 // acceptance stream split by its node index. Tokens and nodes are
 // therefore independent of each other and of execution order, which is
-// what lets Evolve run its walk and acceptance phases across a worker
-// pool while staying a pure function of (graph, params, seed): the
-// parallel output is bit-for-bit identical to the sequential schedule
-// at every worker count.
+// what lets an evolution run its walk, acceptance and row-building
+// phases across a worker pool — and advance many tokens at once within
+// one worker — while staying a pure function of (graph, params, seed):
+// the output is bit-for-bit identical at every worker count, and
+// identical to the one-token-at-a-time, one-edge-at-a-time specification
+// in evolve_spec_test.go.
 package expander
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"overlay/internal/graphx"
 	"overlay/internal/par"
@@ -56,9 +57,9 @@ type Params struct {
 	// produced it; required by the spanning-tree construction
 	// (Theorem 1.3) and by tests, at O(ℓ) memory per edge.
 	RecordPaths bool
-	// Workers bounds the worker pool for the walk and acceptance
-	// phases (0 = GOMAXPROCS, 1 = sequential). The result is
-	// bit-identical at every value.
+	// Workers bounds the worker pool for the walk, acceptance and
+	// row-building phases (0 = GOMAXPROCS, 1 = sequential). The result
+	// is bit-identical at every value.
 	Workers int
 }
 
@@ -82,10 +83,12 @@ func DefaultParams(n int) Params {
 
 // Evolution is the record of a single evolution step.
 type Evolution struct {
-	// Next is G_{i+1}.
+	// Next is G_{i+1}. Evolve returns it; the records in Result.History
+	// leave it nil, because CreateExpander writes G_{i+1} over G_{i-1}.
 	Next *graphx.Multi
 	// Edges lists the created cross edges as (origin, endpoint) pairs,
-	// before self-loop padding. Multiplicity is explicit.
+	// before self-loop padding. Multiplicity is explicit. In
+	// Result.History it is kept only under Params.RecordPaths.
 	Edges [][2]int
 	// Paths[k] is the node sequence (origin ... endpoint, ℓ+1 entries)
 	// of the walk that created Edges[k]; nil unless RecordPaths.
@@ -113,160 +116,324 @@ const (
 	acceptStreamLabel = 0xacce
 )
 
-// Evolve runs one evolution on m and returns the record. m must be
-// ∆-regular for p.Delta; the walk distribution (and Lemma 3.2's load
-// bound) depend on it, so violations panic.
-//
-// Phases: (1) every token walks ℓ steps on its private rng stream —
-// parallel over token ranges, with per-(round,node) token loads
-// accumulated atomically; (2) tokens are grouped by endpoint with a
-// counting sort (sequential, O(tokens)); (3) each endpoint applies the
-// 3∆/8 acceptance cap on its private stream — parallel over node
-// ranges; (4) edges, paths, and G_{i+1} are materialized in canonical
-// (endpoint, acceptance-order) order — sequential, O(edges + n·∆).
-func Evolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
-	delta := p.Delta
-	if !m.IsRegular(delta) {
-		panic(fmt.Sprintf("expander: Evolve on non-%d-regular graph", delta))
+// evolver runs evolutions of one shape (n, ∆, ℓ, workers). It owns
+// every buffer an evolution works in, so the L evolutions of
+// CreateExpander allocate their working set once, and it shares nothing
+// between workers: each phase partitions its index space into
+// contiguous ranges whose writes are disjoint. The scratch is O(n·∆/8)
+// token state plus one ℓ·n load table per worker.
+type evolver struct {
+	n, delta, ell             int
+	perNode, acceptCap, total int
+	workers                   int
+
+	pos     []int32      // [total] token t's node; after the walk, its endpoint
+	draws   []int32      // [walk chunks][ell][walkBlock] slots drawn for the block being walked
+	loads   []int32      // [walk chunks][ell][n] tokens per node after each step
+	start   []int32      // [n+1] endpoint v's tokens are grouped[start[v]:start[v+1]]
+	grouped []int32      // [total] token indices by endpoint, kept ones first
+	kept    []int32      // [n] counting-sort cursors, then the tokens endpoint v accepted
+	rank    []int32      // [total] token t's index in its endpoint's kept prefix, -1 if dropped
+	keys    []uint64     // [row chunks][perNode] row-fill sort scratch
+	trail   []int32      // [ell][total] token positions after each step; RecordPaths only
+	partial []chunkStats // per node chunk
+}
+
+// chunkStats is one node chunk's share of Stats.
+type chunkStats struct {
+	maxLoad               int32
+	dropped, selfArrivals int
+}
+
+func newEvolver(n int, p Params) *evolver {
+	e := &evolver{
+		n: n, delta: p.Delta, ell: p.Ell,
+		perNode: p.Delta / 8, acceptCap: 3 * p.Delta / 8,
+		workers: par.Workers(p.Workers),
 	}
-	n := m.N
-	perNode := delta / 8
-	acceptCap := 3 * delta / 8
-	total := n * perNode
-	workers := par.Workers(p.Workers)
-	flat, stride := m.FlatSlots()
+	e.total = n * e.perNode
+	e.pos = make([]int32, e.total)
+	e.draws = make([]int32, e.workers*e.ell*walkBlock)
+	e.loads = make([]int32, e.workers*e.ell*n)
+	e.start = make([]int32, n+1)
+	e.grouped = make([]int32, e.total)
+	e.kept = make([]int32, n)
+	e.rank = make([]int32, e.total)
+	e.keys = make([]uint64, e.workers*e.perNode)
+	e.partial = make([]chunkStats, e.workers)
+	if p.RecordPaths {
+		e.trail = make([]int32, e.ell*e.total)
+	}
+	return e
+}
+
+// evolve runs one evolution on a ∆-regular graph — node u's slots are
+// in[u*stride : u*stride+∆] — writes G_{i+1} over every slot of the
+// ∆-strided out and returns the record without Next. Edges, and Paths
+// when the evolver records trails, are built only if keepEdges.
+//
+// Phases: (1) walk — parallel over token ranges, a block of tokens a
+// step at a time (see walk), each range counting loads in its own
+// table; the tables are then summed per (step, node) for Lemma 3.2's
+// maximum; (2) tokens are grouped by endpoint with a counting sort
+// (sequential, O(tokens)); (3) each endpoint applies the 3∆/8 cap on
+// its private stream and ranks the tokens it keeps — parallel over node
+// ranges; (4) every node pulls its own row of G_{i+1} — parallel over
+// node ranges, see fillRows.
+func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, keepEdges bool) *Evolution {
+	n, total := e.n, e.total
 	walkRoot := src.Split(walkStreamLabel)
 	acceptRoot := src.Split(acceptStreamLabel)
+	for i := range e.partial {
+		e.partial[i] = chunkStats{}
+	}
 
+	// Phase 1.
+	par.ForChunk(e.workers, total, func(chunk, lo, hi int) {
+		e.walk(in, stride, walkRoot, chunk, lo, hi)
+	})
+	par.ForChunk(e.workers, e.ell*n, func(chunk, lo, hi int) {
+		e.partial[chunk].maxLoad = maxLoad(e.loads, e.ell*n, lo, hi)
+	})
+
+	// Phase 2: counting sort of token indices by endpoint, stable in
+	// token order.
+	clear(e.start)
+	for _, v := range e.pos {
+		e.start[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		e.start[v+1] += e.start[v]
+	}
+	copy(e.kept, e.start)
+	for t, v := range e.pos {
+		e.grouped[e.kept[v]] = int32(t)
+		e.kept[v]++
+	}
+
+	// Phase 3.
+	par.ForChunk(e.workers, n, func(chunk, lo, hi int) {
+		e.accept(acceptRoot, &e.partial[chunk], lo, hi)
+	})
 	ev := &Evolution{}
-	if total == 0 {
-		ev.Next = graphx.NewMultiRegular(n, delta)
-		ev.Next.PadSelfLoops(delta)
-		return ev
+	for _, st := range e.partial {
+		ev.Stats.MaxTokenLoad = max(ev.Stats.MaxTokenLoad, int(st.maxLoad))
+		ev.Stats.DroppedTokens += st.dropped
+		ev.Stats.SelfArrivals += st.selfArrivals
 	}
 
-	// Phase 1: walks. pos[t] is token t's position after each step;
-	// loads[step*n+v] counts tokens at v after that step. Tokens are
-	// independent given their private streams, so workers share only
-	// the load counters, which are summed atomically — integer addition
-	// commutes, so the totals match the sequential schedule exactly.
-	pos := make([]int32, total)
-	loads := make([]int32, p.Ell*n)
-	var paths [][]int
-	if p.RecordPaths {
-		paths = make([][]int, total)
-	}
-	par.For(workers, total, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			ts := walkRoot.SplitVal(uint64(t))
-			at := int32(t / perNode) // tokens are laid out origin-major
-			var path []int
-			if p.RecordPaths {
-				path = make([]int, 1, p.Ell+1)
-				path[0] = int(at)
-			}
-			for step := 0; step < p.Ell; step++ {
-				at = flat[int(at)*stride+ts.Intn(delta)]
-				if workers > 1 {
-					atomic.AddInt32(&loads[step*n+int(at)], 1)
-				} else {
-					loads[step*n+int(at)]++
-				}
-				if p.RecordPaths {
-					path = append(path, int(at))
-				}
-			}
-			pos[t] = at
-			if p.RecordPaths {
-				paths[t] = path
-			}
-		}
+	// Phase 4.
+	par.ForChunk(e.workers, n, func(chunk, lo, hi int) {
+		e.fillRows(out, e.keys[chunk*e.perNode:(chunk+1)*e.perNode], lo, hi)
 	})
-	for _, l := range loads {
-		if int(l) > ev.Stats.MaxTokenLoad {
-			ev.Stats.MaxTokenLoad = int(l)
+	if keepEdges {
+		e.edges(ev)
+	}
+	return ev
+}
+
+// walkBlock is how many tokens walk together: few enough that their
+// draws for all ℓ steps stay in L1, many enough that a step finds more
+// independent loads than the core can keep in flight.
+const walkBlock = 256
+
+// walk runs the walks of tokens [lo, hi) — laid out origin-major, so
+// token t starts at t/(∆/8) — a block at a time: first every draw of
+// the block, each token's ℓ in a row on its own stream with the state
+// in a register; then ℓ steps, each over the whole block. Loads are
+// counted in the chunk's own table, one row per step.
+func (e *evolver) walk(flat []int32, stride int, walkRoot *rng.Source, chunk, lo, hi int) {
+	n, ell := e.n, e.ell
+	draws := e.draws[chunk*ell*walkBlock:][:ell*walkBlock]
+	loads := e.loads[chunk*ell*n:][:ell*n]
+	for b := lo; b < hi; b += walkBlock {
+		pos := e.pos[b:min(b+walkBlock, hi)]
+		drawSlots(walkRoot, b, len(pos), ell, e.delta, draws)
+		for i := range pos {
+			pos[i] = int32((b + i) / e.perNode)
 		}
-	}
-
-	// Phase 2: group token indices by endpoint (counting sort, stable
-	// in token order).
-	start := make([]int32, n+1)
-	for _, v := range pos {
-		start[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
-	}
-	grouped := make([]int32, total)
-	fill := make([]int32, n)
-	for t, v := range pos {
-		grouped[start[v]+fill[v]] = int32(t)
-		fill[v]++
-	}
-
-	// Phase 3: acceptance. Each endpoint keeps at most 3∆/8 tokens,
-	// chosen without replacement on its private stream; kept tokens are
-	// compacted to the front of the node's segment in acceptance order.
-	kept := fill // reuse: kept[v] <= fill[v]
-	type accStats struct{ dropped, selfArrivals int }
-	partial := make([]accStats, workers)
-	par.ForChunk(workers, n, func(chunk, lo, hi int) {
-		sel := make([]int32, acceptCap)
-		st := &partial[chunk]
-		for v := lo; v < hi; v++ {
-			seg := grouped[start[v]:start[v+1]]
-			if len(seg) > acceptCap {
-				as := acceptRoot.SplitVal(uint64(v))
-				picked := as.SampleWithoutReplacement(len(seg), acceptCap)
-				for i, pi := range picked {
-					sel[i] = seg[pi]
-				}
-				copy(seg, sel)
-				st.dropped += len(seg) - acceptCap
-				kept[v] = int32(acceptCap)
-			} else {
-				kept[v] = int32(len(seg))
-			}
-			for _, t := range seg[:kept[v]] {
-				if int(t)/perNode == v {
-					st.selfArrivals++
-				}
+		for s := 0; s < ell; s++ {
+			stepBlock(flat, stride, draws[s*walkBlock:][:len(pos)], pos, loads[s*n:][:n])
+			if e.trail != nil {
+				copy(e.trail[s*e.total+b:], pos)
 			}
 		}
-	})
-	accepted := 0
-	for v := 0; v < n; v++ {
-		accepted += int(kept[v])
 	}
-	for i := range partial {
-		ev.Stats.DroppedTokens += partial[i].dropped
-		ev.Stats.SelfArrivals += partial[i].selfArrivals
-	}
+}
 
-	// Phase 4: materialize edges and G_{i+1} in canonical order.
-	next := graphx.NewMultiRegular(n, delta)
-	ev.Edges = make([][2]int, 0, accepted-ev.Stats.SelfArrivals)
-	if p.RecordPaths {
+// drawSlots fills draws[s*walkBlock+i] with the slot token first+i
+// draws at step s.
+//
+//overlay:hotpath
+func drawSlots(walkRoot *rng.Source, first, count, ell, delta int, draws []int32) {
+	for i := 0; i < count; i++ {
+		ts := walkRoot.SplitVal(uint64(first + i))
+		for s := 0; s < ell; s++ {
+			draws[s*walkBlock+i] = int32(ts.Intn(delta))
+		}
+	}
+}
+
+// stepBlock advances each token of a block one lazy step, to the slot
+// drawn for it, and counts it at the node it reaches. The tokens are
+// independent, so their loads of flat are in flight together.
+//
+//overlay:hotpath
+func stepBlock(flat []int32, stride int, slots, pos, load []int32) {
+	pos = pos[:len(slots)]
+	for i, slot := range slots {
+		next := flat[int(pos[i])*stride+int(slot)]
+		pos[i] = next
+		load[next]++
+	}
+}
+
+// maxLoad sums the walk chunks' load tables, size entries each, over
+// entries [lo, hi), zeroing them for the next evolution, and returns the
+// largest sum.
+//
+//overlay:hotpath
+func maxLoad(loads []int32, size, lo, hi int) int32 {
+	m := int32(0)
+	for v := lo; v < hi; v++ {
+		s := int32(0)
+		for c := v; c < len(loads); c += size {
+			s += loads[c]
+			loads[c] = 0
+		}
+		m = max(m, s)
+	}
+	return m
+}
+
+// accept applies the acceptance cap at endpoints [lo, hi): a node
+// holding more than 3∆/8 tokens keeps a random subset drawn without
+// replacement on its private stream, compacted to the front of its
+// segment in acceptance order; every token learns its rank there.
+func (e *evolver) accept(acceptRoot *rng.Source, st *chunkStats, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		seg := e.grouped[e.start[v]:e.start[v+1]]
+		if len(seg) > e.acceptCap {
+			as := acceptRoot.SplitVal(uint64(v))
+			picked := as.SampleWithoutReplacement(len(seg), e.acceptCap)
+			for i, pi := range picked {
+				picked[i] = int(seg[pi])
+			}
+			for _, t := range seg {
+				e.rank[t] = -1
+			}
+			st.dropped += len(seg) - e.acceptCap
+			seg = seg[:e.acceptCap]
+			for i, t := range picked {
+				seg[i] = int32(t)
+			}
+		}
+		e.kept[v] = int32(len(seg))
+		own := v * e.perNode
+		for i, t := range seg {
+			e.rank[t] = int32(i)
+			if uint(int(t)-own) < uint(e.perNode) {
+				st.selfArrivals++
+			}
+		}
+	}
+}
+
+// fillRows writes rows [lo, hi) of G_{i+1}. Inserting one cross edge
+// per kept token in (endpoint, acceptance) order — the specification —
+// leaves node u's slots in this order: the endpoints below u of u's own
+// kept tokens, by (endpoint, rank); the origins of the tokens u kept,
+// in acceptance order; the endpoints above u of its own kept tokens;
+// self-loops up to ∆. Tokens that returned to their origin make no
+// edge. The acceptance cap bounds the cross slots by ∆/8 + 3∆/8. keys
+// is scratch for u's ≤ ∆/8 own tokens.
+//
+//overlay:hotpath
+func (e *evolver) fillRows(out []int32, keys []uint64, lo, hi int) {
+	perNode, delta := e.perNode, e.delta
+	for u := lo; u < hi; u++ {
+		nk := 0
+		for t := u * perNode; t < (u+1)*perNode; t++ {
+			v, r := e.pos[t], e.rank[t]
+			if r < 0 || int(v) == u {
+				continue
+			}
+			key := uint64(v)<<32 | uint64(r)
+			i := nk
+			for ; i > 0 && keys[i-1] > key; i-- {
+				keys[i] = keys[i-1]
+			}
+			keys[i] = key
+			nk++
+		}
+		row := out[u*delta : (u+1)*delta]
+		k, i := 0, 0
+		for ; i < nk && int(keys[i]>>32) < u; i++ {
+			row[k] = int32(keys[i] >> 32)
+			k++
+		}
+		for _, t := range e.grouped[e.start[u] : e.start[u]+e.kept[u]] {
+			if o := uint32(t) / uint32(perNode); int(o) != u {
+				row[k] = int32(o)
+				k++
+			}
+		}
+		for ; i < nk; i++ {
+			row[k] = int32(keys[i] >> 32)
+			k++
+		}
+		for ; k < delta; k++ {
+			row[k] = int32(u)
+		}
+	}
+}
+
+// edges lists the created cross edges in (endpoint, acceptance) order
+// and, from the recorded trail, the walk behind each.
+func (e *evolver) edges(ev *Evolution) {
+	ev.Edges = make([][2]int, 0, e.total-ev.Stats.DroppedTokens-ev.Stats.SelfArrivals)
+	var walks []int
+	if e.trail != nil {
 		ev.Paths = make([][]int, 0, cap(ev.Edges))
+		walks = make([]int, cap(ev.Edges)*(e.ell+1))
 	}
-	for v := 0; v < n; v++ {
-		for _, t := range grouped[start[v] : start[v]+kept[v]] {
-			o := int(t) / perNode
+	for v := 0; v < e.n; v++ {
+		for _, t := range e.grouped[e.start[v] : e.start[v]+e.kept[v]] {
+			o := int(t) / e.perNode
 			if o == v {
 				continue
 			}
-			next.AddCrossEdge(o, v)
 			ev.Edges = append(ev.Edges, [2]int{o, v})
-			if p.RecordPaths {
-				ev.Paths = append(ev.Paths, paths[t])
+			if e.trail != nil {
+				path := walks[: e.ell+1 : e.ell+1]
+				walks = walks[e.ell+1:]
+				path[0] = o
+				for s := 0; s < e.ell; s++ {
+					path[s+1] = int(e.trail[s*e.total+int(t)])
+				}
+				ev.Paths = append(ev.Paths, path)
 			}
 		}
 	}
+}
 
-	// Self-loop padding back to ∆-regularity. Acceptance caps guarantee
-	// degree ≤ ∆/8 (own accepted tokens) + 3∆/8 (accepted others) = ∆/2.
-	next.PadSelfLoops(delta)
-	ev.Next = next
+// checkRegular panics unless m is ∆-regular: the walk distribution (and
+// Lemma 3.2's load bound) depend on it.
+func checkRegular(m *graphx.Multi, delta int) {
+	if !m.IsRegular(delta) {
+		panic(fmt.Sprintf("expander: Evolve on non-%d-regular graph", delta))
+	}
+}
+
+// Evolve runs one evolution on m and returns the full record: G_{i+1},
+// the created edges, and their walks if p.RecordPaths. m must be
+// ∆-regular for p.Delta; violations panic.
+func Evolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
+	checkRegular(m, p.Delta)
+	in, stride := m.FlatSlots()
+	out := make([]int32, m.N*p.Delta)
+	ev := newEvolver(m.N, p).evolve(in, stride, out, src, true)
+	ev.Next = graphx.MultiFromRows(m.N, p.Delta, out)
 	return ev
 }
 
@@ -274,18 +441,33 @@ func Evolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 type Result struct {
 	// Final is G_L, the constant-conductance graph.
 	Final *graphx.Multi
-	// History holds every evolution in order; Paths are populated only
-	// when Params.RecordPaths was set.
+	// History holds the record of every evolution in order: always its
+	// Stats; its Edges and Paths only when Params.RecordPaths was set;
+	// never Next — the intermediate graphs are not retained.
 	History []*Evolution
 }
 
-// CreateExpander runs L evolutions starting from the benign graph g0.
+// CreateExpander runs L evolutions starting from the benign graph g0,
+// which it does not modify. One evolver serves all of them, and G_{i+1}
+// is written over G_{i-1}: two row arrays alternate, so the working set
+// is two graphs however large L is.
 func CreateExpander(g0 *graphx.Multi, p Params, src *rng.Source) *Result {
 	res := &Result{Final: g0, History: make([]*Evolution, 0, p.Evolutions)}
-	for i := 0; i < p.Evolutions; i++ {
-		ev := Evolve(res.Final, p, src.Split(uint64(i)+0xe0))
-		res.History = append(res.History, ev)
-		res.Final = ev.Next
+	if p.Evolutions <= 0 {
+		return res
 	}
+	checkRegular(g0, p.Delta)
+	e := newEvolver(g0.N, p)
+	cur, stride := g0.FlatSlots()
+	var bufs [2][]int32
+	for i := 0; i < p.Evolutions; i++ {
+		if i < 2 {
+			bufs[i] = make([]int32, g0.N*p.Delta)
+		}
+		next := bufs[i&1]
+		res.History = append(res.History, e.evolve(cur, stride, next, src.Split(uint64(i)+0xe0), p.RecordPaths))
+		cur, stride = next, p.Delta
+	}
+	res.Final = graphx.MultiFromRows(g0.N, p.Delta, cur)
 	return res
 }

@@ -3,32 +3,35 @@ package expander
 import (
 	"testing"
 
-	"overlay/internal/benign"
-	"overlay/internal/graphx"
 	"overlay/internal/rng"
 	"overlay/internal/topology"
 )
 
-// benign64k builds the benign ring at n = 64k once per benchmark run.
-// At this size Defaults gives ∆ = 128, so one evolution walks
-// n·∆/8 ≈ 1M tokens for ℓ = 16 steps: the graph-level hot loop.
-func benign64k(b *testing.B) (*graphx.Multi, int) {
-	b.Helper()
-	g := topology.Ring(1 << 16)
-	bp := benign.Defaults(g.N, g.MaxDegree())
-	m, err := benign.Prepare(g, bp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, bp.Delta
-}
-
+// BenchmarkEvolve_64k is one evolution at n = 64k. At this size
+// Defaults gives ∆ = 128, so it walks n·∆/8 ≈ 1M tokens for ℓ = 16
+// steps: the graph-level hot loop.
 func BenchmarkEvolve_64k(b *testing.B) {
-	m, delta := benign64k(b)
-	p := Params{Delta: delta, Ell: 16, Evolutions: 1}
+	m, bp := prepared(b, topology.Ring(1<<16))
+	p := Params{Delta: bp.Delta, Ell: 16, Evolutions: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Evolve(m, p, rng.New(uint64(i)))
+	}
+}
+
+// BenchmarkCreateExpander_16k is the evolution sequence of the
+// build_fast workload (bench/): L = 28 evolutions at n = 16384,
+// ∆ = 112. Its B/op is two graphs (2·n·∆·4 B = 14.7 MB) plus the
+// evolver's scratch, however large L is; the root package's
+// TestAllocFence holds the n = 4096 build to that shape.
+func BenchmarkCreateExpander_16k(b *testing.B) {
+	m, bp := prepared(b, topology.Ring(1<<14))
+	p := DefaultParams(m.N)
+	p.Delta = bp.Delta
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CreateExpander(m, p, rng.New(uint64(i)))
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // prepared builds a benign graph for a topology with default params.
-func prepared(t *testing.T, g *graphx.Digraph) (*graphx.Multi, benign.Params) {
+func prepared(t testing.TB, g *graphx.Digraph) (*graphx.Multi, benign.Params) {
 	t.Helper()
 	p := benign.Defaults(g.N, g.MaxDegree())
 	m, err := benign.Prepare(g, p)

@@ -31,6 +31,13 @@ func multiEqual(t *testing.T, a, b *graphx.Multi) {
 // edges in the same order, equal stats, equal paths, equal graphs.
 func evolutionEqual(t *testing.T, a, b *Evolution) {
 	t.Helper()
+	recordEqual(t, a, b)
+	multiEqual(t, a.Next, b.Next)
+}
+
+// recordEqual is evolutionEqual without the graphs.
+func recordEqual(t *testing.T, a, b *Evolution) {
+	t.Helper()
 	if a.Stats != b.Stats {
 		t.Fatalf("stats differ: %+v vs %+v", a.Stats, b.Stats)
 	}
@@ -55,7 +62,6 @@ func evolutionEqual(t *testing.T, a, b *Evolution) {
 			}
 		}
 	}
-	multiEqual(t, a.Next, b.Next)
 }
 
 // TestEvolveParallelMatchesSequential pins the determinism contract of

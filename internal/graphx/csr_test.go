@@ -1,6 +1,7 @@
 package graphx
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +178,42 @@ func TestPadSelfLoops(t *testing.T) {
 	m2.PadSelfLoops(9)
 	if !m2.IsRegular(9) {
 		t.Fatal("grow-padding failed")
+	}
+}
+
+// TestMultiFromRows checks the whole-rows constructor: the adopted
+// array reads back as a regular graph equal to the one built by
+// insertion, and a wrong shape or an out-of-range slot panics.
+func TestMultiFromRows(t *testing.T) {
+	want := NewMultiRegular(3, 4)
+	want.AddCrossEdge(0, 1)
+	want.AddCrossEdge(1, 2)
+	want.AddCrossEdge(1, 0)
+	want.PadSelfLoops(4)
+	rows := []int32{1, 1, 0, 0, 0, 2, 0, 1, 1, 2, 2, 2}
+	m := MultiFromRows(3, 4, rows)
+	if !m.IsRegular(4) || !m.IsSymmetric() {
+		t.Fatal("adopted rows are not a regular symmetric graph")
+	}
+	for u := 0; u < 3; u++ {
+		if got, w := m.SlotsOf(u), want.SlotsOf(u); !slices.Equal(got, w) {
+			t.Fatalf("node %d slots %v, want %v", u, got, w)
+		}
+	}
+	for name, bad := range map[string]func(){
+		"short":        func() { MultiFromRows(3, 4, rows[:11]) },
+		"zero degree":  func() { MultiFromRows(3, 0, nil) },
+		"out of range": func() { MultiFromRows(2, 2, []int32{0, 1, 2, 1}) },
+		"negative":     func() { MultiFromRows(2, 2, []int32{0, 1, -1, 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			bad()
+		}()
 	}
 }
 

@@ -46,6 +46,30 @@ func NewMultiRegular(n, delta int) *Multi {
 	}
 }
 
+// MultiFromRows adopts rows as the slot storage of a delta-regular
+// multigraph on n nodes: node u's slots are rows[u*delta:(u+1)*delta].
+// It is the constructor for producers that compute whole rows (the
+// evolver's pull-built G_{i+1}) instead of inserting edge by edge. The
+// slice is not copied and must not be written afterwards. Shape and
+// slot range are validated (a violation is a producer bug and panics);
+// cross-edge symmetry is the producer's contract, as with AddCrossEdge
+// it is the caller's.
+func MultiFromRows(n, delta int, rows []int32) *Multi {
+	if delta < 1 || len(rows) != n*delta {
+		panic(fmt.Sprintf("graphx: MultiFromRows: %d slots for %d nodes of degree %d", len(rows), n, delta))
+	}
+	for i, v := range rows {
+		if uint32(v) >= uint32(n) {
+			panic(fmt.Sprintf("graphx: MultiFromRows: slot %d of node %d holds %d, out of range [0,%d)", i%delta, i/delta, v, n))
+		}
+	}
+	deg := make([]int32, n)
+	for u := range deg {
+		deg[u] = int32(delta)
+	}
+	return &Multi{N: n, stride: delta, deg: deg, flat: rows}
+}
+
 // grow doubles the per-node slot capacity, re-laying the flat array.
 // Amortized over insertions this keeps AddCrossEdge O(1).
 func (m *Multi) grow() {

@@ -153,6 +153,45 @@ func TestSpanningTreeValid(t *testing.T) {
 	}
 }
 
+// TestExpanderHistoryFeedsUnwinding pins what SpanningTree reads from
+// expander.Result.History: with RecordPaths every evolution keeps its
+// edges and, for each, the walk that made it (ℓ+1 nodes, origin to
+// endpoint) — the unwinding fails on the first edge without one; without
+// RecordPaths the history is still one record per evolution, Stats
+// filled, nothing else retained.
+func TestExpanderHistoryFeedsUnwinding(t *testing.T) {
+	g := topology.Grid(8, 10)
+	for _, record := range []bool{true, false} {
+		cc, err := ConnectedComponents(g, CCParams{Seed: 13, RecordPaths: record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := hybridExpanderParams(cc.spanner.H, g.N)
+		if len(cc.expander.History) != ep.Evolutions {
+			t.Fatalf("record=%v: %d history records for %d evolutions", record, len(cc.expander.History), ep.Evolutions)
+		}
+		for i, ev := range cc.expander.History {
+			if ev.Stats.MaxTokenLoad == 0 {
+				t.Errorf("record=%v: evolution %d has no stats", record, i)
+			}
+			if !record {
+				if ev.Edges != nil || ev.Paths != nil || ev.Next != nil {
+					t.Errorf("evolution %d retains edges, paths or its graph without RecordPaths", i)
+				}
+				continue
+			}
+			if len(ev.Edges) == 0 || len(ev.Paths) != len(ev.Edges) {
+				t.Fatalf("evolution %d: %d edges, %d paths", i, len(ev.Edges), len(ev.Paths))
+			}
+			for k, e := range ev.Edges {
+				if p := ev.Paths[k]; len(p) != ep.Ell+1 || p[0] != e[0] || p[ep.Ell] != e[1] {
+					t.Fatalf("evolution %d edge %v: walk %v", i, e, p)
+				}
+			}
+		}
+	}
+}
+
 func TestSpanningTreeRejectsDisconnected(t *testing.T) {
 	g := topology.DisjointCopies(2, func(i int) *graphx.Digraph { return topology.Ring(10) })
 	if _, err := SpanningTree(g, 1); err == nil {

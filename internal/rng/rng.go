@@ -10,7 +10,10 @@
 // which is the property per-node streams rely on.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random stream. It is not safe for
 // concurrent use; derive one Source per goroutine via Split.
@@ -58,26 +61,17 @@ func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
-	// Lemire's nearly-divisionless unbiased bounded sampling.
+	// Lemire's nearly-divisionless unbiased bounded sampling. The
+	// 128-bit product is bits.Mul64 called directly, not through a
+	// helper: that keeps Intn under the inlining budget, and the token
+	// walks draw once per step.
 	bound := uint64(n)
 	for {
-		x := s.Uint64()
-		hi, lo := mul64(x, bound)
+		hi, lo := bits.Mul64(s.Uint64(), bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + (aLo*bHi+t&mask)>>32 + t>>32
-	return hi, lo
 }
 
 // Float64 returns a uniform float in [0, 1).

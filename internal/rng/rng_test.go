@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -220,20 +221,49 @@ func TestBoolBalance(t *testing.T) {
 	}
 }
 
+// TestMul64 pins the 128-bit product Intn draws through — bits.Mul64,
+// called directly so that Intn inlines — to (a, b) → (hi, lo) vectors
+// recorded from the 32×32 schoolbook mul64 it replaced: every bounded
+// draw in the repository goes through it, so a differing product would
+// move every golden at once.
 func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
+	for _, v := range [][4]uint64{
 		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		{0x0, 0x0, 0x0, 0x0},
+		{0x0, 0x1, 0x0, 0x0},
+		{0x0, 0xffffffff, 0x0, 0x0},
+		{0x0, 0x100000000, 0x0, 0x0},
+		{0x0, 0xffffffffffffffff, 0x0, 0x0},
+		{0x1, 0x0, 0x0, 0x0},
+		{0x1, 0x1, 0x0, 0x1},
+		{0x1, 0xffffffff, 0x0, 0xffffffff},
+		{0x1, 0x100000000, 0x0, 0x100000000},
+		{0x1, 0xffffffffffffffff, 0x0, 0xffffffffffffffff},
+		{0xffffffff, 0x0, 0x0, 0x0},
+		{0xffffffff, 0x1, 0x0, 0xffffffff},
+		{0xffffffff, 0xffffffff, 0x0, 0xfffffffe00000001},
+		{0xffffffff, 0x100000000, 0x0, 0xffffffff00000000},
+		{0xffffffff, 0xffffffffffffffff, 0xfffffffe, 0xffffffff00000001},
+		{0x100000000, 0x0, 0x0, 0x0},
+		{0x100000000, 0x1, 0x0, 0x100000000},
+		{0x100000000, 0xffffffff, 0x0, 0xffffffff00000000},
+		{0x100000000, 0x100000000, 0x1, 0x0},
+		{0x100000000, 0xffffffffffffffff, 0xffffffff, 0xffffffff00000000},
+		{0xffffffffffffffff, 0x0, 0x0, 0x0},
+		{0xffffffffffffffff, 0x1, 0x0, 0xffffffffffffffff},
+		{0xffffffffffffffff, 0xffffffff, 0xfffffffe, 0xffffffff00000001},
+		{0xffffffffffffffff, 0x100000000, 0xffffffff, 0xffffffff00000000},
+		{0xffffffffffffffff, 0xffffffffffffffff, 0xfffffffffffffffe, 0x1},
+		{0x9e3779b97f4a7c15, 0x70, 0x45, 0x38454127b0964930},
+		{0xbf58476d1ce4e5b9, 0x94d049bb133111eb, 0x6f3ab8211d8e5352, 0x42d4e4146cc929d3},
+		{0xdeadbeefcafebabe, 0x3, 0x2, 0x9c093ccf60fc303a},
+		{0x8000000000000000, 0x2, 0x1, 0x0},
+		{0x123456789abcdef, 0xfedcba9876543210, 0x121fa00ad77d742, 0x2236d88fe5618cf0},
+		{0xffffffff00000001, 0x1ffffffff, 0x1fffffffd, 0x2ffffffff},
+		{0x7fffffffffffffff, 0x7fffffffffffffff, 0x3fffffffffffffff, 0x1},
+	} {
+		if hi, lo := bits.Mul64(v[0], v[1]); hi != v[2] || lo != v[3] {
+			t.Errorf("bits.Mul64(%#x, %#x) = (%#x, %#x), recorded (%#x, %#x)", v[0], v[1], hi, lo, v[2], v[3])
 		}
 	}
 }

@@ -26,8 +26,9 @@
 package wft
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"overlay/internal/graphx"
 )
@@ -198,6 +199,7 @@ func FromGraph(g *graphx.Graph, id []uint64) (*Tree, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("wft: graph is not connected")
 	}
+	idSorted := id == nil // children filled in ascending v are then in id order
 	if id == nil {
 		id = make([]uint64, n)
 		for i := range id {
@@ -211,9 +213,13 @@ func FromGraph(g *graphx.Graph, id []uint64) (*Tree, error) {
 		}
 	}
 	dist := g.BFS(root)
-	// BFS parent: minimum-ID neighbor one level up.
+	// BFS parent: minimum-ID neighbor one level up. The child lists are
+	// one CSR array, v's children kids[first[v]:first[v+1]], built by a
+	// count, a prefix sum and a fill, with the counts kept one slot to
+	// the right: until the fill, first[v+1] is where v's segment starts,
+	// and the fill advances it to where the segment ends.
 	parent := make([]int, n)
-	children := make([][]int, n)
+	first := make([]int32, n+2)
 	for v := 0; v < n; v++ {
 		parent[v] = -1
 		if v == root {
@@ -226,28 +232,35 @@ func FromGraph(g *graphx.Graph, id []uint64) (*Tree, error) {
 				parent[v] = u
 			}
 		}
+		first[parent[v]+2]++
 	}
 	for v := 0; v < n; v++ {
+		first[v+2] += first[v+1]
+	}
+	kids := make([]int32, n-1)
+	for v := 0; v < n; v++ {
 		if v != root {
-			children[parent[v]] = append(children[parent[v]], v)
+			kids[first[parent[v]+1]] = int32(v)
+			first[parent[v]+1]++
 		}
 	}
-	for v := range children {
-		c := children[v]
-		sort.Slice(c, func(i, j int) bool { return id[c[i]] < id[c[j]] })
+	if !idSorted {
+		for v := 0; v < n; v++ {
+			slices.SortFunc(kids[first[v]:first[v+1]], func(a, b int32) int { return cmp.Compare(id[a], id[b]) })
+		}
 	}
 
 	// DFS pre-order ranks (iterative to tolerate deep BFS trees).
 	rank := make([]int, n)
 	next := 0
-	stack := []int{root}
+	stack := []int32{int32(root)}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		rank[v] = next
 		next++
 		// Push children in reverse so the lowest ID pops first.
-		c := children[v]
+		c := kids[first[v]:first[v+1]]
 		for i := len(c) - 1; i >= 0; i-- {
 			stack = append(stack, c[i])
 		}
