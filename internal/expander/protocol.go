@@ -53,7 +53,7 @@ func (replyMsg) Encode(w *sim.Wire) { w.Kind = kindReply }
 func (*replyMsg) Decode(sim.Wire) {}
 
 // Protocol runs CreateExpander as a sim.Node. Construct the node set
-// with NewProtocolNodes, run the engine, then read the result with
+// with BuildEngine, run the engine, then read the result with
 // FinalGraph.
 type Protocol struct {
 	params Params
@@ -68,21 +68,14 @@ type Protocol struct {
 	maxTokenLoad int
 	dropped      int
 
-	// tokScratch collects arrived token origins in acceptance rounds;
-	// reused across evolutions so acceptance costs no allocation.
+	// tokScratch collects arrived token origins in acceptance rounds: a
+	// ∆-capacity chunk of BuildEngine's arena that grows on its own only
+	// if more than ∆ tokens ever meet at this node.
 	tokScratch []ids.ID
 }
 
 var _ sim.Node = (*Protocol)(nil)
 var _ sim.Halter = (*Protocol)(nil)
-
-// NewProtocolNodes builds one Protocol node per graph node, with
-// initial slots taken from the benign multigraph m translated to the
-// engine's identifier space. Call after sim.New so identifiers exist:
-// typical use is BuildEngine.
-func newProtocolNode(p Params) *Protocol {
-	return &Protocol{params: p}
-}
 
 // BuildEngine wires a benign multigraph into an engine running the
 // message-level CreateExpander with the given seed and capacity
@@ -92,29 +85,29 @@ func BuildEngine(m *graphx.Multi, p Params, cfg sim.Config) (*sim.Engine, []*Pro
 		panic(fmt.Sprintf("expander: BuildEngine on non-%d-regular graph", p.Delta))
 	}
 	cfg.N = m.N
-	nodes := make([]sim.Node, m.N)
-	protos := make([]*Protocol, m.N)
-	for i := range nodes {
-		protos[i] = newProtocolNode(p)
-		nodes[i] = protos[i]
-	}
-	eng := sim.New(cfg, nodes)
+	eng, protos := sim.NewOf(cfg, func(_ int, proto *Protocol) sim.Node {
+		proto.params = p
+		return proto
+	})
 	idOf := eng.IDs()
 	// Slot lists live in two flat arenas (current and next generation),
 	// one capacity-capped chunk of ∆ identifiers per node: a node's
 	// cross edges never exceed ∆/2 and padding stops at ∆, so the
 	// buffers are swapped between evolutions and no append ever
-	// reallocates. Footprint matches the multigraph itself.
+	// reallocates. Footprint matches the multigraph itself. A third arena
+	// holds the acceptance rounds' token scratch.
 	slotArena := make([]ids.ID, m.N*p.Delta)
 	nextArena := make([]ids.ID, m.N*p.Delta)
+	tokArena := make([]ids.ID, m.N*p.Delta)
 	for i, proto := range protos {
-		slots := m.SlotsOf(i)
-		buf := slotArena[i*p.Delta : i*p.Delta : (i+1)*p.Delta]
-		for _, v := range slots {
+		lo, hi := i*p.Delta, (i+1)*p.Delta
+		buf := slotArena[lo:lo:hi]
+		for _, v := range m.SlotsOf(i) {
 			buf = append(buf, idOf[v])
 		}
 		proto.slots = buf
-		proto.nextEdges = nextArena[i*p.Delta : i*p.Delta : (i+1)*p.Delta]
+		proto.nextEdges = nextArena[lo:lo:hi]
+		proto.tokScratch = tokArena[lo:lo:hi]
 	}
 	return eng, protos
 }
@@ -138,6 +131,8 @@ func (p *Protocol) Init(ctx *sim.Ctx) {
 }
 
 // Round advances the evolution state machine.
+//
+//overlay:hotpath
 func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	if p.done {
 		return
@@ -161,9 +156,6 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	case p.offset == ell:
 		// Acceptance: keep at most 3∆/8 arrived tokens, reply to each
 		// origin, and install the endpoint side of the edge.
-		if p.tokScratch == nil {
-			p.tokScratch = make([]ids.ID, 0, p.params.Delta)
-		}
 		tokens := p.tokScratch[:0]
 		for _, w := range inbox {
 			if w.Kind == kindToken {
@@ -212,6 +204,8 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 
 // accept installs the endpoint side of a walk edge and replies to the
 // origin.
+//
+//overlay:hotpath
 func (p *Protocol) accept(ctx *sim.Ctx, origin ids.ID) {
 	if origin == ctx.ID {
 		return // a walk that returned home creates no edge
@@ -222,6 +216,8 @@ func (p *Protocol) accept(ctx *sim.Ctx, origin ids.ID) {
 
 // emitTokens starts ∆/8 fresh walks (first hop happens immediately),
 // encoding this node's token once for the batch.
+//
+//overlay:hotpath
 func (p *Protocol) emitTokens(ctx *sim.Ctx) {
 	var w sim.Wire
 	tokenMsg{origin: ctx.ID}.Encode(&w)

@@ -21,8 +21,12 @@ type Source struct {
 	state uint64
 }
 
-// golden is the splitmix64 increment (2^64 / phi, odd).
-const golden = 0x9e3779b97f4a7c15
+// golden is the splitmix64 increment (2^64 / phi, odd); goldenInv is
+// its inverse modulo 2^64.
+const (
+	golden    = 0x9e3779b97f4a7c15
+	goldenInv = 0xf1de83e19937733d
+)
 
 // New returns a Source seeded from seed.
 func New(seed uint64) *Source {
@@ -50,10 +54,28 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// unmix inverts mix: each xor-shift is undone by repeating the shift
+// until it leaves the word, each multiply by the constant's inverse
+// modulo 2^64.
+func unmix(z uint64) uint64 {
+	z = (z ^ z>>31 ^ z>>62) * 0x319642b2d24d8ec3
+	z = (z ^ z>>27 ^ z>>54) * 0x96de1b173f119089
+	return z ^ z>>30 ^ z>>60
+}
+
 // Uint64 returns the next 64 uniform pseudo-random bits.
 func (s *Source) Uint64() uint64 {
 	s.state += golden
 	return mix(s.state)
+}
+
+// DrawOf returns the number of Uint64 calls from s's current state that
+// come before the one returning v. mix is a bijection and golden is
+// odd, so the stream visits every 64-bit value exactly once in its 2^64
+// draws and the answer always exists; a stream's first k outputs are
+// exactly the values whose DrawOf is below k. s is not advanced.
+func (s *Source) DrawOf(v uint64) uint64 {
+	return (unmix(v)-s.state)*goldenInv - 1
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -267,3 +267,30 @@ func TestMul64(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDrawOf pins the stream inverse: unmix undoes mix in both
+// directions, and every one of a stream's first k+1 outputs inverts to
+// its draw number — from the stream's start, and to zero from the state
+// just before it was drawn.
+func FuzzDrawOf(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint32(0))
+	f.Fuzz(func(t *testing.T, seed, label uint64, k uint32) {
+		for _, v := range []uint64{seed, label, seed ^ label, uint64(k)} {
+			if mix(unmix(v)) != v || unmix(mix(v)) != v {
+				t.Fatalf("mix and unmix do not invert each other at %#x", v)
+			}
+		}
+		start := New(seed).SplitVal(label)
+		s := start
+		for i := uint64(0); i <= uint64(k%(1<<16)); i++ { // bounded: an execution draws them all
+			before := s
+			v := s.Uint64()
+			if got := start.DrawOf(v); got != i {
+				t.Fatalf("seed %#x label %#x: draw %d inverts to %d", seed, label, i, got)
+			}
+			if got := before.DrawOf(v); got != 0 {
+				t.Fatalf("seed %#x label %#x: the next draw inverts to %d", seed, label, got)
+			}
+		}
+	})
+}

@@ -37,13 +37,14 @@
 // []Wire arena indexed by per-destination offset/count arrays
 // (CSR-style), so a round performs zero per-message allocations and
 // delivery is a cache-linear scan instead of pointer chasing.
-// Identifier routing is a binary search over a sorted index rather
-// than a hash map, and an active-set scheduler skips nodes that have
-// halted, so a mostly-halted network costs only its live fraction per
-// round. Consequently a node's inbox slice is only valid for the
-// duration of its Round call, and a halted node's Round is invoked
-// again only when a message arrives for it (a halted node with an
-// empty inbox is not ticked).
+// Identifier routing is arithmetic, not a data structure: identifiers
+// are consecutive draws of one splitmix64 stream, so inverting the
+// stream turns an identifier back into its node index (see lookup). An
+// active-set scheduler skips nodes that have halted, so a mostly-halted
+// network costs only its live fraction per round. Consequently a node's
+// inbox slice is only valid for the duration of its Round call, and a
+// halted node's Round is invoked again only when a message arrives for
+// it (a halted node with an empty inbox is not ticked).
 //
 // Quiescence floor: a protocol whose nodes halt whenever they have
 // nothing scheduled (event-driven nodes that only react to mail) would
@@ -135,12 +136,12 @@ type Engine struct {
 	ctxs    []Ctx
 	rands   []rng.Source
 
-	// Routing index: identifiers sorted ascending with the owning node
-	// index alongside. IDs are fixed at New, so lookups are a binary
-	// search with no hashing and no pointer chasing.
-	idents   []ids.ID // by node index
-	routeIDs []ids.ID // sorted
-	routeIdx []int32  // routeIdx[k] owns routeIDs[k]
+	// Identifiers, by node index: the draws of idStream in order, leaving
+	// out draw number nilDraw, the one that is ids.Nil. idStream stays at
+	// the stream's start; lookup inverts it.
+	idents   []ids.ID
+	idStream rng.Source
+	nilDraw  uint64
 
 	// Columnar inbox index: node i's inbox is the slice
 	// arena[inOff[i] : inOff[i]+inCnt[i]] of its delivery shard's
@@ -251,35 +252,60 @@ const (
 // assigned as random distinct 64-bit values so that minimum-ID
 // elections are non-trivial.
 func New(cfg Config, nodes []Node) *Engine {
+	return newEngine(cfg, nodes, rng.New(cfg.Seed).SplitVal(0xed5))
+}
+
+// NewOf is New for n nodes of one protocol type T, whose states live in
+// one slab instead of one heap object each. node is told each index and
+// its zeroed state, fills in what the protocol needs before identifiers
+// exist, and returns the state machine the engine drives for it:
+// normally p itself, or a wrapper around it. The states are returned by
+// index; Engine.IDs gives the identifiers the caller finishes wiring
+// them with.
+func NewOf[T any](cfg Config, node func(i int, p *T) Node) (*Engine, []*T) {
+	slab := make([]T, cfg.N)
+	protos := make([]*T, cfg.N)
+	nodes := make([]Node, cfg.N)
+	for i := range slab {
+		protos[i] = &slab[i]
+		nodes[i] = node(i, protos[i])
+	}
+	return New(cfg, nodes), protos
+}
+
+// newEngine is New with the identifier stream given, so that a test can
+// put the stream's Nil draw among the first n.
+func newEngine(cfg Config, nodes []Node, idStream rng.Source) *Engine {
 	if len(nodes) != cfg.N {
 		panic(fmt.Sprintf("sim: %d nodes for config N=%d", len(nodes), cfg.N))
 	}
 	n := cfg.N
 	e := &Engine{
-		cfg:     cfg,
-		nodes:   nodes,
-		halters: make([]Halter, n),
-		ctxs:    make([]Ctx, n),
-		rands:   make([]rng.Source, n),
-		idents:  make([]ids.ID, n),
-		inOff:   make([]int32, n),
-		inCnt:   make([]int32, n),
-		inPos:   make([]int32, n),
-		sharded: cfg.Workers > 1,
+		cfg:      cfg,
+		nodes:    nodes,
+		halters:  make([]Halter, n),
+		ctxs:     make([]Ctx, n),
+		rands:    make([]rng.Source, n),
+		idents:   make([]ids.ID, n),
+		idStream: idStream,
+		nilDraw:  idStream.DrawOf(uint64(ids.Nil)),
+		inOff:    make([]int32, n),
+		inCnt:    make([]int32, n),
+		inPos:    make([]int32, n),
+		sharded:  cfg.Workers > 1,
+	}
+	// The identifiers are the stream's draws in order, passing over Nil.
+	// A splitmix64 stream repeats nothing within its 2^64 draws, so they
+	// are distinct without anyone checking.
+	draws := idStream
+	for i := range e.idents {
+		id := ids.ID(draws.Uint64())
+		for id == ids.Nil {
+			id = ids.ID(draws.Uint64())
+		}
+		e.idents[i] = id
 	}
 	root := rng.New(cfg.Seed)
-	// The first n draws of the identifier stream are the identifiers
-	// unless one of them is Nil or repeats; the sort that builds the
-	// routing index finds that out, and only then does the assignment
-	// fall back to redrawing one identifier at a time.
-	idStream := root.SplitVal(0xed5)
-	for i := range e.idents {
-		e.idents[i] = ids.ID(idStream.Uint64())
-	}
-	if !e.indexRoutes() {
-		redrawIDs(e.idents, root.Split(0xed5))
-		e.indexRoutes()
-	}
 	// One slab behind every node's initial outbox window; a window is
 	// capped at its own stretch, so a sender that outgrows it reallocates
 	// alone and never writes into its neighbour's.
@@ -321,88 +347,23 @@ func New(cfg Config, nodes []Node) *Engine {
 	return e
 }
 
-// indexRoutes builds the sorted routing index from e.idents and reports
-// whether the identifiers are usable: distinct and none of them Nil.
-//
-// Identifiers are uniform 64-bit draws, so scattering them into about n
-// buckets by their leading bits leaves them sorted up to the order
-// inside each bucket of one or two, which a final insertion pass over
-// the whole index settles (and which keeps the index correct, only
-// slower to build, for identifiers that are not uniform).
-func (e *Engine) indexRoutes() bool {
-	n := len(e.idents)
-	e.routeIDs = make([]ids.ID, n)
-	e.routeIdx = make([]int32, n)
-	width := bits.Len(uint(n))
-	next := make([]int32, 1<<width+1) // next[b]: where bucket b's next identifier goes
-	for _, id := range e.idents {
-		next[uint64(id)>>(64-width)+1]++
-	}
-	for b := 1; b < len(next); b++ {
-		next[b] += next[b-1]
-	}
-	for i, id := range e.idents {
-		b := uint64(id) >> (64 - width)
-		e.routeIDs[next[b]], e.routeIdx[next[b]] = id, int32(i)
-		next[b]++
-	}
-	ok := true
-	for k := 1; k < n; k++ {
-		id, idx := e.routeIDs[k], e.routeIdx[k]
-		j := k
-		for ; j > 0 && e.routeIDs[j-1] > id; j-- {
-			e.routeIDs[j], e.routeIdx[j] = e.routeIDs[j-1], e.routeIdx[j-1]
-		}
-		e.routeIDs[j], e.routeIdx[j] = id, idx
-		if j > 0 && e.routeIDs[j-1] == id {
-			ok = false
-		}
-	}
-	return ok && (n == 0 || e.routeIDs[n-1] != ids.Nil)
-}
-
-// redrawIDs assigns identifiers one draw at a time, skipping Nil and
-// any value already handed out. When the first len(idents) draws are
-// usable as they are it returns exactly those, which is why New only
-// needs it after a collision.
-func redrawIDs(idents []ids.ID, src *rng.Source) {
-	seen := make(map[ids.ID]struct{}, len(idents))
-	for i := range idents {
-		for {
-			id := ids.ID(src.Uint64())
-			if id == ids.Nil {
-				continue
-			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			idents[i] = id
-			seen[id] = struct{}{}
-			break
-		}
-	}
-}
-
-// lookup resolves an identifier to a node index by binary search. This
-// is the hottest function in message-level runs (one call per Send),
-// hand-rolled because the generic slices.BinarySearch measured ~3x
-// slower here (≈30% of total CPU in BuildTreeMessageLevel profiles).
+// lookup resolves an identifier to a node index by inverting the
+// identifier stream: a member's draw number is its index, one less past
+// the draw that was skipped for being Nil. Every 64-bit value is some
+// draw of the stream, so non-members are exactly Nil and the draws from
+// n on. One call per Send makes this the hottest function of a
+// message-level run; it touches no memory beyond the engine header.
 //
 //overlay:hotpath
 func (e *Engine) lookup(id ids.ID) (int32, bool) {
-	lo, hi := 0, len(e.routeIDs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.routeIDs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	d := e.idStream.DrawOf(uint64(id))
+	if d > e.nilDraw {
+		d--
 	}
-	if lo < len(e.routeIDs) && e.routeIDs[lo] == id {
-		return e.routeIdx[lo], true
+	if d >= uint64(len(e.idents)) || id == ids.Nil {
+		return 0, false
 	}
-	return 0, false
+	return int32(d), true
 }
 
 // panicUnknown reports a send to an identifier outside the simulation.
@@ -414,7 +375,8 @@ func panicUnknown(from, to ids.ID) {
 // by the engine; callers must not modify it.
 func (e *Engine) IDs() []ids.ID { return e.idents }
 
-// IndexOf resolves an identifier to a node index, for test inspection.
+// IndexOf resolves an identifier to a node index; ok is false for an
+// identifier no node holds.
 func (e *Engine) IndexOf(id ids.ID) (int, bool) {
 	i, ok := e.lookup(id)
 	return int(i), ok

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"overlay/internal/ids"
@@ -593,51 +593,136 @@ func TestQuiescenceFloor(t *testing.T) {
 	}
 }
 
-// TestIdentifiersMatchRedraw pins that New's draw-then-sort assignment
-// hands out exactly the identifiers the one-at-a-time redraw loop does,
-// that the routing index resolves every one of them, and that the sort
-// notices the inputs the fallback exists for.
+// redrawIDs is the specification of identifier assignment, the loop New
+// ran before identifiers were arithmetic: one draw at a time, skipping
+// Nil and any value already handed out.
+func redrawIDs(idents []ids.ID, src *rng.Source) {
+	seen := make(map[ids.ID]struct{}, len(idents))
+	for i := range idents {
+		for {
+			id := ids.ID(src.Uint64())
+			if id == ids.Nil {
+				continue
+			}
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			idents[i] = id
+			seen[id] = struct{}{}
+			break
+		}
+	}
+}
+
+// streamWithNilAt returns an identifier stream whose draw number k is
+// ids.Nil: its state starts k+1 steps before unmix(Nil). rng exports no
+// unmix and no way to set a state, but unmix can be read off the zero
+// stream, whose draw d is mix((d+1)·golden), and rng.New mixes its seed
+// into the state.
+func streamWithNilAt(k uint64) rng.Source {
+	const golden = 0x9e3779b97f4a7c15
+	unmix := func(v uint64) uint64 {
+		var zero rng.Source
+		return (zero.DrawOf(v) + 1) * golden
+	}
+	start := unmix(uint64(ids.Nil)) - (k+1)*golden
+	return *rng.New(unmix(start) - golden)
+}
+
+// checkIdentifiers holds an engine built over stream to the
+// specification: its identifiers are redrawIDs', IndexOf inverts every
+// one of them, and it rejects Nil, both neighbours of every member and
+// a thousand random words unless they happen to be members.
+func checkIdentifiers(t *testing.T, e *Engine, stream rng.Source) {
+	t.Helper()
+	want := make([]ids.ID, e.NumNodes())
+	probes := stream.Split(1)
+	redrawIDs(want, &stream)
+	if !reflect.DeepEqual(e.IDs(), want) {
+		t.Fatalf("identifiers %v differ from the redraw loop's %v", e.IDs(), want)
+	}
+	index := make(map[ids.ID]int, len(want))
+	for i, id := range want {
+		index[id] = i
+	}
+	check := func(id ids.ID) {
+		t.Helper()
+		i, member := index[id]
+		if got, ok := e.IndexOf(id); ok != member || got != i {
+			t.Fatalf("IndexOf(%v) = %d, %v; want %d, %v", id, got, ok, i, member)
+		}
+	}
+	check(ids.Nil)
+	for _, id := range want {
+		check(id)
+		check(id - 1)
+		check(id + 1)
+	}
+	for k := 0; k < 1000; k++ {
+		check(ids.ID(probes.Uint64()))
+	}
+}
+
+// TestIdentifiersMatchRedraw pins that New's arithmetic assignment
+// hands out exactly the identifiers the one-at-a-time redraw loop does
+// and that lookup resolves members and only members — also on a stream
+// whose Nil draw falls among the first n or just past them, which no
+// seed anyone will try produces.
 func TestIdentifiersMatchRedraw(t *testing.T) {
+	wakeNodes := func(n int) []Node {
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nodes[i] = &wakeNode{}
+		}
+		return nodes
+	}
 	for _, n := range []int{0, 1, 2, 7, 64, 1000, 4099} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			nodes := make([]Node, n)
-			for i := range nodes {
-				nodes[i] = &wakeNode{}
-			}
-			e := New(Config{N: n, Seed: seed}, nodes)
-			want := make([]ids.ID, n)
-			redrawIDs(want, rng.New(seed).Split(0xed5))
-			if !reflect.DeepEqual(e.IDs(), want) {
-				t.Fatalf("n=%d seed=%d: identifiers differ from the redraw loop's", n, seed)
-			}
-			for i, id := range want {
-				if got, ok := e.IndexOf(id); !ok || got != i {
-					t.Fatalf("n=%d seed=%d: IndexOf(%v) = %d, %v; want %d", n, seed, id, got, ok, i)
+			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
+				e := New(Config{N: n, Seed: seed}, wakeNodes(n))
+				checkIdentifiers(t, e, *rng.New(seed).Split(0xed5))
+			})
+		}
+	}
+	const n = 8
+	for _, nilAt := range []uint64{0, 3, n - 1, n} {
+		t.Run(fmt.Sprintf("nil-at-draw-%d", nilAt), func(t *testing.T) {
+			stream := streamWithNilAt(nilAt)
+			for s, k := stream, uint64(0); k <= nilAt; k++ {
+				if v := s.Uint64(); (ids.ID(v) == ids.Nil) != (k == nilAt) {
+					t.Fatalf("draw %d of the stream is %#x", k, v)
 				}
 			}
-			if n > 0 && !slices.IsSorted(e.routeIDs) {
-				t.Fatalf("n=%d seed=%d: routing index not sorted", n, seed)
-			}
-		}
+			e := newEngine(Config{N: n, Seed: 1}, wakeNodes(n), stream)
+			checkIdentifiers(t, e, stream)
+		})
 	}
-	for name, idents := range map[string][]ids.ID{
-		"repeat": {5, 9, 1 << 60, 9},
-		"nil":    {5, ids.Nil, 3},
+}
+
+// TestSendUnknownPanics pins the closed-world contract: sending to an
+// identifier no node holds, Nil included, is a bug in the protocol and
+// panics naming sender and destination, on both send paths.
+func TestSendUnknownPanics(t *testing.T) {
+	e := New(Config{N: 3, Seed: 9}, []Node{&wakeNode{}, &wakeNode{}, &wakeNode{}})
+	ctx := &e.ctxs[1]
+	stranger := e.IDs()[2] + 1
+	for name, send := range map[string]func(to ids.ID){
+		"Send":     func(to ids.ID) { Send(ctx, to, valMsg{v: 1}) },
+		"SendWire": func(to ids.ID) { ctx.SendWire(to, Wire{Kind: kindVal}) },
 	} {
-		e := &Engine{idents: idents}
-		if e.indexRoutes() {
-			t.Errorf("%s: indexRoutes accepted %v", name, idents)
+		for _, to := range []ids.ID{stranger, ids.Nil} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("sim: node %v sent to unknown id %v", ctx.ID, to)
+					if got := recover(); got != want {
+						t.Errorf("%s to %v: panic %v, want %q", name, to, got, want)
+					}
+				}()
+				send(to)
+			}()
 		}
 	}
-	// Clustered identifiers all land in one bucket; the index must
-	// still come out sorted.
-	e := &Engine{idents: []ids.ID{9, 3, 7, 1, 8, 2}}
-	if !e.indexRoutes() || !slices.IsSorted(e.routeIDs) {
-		t.Errorf("clustered identifiers: index %v", e.routeIDs)
-	}
-	for k, id := range e.routeIDs {
-		if e.idents[e.routeIdx[k]] != id {
-			t.Errorf("clustered identifiers: routeIdx[%d] does not own %v", k, id)
-		}
+	if len(ctx.outW) != 0 || len(ctx.outD) != 0 || ctx.sentUnits != 0 {
+		t.Errorf("refused sends left %d wires, %d destinations, %d units queued", len(ctx.outW), len(ctx.outD), ctx.sentUnits)
 	}
 }

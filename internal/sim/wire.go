@@ -51,22 +51,10 @@ type Decoder interface {
 //
 //overlay:hotpath
 func Send[P Payload](c *Ctx, to ids.ID, p P) {
-	j, ok := c.engine.lookup(to)
-	if !ok {
-		panicUnknown(c.ID, to)
-	}
-	if len(c.outW) == cap(c.outW) {
-		c.growOut()
-	}
-	c.outW = append(c.outW, Wire{})
-	w := &c.outW[len(c.outW)-1]
+	w := c.slot(to)
+	*w = Wire{}
 	p.Encode(w)
-	if w.Units <= 0 {
-		w.Units = 1
-	}
-	w.From = c.ID
-	c.sentUnits += int(w.Units)
-	c.outD = append(c.outD, j)
+	c.seal(w)
 }
 
 // SendWire queues an already-encoded wire message to the node with
@@ -79,11 +67,17 @@ func Send[P Payload](c *Ctx, to ids.ID, p P) {
 //
 //overlay:hotpath
 func (c *Ctx) SendWire(to ids.ID, w Wire) {
-	if w.Units <= 0 {
-		w.Units = 1
-	}
-	w.From = c.ID
-	c.sentUnits += int(w.Units)
+	s := c.slot(to)
+	*s = w
+	c.seal(s)
+}
+
+// slot opens the next outbox entry, addressed to the node with
+// identifier to, and returns its wire for the caller to fill (it holds
+// whatever an earlier round left there) and then seal.
+//
+//overlay:hotpath
+func (c *Ctx) slot(to ids.ID) *Wire {
 	j, ok := c.engine.lookup(to)
 	if !ok {
 		panicUnknown(c.ID, to)
@@ -91,8 +85,21 @@ func (c *Ctx) SendWire(to ids.ID, w Wire) {
 	if len(c.outW) == cap(c.outW) {
 		c.growOut()
 	}
-	c.outW = append(c.outW, w)
 	c.outD = append(c.outD, j)
+	c.outW = c.outW[:len(c.outW)+1]
+	return &c.outW[len(c.outW)-1]
+}
+
+// seal stamps a filled outbox wire with its sender and counts its
+// units against the send cap.
+//
+//overlay:hotpath
+func (c *Ctx) seal(w *Wire) {
+	if w.Units <= 0 {
+		w.Units = 1
+	}
+	w.From = c.ID
+	c.sentUnits += int(w.Units)
 }
 
 // growOut moves a full outbox to columns of twice the capacity, and of

@@ -3,7 +3,6 @@ package wft
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"overlay/internal/graphx"
 	"overlay/internal/ids"
@@ -201,13 +200,10 @@ var _ sim.Halter = (*Protocol)(nil)
 // least g's diameter; the caller passes its O(log n) budget.
 func BuildEngine(g *graphx.Graph, floodRounds int, cfg sim.Config) (*sim.Engine, []*Protocol) {
 	cfg.N = g.N
-	nodes := make([]sim.Node, g.N)
-	protos := make([]*Protocol, g.N)
-	for i := range nodes {
-		protos[i] = &Protocol{floodRounds: floodRounds}
-		nodes[i] = protos[i]
-	}
-	eng := sim.New(cfg, nodes)
+	eng, protos := sim.NewOf(cfg, func(_ int, p *Protocol) sim.Node {
+		p.floodRounds = floodRounds
+		return p
+	})
 	idOf := eng.IDs()
 	// Neighbor lists share one flat arena (CSR-style, like the graph
 	// they come from) instead of one slice per node. Deduplicate and
@@ -246,10 +242,10 @@ func (p *Protocol) Halted() bool { return p.done }
 // its state could not serve them; zero in fault-free runs.
 func (p *Protocol) Anomalies() int { return p.anomalies }
 
-// Rank0 reports whether this node ended as the root.
+// IsRoot reports whether this node ended as the root.
 func (p *Protocol) IsRoot() bool { return p.rank == 0 }
 
-// Rank returns the node's pre-order rank.
+// RankValue returns the node's pre-order rank.
 func (p *Protocol) RankValue() int { return p.rank }
 
 // Init starts the flood with the node's own identifier.
@@ -273,6 +269,8 @@ func (p *Protocol) broadcast(ctx *sim.Ctx, m floodMsg) {
 }
 
 // Round advances the schedule.
+//
+//overlay:hotpath
 func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	if p.done {
 		return
@@ -300,7 +298,7 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 				p.children = append(p.children, w.From)
 			}
 		}
-		sort.Slice(p.children, func(i, j int) bool { return p.children[i] < p.children[j] })
+		slices.Sort(p.children)
 		p.childSize = make([]int, len(p.children))
 		p.maybeSendSize(ctx)
 	case r < phaseE:
@@ -328,7 +326,7 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 			if p.rank == 0 {
 				p.HeapParent = ctx.ID
 			}
-			sort.Slice(p.HeapKids, func(i, j int) bool { return p.HeapKids[i] < p.HeapKids[j] })
+			slices.Sort(p.HeapKids)
 			p.done = true
 		}
 	}
@@ -351,6 +349,10 @@ func (p *Protocol) childIndex(id ids.ID) int {
 	return -1
 }
 
+// handleFlood adopts the best (root, distance, sender) candidate among
+// the round's flood messages and re-broadcasts when it improved.
+//
+//overlay:hotpath
 func (p *Protocol) handleFlood(ctx *sim.Ctx, inbox []sim.Wire) {
 	improved := false
 	for _, w := range inbox {
@@ -379,6 +381,8 @@ func (p *Protocol) handleFlood(ctx *sim.Ctx, inbox []sim.Wire) {
 }
 
 // maybeSendSize fires once all children reported (leaves immediately).
+//
+//overlay:hotpath
 func (p *Protocol) maybeSendSize(ctx *sim.Ctx) {
 	if p.sizeSent || p.sizeKnown < len(p.children) {
 		return
@@ -399,6 +403,8 @@ func (p *Protocol) maybeSendSize(ctx *sim.Ctx) {
 
 // applyInterval fixes the node's pre-order rank and forwards child
 // intervals; the ring successor falls out of the interval endpoints.
+//
+//overlay:hotpath
 func (p *Protocol) applyInterval(ctx *sim.Ctx, msg intervalMsg) {
 	p.rank = msg.lo
 	p.total = msg.total
@@ -427,6 +433,8 @@ func (p *Protocol) applyInterval(ctx *sim.Ctx, msg intervalMsg) {
 // handleJump runs the level-locked pointer jumping: at phaseE + 2k the
 // whole network sends level-k requests; responses arrive one round
 // later; jump[k+1] is installed the round after.
+//
+//overlay:hotpath
 func (p *Protocol) handleJump(ctx *sim.Ctx, inbox []sim.Wire, r, phaseE, k int) {
 	for _, w := range inbox {
 		switch w.Kind {
@@ -476,6 +484,8 @@ func (p *Protocol) handleJump(ctx *sim.Ctx, inbox []sim.Wire, r, phaseE, k int) 
 }
 
 // handleFind emits and routes the heap-edge discovery messages.
+//
+//overlay:hotpath
 func (p *Protocol) handleFind(ctx *sim.Ctx, inbox []sim.Wire) {
 	// Emission happens exactly once, on the first find-phase round.
 	if !p.findStartedFlag {
@@ -504,6 +514,8 @@ func (p *Protocol) handleFind(ctx *sim.Ctx, inbox []sim.Wire) {
 // local jump table is missing (this node was never ranked) — is
 // dropped and counted, never propagated or panicked on: lost finds
 // surface as missing heap parents at extraction.
+//
+//overlay:hotpath
 func (p *Protocol) routeFind(ctx *sim.Ctx, msg findMsg) {
 	if msg.target == p.rank {
 		p.HeapParent = msg.origin

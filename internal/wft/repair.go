@@ -616,12 +616,12 @@ func greedyHops(k, from, to int) int {
 // order) plus a run budget that covers the schedule and any
 // adversarial delays. cfg.N is overwritten.
 func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNode, int, error) {
-	return newRepairEngine(spec, cfg, nil)
+	return newRepairEngine(spec, cfg, func(p *RepairNode, _ int) sim.Node { return p })
 }
 
 // newRepairEngine is NewRepairEngine with a seam for the scheduling
-// tests: wrap, when non-nil, substitutes the state machine the engine
-// drives for each node (it is told the halt round).
+// tests: wrap returns the state machine the engine drives for each node
+// (it is told the halt round).
 func newRepairEngine(spec *RepairSpec, cfg sim.Config, wrap func(p *RepairNode, haltAt int) sim.Node) (*sim.Engine, []*RepairNode, int, error) {
 	if err := spec.validate(); err != nil {
 		return nil, nil, 0, err
@@ -633,25 +633,14 @@ func newRepairEngine(spec *RepairSpec, cfg sim.Config, wrap func(p *RepairNode, 
 	sched := spec.Schedule(spec.SweepParent != nil)
 	joinStart, commitStart, haltAt := sched.JoinStart(), sched.CommitStart(), sched.HaltAt
 
-	// One slab holds every node's state; protos and nodes point into it.
-	slab := make([]RepairNode, k)
-	protos := make([]*RepairNode, k)
-	nodes := make([]sim.Node, k)
-	for i := range slab {
-		p := &slab[i]
+	eng, protos := sim.NewOf(cfg, func(i int, p *RepairNode) sim.Node {
 		p.k, p.survivors, p.newRank, p.joiner = k, s, spec.NewRank[i], i >= s
 		p.sweepParent, p.kidA, p.kidB, p.entry = ids.Nil, ids.Nil, ids.Nil, ids.Nil
 		p.joinStart, p.commitStart = joinStart, commitStart
 		// No sweep phase: compacted ranks are vacuously confirmed.
 		p.committed = i < s && spec.SweepParent == nil
-		protos[i] = p
-		if wrap != nil {
-			nodes[i] = wrap(p, haltAt)
-		} else {
-			nodes[i] = p
-		}
-	}
-	eng := sim.New(cfg, nodes)
+		return wrap(p, haltAt)
+	})
 	eng.SetFloor(haltAt)
 	idOf := eng.IDs()
 	rankOwner := make([]ids.ID, k)

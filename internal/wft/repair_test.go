@@ -340,7 +340,7 @@ func TestRepairSchedulingEquivalence(t *testing.T) {
 		failure string
 	}
 	run := func(cfg sim.Config, reference bool) outcome {
-		var wrap func(*RepairNode, int) sim.Node
+		wrap := func(p *RepairNode, _ int) sim.Node { return p }
 		if reference {
 			wrap = func(p *RepairNode, haltAt int) sim.Node { return &alwaysActive{RepairNode: p, haltAt: haltAt} }
 		}
