@@ -73,11 +73,13 @@ service-smoke:
 	bash scripts/service_smoke.sh
 
 # The fuzz smoke: 10 s of each native fuzz target — the derived-view
-# rank arithmetic and the evolver, each against its specification, the
-# identifier stream's inverse, and the three wire round-trips. go test
-# -fuzz takes one target and one package per run.
+# rank arithmetic, the evolver and delivery under an adversary, each
+# against its specification, the identifier stream's inverse, and the
+# three wire round-trips. go test -fuzz takes one target and one package
+# per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDrawOf$$' -fuzztime=10s ./internal/rng
+	$(GO) test -run='^$$' -fuzz='^FuzzFaultDelivery$$' -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzDerivedEdges$$' -fuzztime=10s ./internal/overlays
 	$(GO) test -run='^$$' -fuzz='^FuzzEvolveMatchesSpec$$' -fuzztime=10s ./internal/expander
 	$(GO) test -run='^$$' -fuzz='^FuzzFloodIntervalRoundTrip$$' -fuzztime=10s ./internal/wft

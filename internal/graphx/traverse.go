@@ -108,12 +108,6 @@ func (g *Graph) IsConnected() bool {
 	return k == 1
 }
 
-// Eccentricity returns the maximum finite BFS distance from src, or -1
-// if some node is unreachable.
-func (g *Graph) Eccentricity(src int) int {
-	return eccOf(g.BFS(src))
-}
-
 // eccOf folds a distance vector into an eccentricity (-1 if any node
 // is unreachable).
 func eccOf(dist []int) int {

@@ -203,16 +203,6 @@ func isHotpath(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// fileOf returns the *ast.File containing pos.
-func fileOf(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // calleeObj resolves a call expression's callee to its types object
 // (func or method), or nil for dynamic/builtin/type-conversion calls.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {

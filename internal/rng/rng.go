@@ -138,14 +138,6 @@ func (s *Source) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle permutes n elements using the swap callback, as rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // SampleWithoutReplacement returns k distinct uniform indices from
 // [0, n). If k >= n it returns all n indices in random order.
 func (s *Source) SampleWithoutReplacement(n, k int) []int {

@@ -3,13 +3,14 @@ package sim
 import "math"
 
 // Fault plane. An Adversary is a seed-deterministic fault schedule the
-// engine evaluates on the columnar delivery path: every message routed
-// by a delivery shard is assigned a fate (deliver, drop, or delay) by a
-// pure hash of (adversary seed, delivery round, sender index, send
-// ordinal), so the outcome is bit-identical at every worker count —
-// shard boundaries change which worker evaluates a message, never the
-// answer. Crash-stop and partition schedules are plain per-node and
-// per-round predicates on the same clock.
+// engine evaluates once per message, at its sender: the sequential
+// sender pass of a delivery (Engine.settleFates) assigns every queued
+// message a fate (deliver, drop, or delay) by a pure hash of (adversary
+// seed, delivery round, sender index, send ordinal) — a property of the
+// message, not of the shard that delivers it, so the outcome is
+// bit-identical at every worker count. Crash-stop and partition
+// schedules are plain per-node and per-round predicates on the same
+// clock.
 //
 // Semantics, on the engine's synchronous clock (the first Round call is
 // round 1; Init is round 0):
@@ -21,9 +22,11 @@ import "math"
 //     held back a uniform 1..DelayMax rounds in its destination shard's
 //     holdback queue and merged ahead of that round's fresh traffic
 //     when it comes due (held messages age first, in the order they
-//     were held). A held message is re-checked against the crash and
-//     partition schedules at its release round: a destination that died
-//     or a cut that formed while it was in flight still claims it.
+//     were held: by round, then sender index, then send order — what
+//     one sequential sender pass yields at any worker count). A held
+//     message is re-checked against the crash and partition schedules
+//     at its release round: a destination that died or a cut that
+//     formed while it was in flight still claims it.
 //   - Crash-stop (Crash{Node, Round}): the node executes rounds
 //     < Round and nothing afterwards; messages addressed to it at
 //     rounds >= Round are discarded. Its sends from round Round-1 are
@@ -37,10 +40,10 @@ import "math"
 //
 // The zero Adversary (all probabilities zero, no crashes, no
 // partitions) is a valid installation that delivers every message
-// exactly as the fault-free engine does, bit for bit — tests use it to
-// pin the fault path to the fast path. A nil Config.Adversary skips
-// the fault plane entirely: the fast delivery path contains no
-// per-message fault checks.
+// exactly as the fault-free engine does, bit for bit. A nil
+// Config.Adversary skips the fault plane entirely: no fate is settled,
+// the holdback queues stay empty and delivery makes no per-message
+// fault check.
 type Adversary struct {
 	// Seed drives every probabilistic fate. Fates are pure functions of
 	// (Seed, round, sender, ordinal); changing Seed reshuffles them,
@@ -56,56 +59,6 @@ type Adversary struct {
 	Crashes []Crash
 	// Partitions lists temporary network cuts.
 	Partitions []Partition
-	// Domains assigns each node to a correlated failure domain:
-	// Domains[i] is node i's domain id, and a negative id leaves the
-	// node outside every domain. Nil means no domain structure. The
-	// assignment only matters when DomainCuts is non-empty.
-	Domains []int
-	// DomainCuts fail entire domains at once. A cut with Until == 0
-	// crash-stops every member of the domain at round From; a cut with
-	// Until > From partitions the domain's members from the rest of
-	// the network during [From, Until). Cuts expand into the ordinary
-	// Crashes/Partitions schedules before compilation, so they compose
-	// with per-node faults and obey the same clock semantics.
-	DomainCuts []DomainCut
-}
-
-// DomainCut fails every node of one correlated failure domain
-// together: a crash-stop at round From when Until is zero, or a
-// partition of the domain from its complement during [From, Until).
-type DomainCut struct {
-	Domain      int
-	From, Until int
-}
-
-// expandDomainCuts folds an adversary's domain cuts into its plain
-// crash and partition schedules, returning a copy with no domain
-// structure left. Members of each domain are enumerated in ascending
-// node order so the expansion is deterministic.
-func expandDomainCuts(a *Adversary, n int) *Adversary {
-	out := *a
-	out.Crashes = append([]Crash(nil), a.Crashes...)
-	out.Partitions = append([]Partition(nil), a.Partitions...)
-	out.Domains, out.DomainCuts = nil, nil
-	for _, cut := range a.DomainCuts {
-		var members []int
-		for v := 0; v < n && v < len(a.Domains); v++ {
-			if a.Domains[v] == cut.Domain {
-				members = append(members, v)
-			}
-		}
-		if len(members) == 0 {
-			continue
-		}
-		if cut.Until == 0 {
-			for _, v := range members {
-				out.Crashes = append(out.Crashes, Crash{Node: v, Round: cut.From})
-			}
-		} else {
-			out.Partitions = append(out.Partitions, Partition{From: cut.From, Until: cut.Until, Side: members})
-		}
-	}
-	return &out
 }
 
 // Crash is a crash-stop fault: Node executes rounds < Round and is
@@ -158,9 +111,6 @@ type partState struct {
 func compileAdversary(a *Adversary, n int) *advState {
 	if a == nil {
 		return nil
-	}
-	if len(a.DomainCuts) > 0 && len(a.Domains) > 0 {
-		a = expandDomainCuts(a, n)
 	}
 	s := &advState{
 		seed:      a.Seed,
@@ -268,9 +218,8 @@ func advMix(z uint64) uint64 {
 }
 
 // fate decides drop/delay for the k-th message of sender i delivered at
-// round r. It is a pure function of (seed, r, i, k): every worker
-// layout computes the same answer, which is the whole determinism
-// contract of the fault plane. delay is 0 (deliver now) or the number
+// round r. It is a pure function of (seed, r, i, k) and is asked once
+// per message, by settleFates. delay is 0 (deliver now) or the number
 // of rounds to hold the message back.
 //
 //overlay:hotpath
@@ -295,7 +244,8 @@ func (a *advState) fate(r, i int32, k int) (drop bool, delay int32) {
 // heldWire is a delayed message parked in its destination shard's
 // holdback queue until round due. from is the sender's node index,
 // kept so partition cuts active at the release round still apply to
-// messages that were already in flight when the cut formed.
+// messages that were already in flight when the cut formed; a message
+// such a cut or a crash claims at release has its dest set to lost.
 type heldWire struct {
 	w    Wire
 	from int32

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"overlay/internal/ids"
@@ -60,15 +62,21 @@ func (g *gossipRec) Round(ctx *Ctx, inbox []Wire) {
 
 func (g *gossipRec) Halted() bool { return g.done }
 
-func runFaultGossip(t *testing.T, n int, cfg Config) ([]*gossipRec, *Engine) {
-	t.Helper()
-	cfg.N = n
+// newGossip builds n gossipRec nodes.
+func newGossip(n, fanout, rounds int) ([]Node, []*gossipRec) {
 	nodes := make([]Node, n)
 	recs := make([]*gossipRec, n)
 	for i := range nodes {
-		recs[i] = &gossipRec{fanout: 3, rounds: 12}
+		recs[i] = &gossipRec{fanout: fanout, rounds: rounds}
 		nodes[i] = recs[i]
 	}
+	return nodes, recs
+}
+
+func runFaultGossip(t *testing.T, n int, cfg Config) ([]*gossipRec, *Engine) {
+	t.Helper()
+	cfg.N = n
+	nodes, recs := newGossip(n, 3, 12)
 	eng := New(cfg, nodes)
 	eng.Run(64)
 	return recs, eng
@@ -119,6 +127,22 @@ func TestDropAllLosesEverything(t *testing.T) {
 	if m.FaultDrops != m.TotalMessages {
 		t.Errorf("FaultDrops = %d, want TotalMessages = %d", m.FaultDrops, m.TotalMessages)
 	}
+	// The sender paid for every lost message; the receiving side never
+	// saw one.
+	var sent int64
+	for i := range recs {
+		sent += m.PerNodeSent[i]
+		if m.PerNodeRecv[i] != 0 {
+			t.Errorf("node %d: PerNodeRecv = %d for lost messages", i, m.PerNodeRecv[i])
+		}
+	}
+	// 32 nodes × fanout 3 × 12 emissions.
+	if want := int64(32 * 3 * 12); sent != want || m.TotalUnits != want || m.TotalMessages != want {
+		t.Errorf("sent %d, TotalUnits %d, TotalMessages %d, want %d each", sent, m.TotalUnits, m.TotalMessages, want)
+	}
+	if m.MaxRoundRecv() != 0 {
+		t.Errorf("MaxRoundRecv = %d for lost messages", m.MaxRoundRecv())
+	}
 }
 
 // TestDropRateIsRoughlyProportional sanity-checks that an intermediate
@@ -133,10 +157,11 @@ func TestDropRateIsRoughlyProportional(t *testing.T) {
 }
 
 // oneShot sends a single message from node 0 to node 1 in Init and
-// halts everyone immediately; node 1 records the arrival round.
+// halts everyone immediately; node 1 records the arrival round, and
+// every node how often it was ticked.
 type oneShot struct {
 	arrived []int
-	isZero  bool
+	ticks   int
 }
 
 func (o *oneShot) Init(ctx *Ctx) {
@@ -147,6 +172,7 @@ func (o *oneShot) Init(ctx *Ctx) {
 }
 
 func (o *oneShot) Round(ctx *Ctx, inbox []Wire) {
+	o.ticks++
 	for range inbox {
 		o.arrived = append(o.arrived, ctx.Round())
 	}
@@ -366,23 +392,39 @@ func TestPartitionCutsAndHeals(t *testing.T) {
 
 // TestDelayedMessageHitsNewPartition: a message held back by the delay
 // adversary is re-checked at its release round, so a partition that
-// formed while it was in flight still discards it.
+// formed — or a destination that died — while it was in flight still
+// claims it: exactly one fault drop, nobody woken, and the run over as
+// soon as the holdback queue has drained.
 func TestDelayedMessageHitsNewPartition(t *testing.T) {
-	nodes := []Node{&oneShot{}, &oneShot{}}
 	// The Init message would arrive at round 1; the delay pushes its
-	// release into rounds 2..4, all inside the partition window.
-	eng := New(Config{N: 2, Seed: 1, Adversary: &Adversary{
-		DelayProb:  1,
-		DelayMax:   3,
-		Partitions: []Partition{{From: 2, Until: 5, Side: []int{0}}},
-	}}, nodes)
-	eng.Run(20)
-	if got := nodes[1].(*oneShot).arrived; len(got) != 0 {
-		t.Fatalf("delayed message crossed a partition formed in flight: arrivals %v", got)
-	}
-	m := eng.Metrics()
-	if m.FaultDelays != 1 || m.FaultDrops != 1 {
-		t.Errorf("FaultDelays=%d FaultDrops=%d, want 1 and 1", m.FaultDelays, m.FaultDrops)
+	// release into rounds 2..4, all inside the partition window and all
+	// after the crash.
+	for name, adv := range map[string]Adversary{
+		"partition": {Partitions: []Partition{{From: 2, Until: 5, Side: []int{0}}}},
+		"crash":     {Crashes: []Crash{{Node: 1, Round: 2}}},
+	} {
+		adv.DelayProb, adv.DelayMax = 1, 3
+		nodes := []Node{&oneShot{}, &oneShot{}}
+		eng := New(Config{N: 2, Seed: 1, Adversary: &adv}, nodes)
+		eng.Run(20)
+		if got := nodes[1].(*oneShot).arrived; len(got) != 0 {
+			t.Fatalf("%s: delayed message survived its release round: arrivals %v", name, got)
+		}
+		m := eng.Metrics()
+		if m.FaultDelays != 1 || m.FaultDrops != 1 {
+			t.Errorf("%s: FaultDelays=%d FaultDrops=%d, want 1 and 1", name, m.FaultDelays, m.FaultDrops)
+		}
+		if a, b := nodes[0].(*oneShot).ticks, nodes[1].(*oneShot).ticks; a != 0 || b != 0 {
+			t.Errorf("%s: a lost message woke somebody: ticks %d and %d", name, a, b)
+		}
+		// The message is claimed in the delivery pass of the round before
+		// its due round, 2..4.
+		if r := eng.Round(); r < 1 || r > 3 {
+			t.Errorf("%s: run took %d rounds, want 1..3 (the queue drains by then)", name, r)
+		}
+		if m.TotalMessages != 1 || m.PerNodeSent[0] != 1 || m.PerNodeRecv[1] != 0 {
+			t.Errorf("%s: msgs=%d sent[0]=%d recv[1]=%d, want 1, 1, 0", name, m.TotalMessages, m.PerNodeSent[0], m.PerNodeRecv[1])
+		}
 	}
 }
 
@@ -409,12 +451,9 @@ func TestProbThreshold(t *testing.T) {
 	}
 }
 
-// TestFaultDeterminismAcrossWorkers extends the engine's determinism
-// sweep to the fault plane: a seeded adversary with every fault type
-// active must produce identical receptions and metrics at all worker
-// counts, single-goroutine execution (workers 1) included.
-func TestFaultDeterminismAcrossWorkers(t *testing.T) {
-	adv := &Adversary{
+// everyFault is an adversary with every fault type active.
+func everyFault() *Adversary {
+	return &Adversary{
 		Seed:      11,
 		DropProb:  0.1,
 		DelayProb: 0.15,
@@ -424,6 +463,14 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 			{From: 4, Until: 7, Side: []int{0, 1, 2, 3, 4, 5}},
 		},
 	}
+}
+
+// TestFaultDeterminismAcrossWorkers extends the engine's determinism
+// sweep to the fault plane: a seeded adversary with every fault type
+// active must produce identical receptions and metrics at all worker
+// counts, single-goroutine execution (workers 1) included.
+func TestFaultDeterminismAcrossWorkers(t *testing.T) {
+	adv := everyFault()
 	var wantFP uint64
 	var wantMetrics string
 	for _, w := range []int{1, 2, 3, 4, 8, 16} {
@@ -454,4 +501,236 @@ func TestFaultSequentialMatchesParallelConfig(t *testing.T) {
 	if a, b := fingerprintRecs(seqRecs), fingerprintRecs(parRecs); a != b {
 		t.Fatalf("sequential fault run diverged from parallel: %016x vs %016x", a, b)
 	}
+}
+
+// specResult is what a run is held to beyond its receptions.
+type specResult struct {
+	msgs, units, faultDrops, faultDelays, recvDrops int64
+	sent, recv                                      []int64
+	maxRecv                                         []int
+	rounds                                          int
+}
+
+// specRun is the specification of delivery under an adversary, as one
+// sequential loop with no shards, arenas or active set. Per delivery
+// round r it takes every queued message in (sender index, post-cap
+// ordinal) order: the message is lost if its destination is dead at r,
+// a cut separates the two ends at r, or its fate drops it, and parked
+// with due = r + delay if its fate delays it. A node's inbox is the
+// parked messages due at r, in parking order and re-checked against
+// crashes and cuts at r, then the fresh ones; the receive cap samples
+// what is left. The engine it builds serves only as the nodes' Ctxs
+// (identifiers, streams, outboxes); it never runs.
+func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
+	e := New(cfg, nodes)
+	adv, n := e.adv, int32(cfg.N)
+	res := specResult{sent: make([]int64, n), recv: make([]int64, n)}
+	var held []heldWire
+	var perm []int
+	for i := int32(0); i < n; i++ {
+		if !adv.dead(i, 0) {
+			nodes[i].Init(&e.ctxs[i])
+		}
+	}
+	for {
+		r := int32(e.round + 1)
+		inbox := make([][]Wire, n)
+		parked := held
+		held = nil
+		for _, h := range parked {
+			switch {
+			case h.due != r:
+				held = append(held, h)
+			case adv.dead(h.dest, r) || adv.cut(h.from, h.dest, r):
+				res.faultDrops++
+			default:
+				inbox[h.dest] = append(inbox[h.dest], h.w)
+			}
+		}
+		for i := int32(0); i < n; i++ {
+			ctx := &e.ctxs[i]
+			sent := ctx.sentUnits
+			if cfg.SendCap > 0 && sent > cfg.SendCap {
+				sent = capOutbox(ctx, cfg.SendCap, &perm)
+			}
+			res.sent[i] += int64(sent)
+			res.units += int64(sent)
+			res.msgs += int64(len(ctx.outW))
+			for k, w := range ctx.outW {
+				d := ctx.outD[k]
+				drop, delay := adv.fate(r, i, k)
+				switch {
+				case adv.dead(d, r) || adv.cut(i, d, r) || drop:
+					res.faultDrops++
+				case delay > 0:
+					held = append(held, heldWire{w: w, from: i, dest: d, due: r + delay})
+					res.faultDelays++
+				default:
+					inbox[d] = append(inbox[d], w)
+				}
+			}
+			ctx.sentUnits, ctx.outW, ctx.outD = 0, ctx.outW[:0], ctx.outD[:0]
+		}
+		maxRecv, busy := 0, len(held) > 0
+		run := make([]bool, n)
+		for j := int32(0); j < n; j++ {
+			in, units := inbox[j], 0
+			for _, w := range in {
+				units += int(w.Units)
+			}
+			if cfg.RecvCap > 0 && units > cfg.RecvCap {
+				keep := chooseWithin(len(in), cfg.RecvCap, func(k int) int { return int(in[k].Units) }, e.ctxs[j].Rand, &perm)
+				inbox[j], units = nil, 0
+				for k, w := range in {
+					if keep[k] {
+						inbox[j] = append(inbox[j], w)
+						units += int(w.Units)
+					}
+				}
+				res.recvDrops++
+			}
+			res.recv[j] += int64(units)
+			maxRecv = max(maxRecv, units)
+			// A live node runs unless it has halted and has no mail.
+			run[j] = !adv.dead(j, r) && (len(inbox[j]) > 0 || !e.halted(j))
+			busy = busy || run[j]
+		}
+		res.maxRecv = append(res.maxRecv, maxRecv)
+		if !busy || e.round == maxRounds {
+			res.rounds = e.round
+			return res
+		}
+		e.round++
+		for j := range nodes {
+			if run[j] {
+				nodes[j].Round(&e.ctxs[j], inbox[j])
+			}
+		}
+	}
+}
+
+// matchSpec runs one gossip on the engine and on specRun and holds every
+// node's reception list and the run's accounting to the specification.
+func matchSpec(t *testing.T, name string, cfg Config, fanout, rounds int) {
+	t.Helper()
+	specNodes, want := newGossip(cfg.N, fanout, rounds)
+	spec := specRun(cfg, specNodes, 64)
+	nodes, got := newGossip(cfg.N, fanout, rounds)
+	eng := New(cfg, nodes)
+	eng.Run(64)
+	for i := range got {
+		if got[i].inited != want[i].inited || !slices.Equal(got[i].recv, want[i].recv) {
+			t.Fatalf("%s: node %d received\n %v\nspecification:\n %v", name, i, got[i].recv, want[i].recv)
+		}
+	}
+	m := eng.Metrics()
+	have := specResult{
+		msgs: m.TotalMessages, units: m.TotalUnits, faultDrops: m.FaultDrops, faultDelays: m.FaultDelays,
+		recvDrops: m.RecvDrops, sent: m.PerNodeSent, recv: m.PerNodeRecv, maxRecv: m.RoundMaxRecv, rounds: eng.Round(),
+	}
+	if !reflect.DeepEqual(have, spec) {
+		t.Errorf("%s: accounting\n %+v\nspecification:\n %+v", name, have, spec)
+	}
+}
+
+// TestFaultDeliveryMatchesSpec holds the engine's one delivery path to
+// specRun on every fault type alone and together, with fewer nodes than
+// workers, shards of unequal size (257) and a single shard.
+func TestFaultDeliveryMatchesSpec(t *testing.T) {
+	parts := []Partition{
+		{From: 2, Until: 6, Side: []int{0, 1, 2, 3, 4, 5}},
+		{From: 4, Until: 9, Side: []int{1, 5, 40, 41, 200, 256}},
+	}
+	crashes := []Crash{{Node: 0, Round: 0}, {Node: 1, Round: 6}, {Node: 30, Round: 3}, {Node: 256, Round: 9}}
+	all := Adversary{Seed: 5, DropProb: 0.1, DelayProb: 0.2, DelayMax: 3, Crashes: crashes, Partitions: parts}
+	cases := []struct {
+		name             string
+		adv              Adversary
+		sendCap, recvCap int
+	}{
+		{"zero", Adversary{}, 0, 0},
+		{"drop", Adversary{Seed: 1, DropProb: 0.3}, 0, 0},
+		{"delay1", Adversary{Seed: 2, DelayProb: 0.4, DelayMax: 1}, 0, 0},
+		{"delay3", Adversary{Seed: 3, DelayProb: 0.4, DelayMax: 3}, 0, 0},
+		{"crash", Adversary{Crashes: crashes}, 0, 0},
+		{"partitions", Adversary{Partitions: parts}, 0, 0},
+		{"all", all, 0, 0},
+		// A sender over the cap is capped first; its survivors' fates go
+		// by their post-cap ordinals, and a lost message is not sampled
+		// by its destination's receive cap.
+		{"all-capped", all, 2, 3},
+	}
+	for _, n := range []int{2, 48, 257} {
+		for _, w := range []int{1, 2, 3, 16} {
+			for _, c := range cases {
+				adv := c.adv
+				cfg := Config{N: n, Seed: 21, Workers: w, SendCap: c.sendCap, RecvCap: c.recvCap, Adversary: &adv}
+				matchSpec(t, fmt.Sprintf("%s/n=%d/workers=%d", c.name, n, w), cfg, 3, 12)
+			}
+		}
+	}
+}
+
+// TestFaultPlaneGolden pins the whole faulted path, receive cap
+// included, to constants recorded at commit 2dff774, where delivery
+// under an adversary was still a fork of its own.
+func TestFaultPlaneGolden(t *testing.T) {
+	for _, g := range []struct {
+		n, cap                         int
+		fp                             uint64
+		msgs, drops, delays, recvDrops int64
+		rounds                         int
+	}{
+		{48, 0, 0x15dd8c59087e5e12, 1662, 304, 208, 0, 15},
+		{257, 0, 0xdab852aac76940a7, 9186, 1087, 1250, 0, 15},
+		{257, 4, 0x37d347a3fca92f3d, 9186, 1088, 1245, 377, 15},
+	} {
+		for _, w := range []int{1, 2, 3, 16} {
+			recs, eng := runFaultGossip(t, g.n, Config{Seed: 21, Workers: w, SendCap: g.cap, RecvCap: g.cap, Adversary: everyFault()})
+			m := eng.Metrics()
+			if fp := fingerprintRecs(recs); fp != g.fp || m.TotalMessages != g.msgs || m.FaultDrops != g.drops ||
+				m.FaultDelays != g.delays || m.RecvDrops != g.recvDrops || eng.Round() != g.rounds {
+				t.Errorf("n=%d cap=%d workers=%d: fingerprint %016x, %d messages, %d fault drops, %d delays, %d recv drops, %d rounds; recorded %016x, %d, %d, %d, %d, %d",
+					g.n, g.cap, w, fp, m.TotalMessages, m.FaultDrops, m.FaultDelays, m.RecvDrops, eng.Round(),
+					g.fp, g.msgs, g.drops, g.delays, g.recvDrops, g.rounds)
+			}
+		}
+	}
+}
+
+// FuzzFaultDelivery is TestFaultDeliveryMatchesSpec on generated
+// schedules: a gossip of 2 + seed%47 nodes (fanout 1..3, 6 rounds) at
+// 1 + workers%17 workers under drop and delay probabilities drop/255 and
+// delay/255, delays up to 1 + delayMax%4 rounds, two crashes (a byte of
+// crashes each: round in the low nibble, 15 for none, node position in
+// sixteenths in the high one) and one partition (cut: first round in
+// bits 0–2, length in bits 3–5 with 0 for none, size of the side — a
+// prefix of the nodes — in the rest). Bit 8 of seed turns on send and
+// receive caps of 2. Its seed corpus is committed under
+// testdata/fuzz/FuzzFaultDelivery and runs with the tier-1 tests.
+func FuzzFaultDelivery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed, advSeed uint64, drop, delay, delayMax, workers uint8, crashes, cut uint16) {
+		n := 2 + int(seed%47)
+		adv := Adversary{
+			Seed: advSeed, DropProb: float64(drop) / 255,
+			DelayProb: float64(delay) / 255, DelayMax: 1 + int(delayMax)%4,
+		}
+		for c := crashes; c != 0; c >>= 8 {
+			if round := int(c & 15); round != 15 {
+				adv.Crashes = append(adv.Crashes, Crash{Node: int(c>>4&15) * n / 16, Round: round})
+			}
+		}
+		if length := int(cut >> 3 & 7); length > 0 {
+			side := make([]int, 1+int(cut>>6)%n)
+			for i := range side {
+				side[i] = i
+			}
+			adv.Partitions = []Partition{{From: int(cut & 7), Until: int(cut&7) + length, Side: side}}
+		}
+		cfg := Config{N: n, Seed: seed, Workers: 1 + int(workers)%17, Adversary: &adv}
+		if seed&(1<<8) != 0 {
+			cfg.SendCap, cfg.RecvCap = 2, 2
+		}
+		matchSpec(t, fmt.Sprintf("n=%d workers=%d %+v", n, cfg.Workers, adv), cfg, 1+int(seed>>9)%3, 6)
+	})
 }

@@ -31,6 +31,14 @@
 // the order a sequential merge would produce and a run is a pure
 // function of (protocol, seed) regardless of Workers.
 //
+// Faults: there is one delivery path. An installed Adversary decides
+// each message's fate once, in the sequential sender pass that already
+// enforces the send cap (see settleFates): a lost message is struck
+// from its sender's destination column and a delayed one parked in its
+// destination shard's holdback queue, so the shards deliver what is
+// left — and what comes due — without consulting the adversary again,
+// except to re-check a parked message at its release round.
+//
 // Scale: the engine is built for 100k+-node message-level runs.
 // Outboxes are columnar (a flat []Wire per sender with a parallel
 // destination column) and each delivery shard scatters into one flat
@@ -104,10 +112,10 @@ type Config struct {
 	// parallel path even on small inputs, which tests use to exercise
 	// it.
 	Workers int
-	// Adversary installs the fault plane (see Adversary). nil runs the
-	// fault-free fast path with no per-message checks; runs with an
-	// installed adversary remain a pure function of (protocol, Seed,
-	// Adversary) at every worker count.
+	// Adversary installs the fault plane (see Adversary). nil runs with
+	// no per-message checks; runs with an installed adversary remain a
+	// pure function of (protocol, Seed, Adversary) at every worker
+	// count.
 	Adversary *Adversary
 	// Interrupt, if non-nil, is polled at every round boundary; when it
 	// reports true the engine stops before running the next round and
@@ -168,7 +176,8 @@ type Engine struct {
 	sendPerm []int
 
 	// adv is the compiled fault plane; nil when no adversary is
-	// installed, in which case delivery takes the unchecked fast path.
+	// installed, in which case the sender pass settles no fates and the
+	// holdback queues stay empty.
 	adv *advState
 
 	// sharded pins every round to the worker pool (Config.Workers > 1);
@@ -210,12 +219,12 @@ type shardState struct {
 	drops   int64
 
 	// Fault-plane state (adversary runs only): the holdback queue of
-	// delayed messages destined for this shard's range, and the fault
-	// accounting merged into Metrics each round.
-	held      []heldWire
-	advDrops  int64
-	advDelays int64
-	_         [64]byte
+	// delayed messages destined for this shard's range, which the sender
+	// pass appends to and the shard releases from, and the count of those
+	// a crash or a cut claimed at release, merged into Metrics each round.
+	held     []heldWire
+	advDrops int64
+	_        [64]byte
 }
 
 // Ctx is a node's handle to the engine, valid for the duration of the
@@ -505,12 +514,6 @@ func (e *Engine) pendingHeld() bool {
 	return false
 }
 
-// RunOne executes exactly one round (after lazily initializing nodes).
-func (e *Engine) RunOne() {
-	e.initNodes()
-	e.step()
-}
-
 func (e *Engine) initNodes() {
 	if e.inited {
 		return
@@ -585,16 +588,23 @@ func (e *Engine) forEach(k, work int, fn func(int)) {
 // active set and next-round run list.
 //
 // The sender pass is sequential in node-index order (it owns the
-// send-cap rng draws and the sender-side metrics). Delivery itself is
-// sharded: destination indices are partitioned into contiguous ranges,
-// and each shard worker scans all outbox destination columns in
-// (sender-index, send-order), scattering messages routed into its own
-// range into its flat arena, so each inbox segment is filled in
-// exactly the order the sequential merge produces, with no locking.
+// send-cap rng draws, the sender-side metrics and, under an adversary,
+// every message's fate). It parks delayed messages in (sender-index,
+// send-order), the order the sharded scan below meets messages in, so
+// a holdback queue reads the same at every worker count. Delivery
+// itself is sharded: destination indices are partitioned into
+// contiguous ranges, and each shard worker scans all outbox destination
+// columns in (sender-index, send-order), scattering messages routed
+// into its own range into its flat arena, so each inbox segment is
+// filled in exactly the order the sequential merge produces, with no
+// locking.
 func (e *Engine) deliver() {
 	run := e.runList
 
-	// Sender pass: caps and sender-side metrics.
+	// deliverRound is the round the queued messages will be consumed in.
+	deliverRound := int32(e.round + 1)
+
+	// Sender pass: caps, fates and sender-side metrics.
 	roundSentMax, queued := 0, 0
 	for _, i := range run {
 		ctx := &e.ctxs[i]
@@ -607,6 +617,9 @@ func (e *Engine) deliver() {
 			sent = capOutbox(ctx, e.cfg.SendCap, &e.sendPerm)
 			e.metrics.SendCapViolations++
 		}
+		if e.adv != nil {
+			e.settleFates(i, ctx, deliverRound)
+		}
 		e.metrics.PerNodeSent[i] += int64(sent)
 		queued += len(ctx.outW)
 		e.metrics.TotalUnits += int64(sent)
@@ -618,20 +631,14 @@ func (e *Engine) deliver() {
 	e.metrics.TotalMessages += int64(queued)
 	e.queued = queued
 
-	// Sharded delivery into the flat per-shard arenas. deliverRound is
-	// the round the scattered messages will be consumed in.
-	deliverRound := int32(e.round + 1)
+	// Sharded delivery into the flat per-shard arenas.
 	e.forEach(len(e.shards), len(run)+queued, func(s int) {
 		lo := int32(s * e.shardSize)
 		hi := lo + int32(e.shardSize)
 		if hi > int32(e.cfg.N) {
 			hi = int32(e.cfg.N)
 		}
-		if e.adv == nil {
-			e.deliverShard(&e.shards[s], run, lo, hi)
-		} else {
-			e.deliverShardFaulty(&e.shards[s], run, lo, hi, deliverRound)
-		}
+		e.deliverShard(&e.shards[s], run, lo, hi, deliverRound)
 	})
 
 	// Merge shard accumulators (deterministic: max and sums).
@@ -643,7 +650,6 @@ func (e *Engine) deliver() {
 		}
 		e.metrics.RecvDrops += sc.drops
 		e.metrics.FaultDrops += sc.advDrops
-		e.metrics.FaultDelays += sc.advDelays
 	}
 	e.metrics.RoundMaxSent = append(e.metrics.RoundMaxSent, roundSentMax)
 	e.metrics.RoundMaxRecv = append(e.metrics.RoundMaxRecv, roundRecvMax)
@@ -707,20 +713,76 @@ func (e *Engine) deliver() {
 	e.runList = merged
 }
 
-// deliverShard fills the shard's arena with the messages destined for
-// [lo, hi): a count pass over the destination columns sizes the
-// per-destination segments (CSR-style offsets), a scatter pass copies
-// the wires in (sender-index, send-order), and a final pass applies
-// the receive cap and receiver-side metrics. Per-destination counts
-// from the previous round are zeroed via the shard's old touched list,
-// so the work is proportional to traffic rather than to N.
+// lost replaces the destination of a message the fault plane has
+// claimed; no shard's [lo, hi) contains it, so delivery passes over the
+// message without knowing why.
+const lost = -1
+
+// settleFates decides, once, what becomes of each message node i queued
+// for round r: a message to a crashed destination, across an active cut
+// or with a drop fate is marked lost in place, and a delayed one moves
+// to its destination shard's holdback queue. It runs in the sequential
+// sender pass after the send cap, so a fate's ordinal is the message's
+// final outbox position, and consults no rng stream — the fault plane
+// never perturbs protocol randomness.
 //
 //overlay:hotpath
-func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi int32) {
+func (e *Engine) settleFates(i int32, ctx *Ctx, r int32) {
+	adv := e.adv
+	for k, d := range ctx.outD {
+		drop, delay := true, int32(0)
+		if !adv.dead(d, r) && !adv.cut(i, d, r) {
+			drop, delay = adv.fate(r, i, k)
+		}
+		switch {
+		case drop:
+			e.metrics.FaultDrops++
+		case delay > 0:
+			sc := &e.shards[int(d)/e.shardSize]
+			sc.held = append(sc.held, heldWire{w: ctx.outW[k], from: i, dest: d, due: r + delay})
+			e.metrics.FaultDelays++
+		default:
+			continue
+		}
+		ctx.outD[k] = lost
+	}
+}
+
+// deliverShard fills the shard's arena with the messages destined for
+// [lo, hi) at round r: a count pass over the destination columns sizes
+// the per-destination segments (CSR-style offsets), a scatter pass
+// copies the wires in (sender-index, send-order), and a final pass
+// applies the receive cap and receiver-side metrics. Both passes take
+// the shard's held messages due at r ahead of the fresh ones (held
+// messages age first, in the order they were held). Per-destination
+// counts from the previous round are zeroed via the shard's old touched
+// list, so the work is proportional to traffic rather than to N.
+//
+//overlay:hotpath
+func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi, r int32) {
 	e.resetShard(sc)
 
-	// Count pass: scan only the 4-byte destination columns.
+	// Count pass: scan only the 4-byte destination columns. A held
+	// message is re-checked against the schedule at its release round —
+	// its destination may have crashed, or a partition may have formed
+	// around it, while it was in flight.
 	total := int32(0)
+	for k := range sc.held {
+		hm := &sc.held[k]
+		if hm.due != r {
+			continue
+		}
+		if e.adv.dead(hm.dest, r) || e.adv.cut(hm.from, hm.dest, r) {
+			hm.dest = lost
+			sc.advDrops++
+			continue
+		}
+		if e.inCnt[hm.dest] == 0 {
+			sc.touched = append(sc.touched, hm.dest)
+		}
+		e.inCnt[hm.dest]++
+		total++
+	}
 	for _, i := range run {
 		for _, d := range e.ctxs[i].outD {
 			if d < lo || d >= hi {
@@ -734,11 +796,22 @@ func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi int32) {
 		}
 	}
 	if total == 0 {
+		sc.compactHeld(r)
 		return
 	}
 	e.layoutArena(sc, total)
 
 	// Scatter pass: cache-linear copies into the arena.
+	for k := range sc.held {
+		hm := &sc.held[k]
+		if hm.due != r || hm.dest == lost {
+			continue
+		}
+		p := e.inPos[hm.dest]
+		sc.arena[p] = hm.w
+		e.inPos[hm.dest] = p + 1
+	}
+	sc.compactHeld(r)
 	for _, i := range run {
 		ctx := &e.ctxs[i]
 		for k, d := range ctx.outD {
@@ -768,7 +841,6 @@ func (e *Engine) resetShard(sc *shardState) {
 	sc.maxRecv = 0
 	sc.drops = 0
 	sc.advDrops = 0
-	sc.advDelays = 0
 }
 
 // layoutArena assigns per-destination offsets (segments in
@@ -790,9 +862,8 @@ func (e *Engine) layoutArena(sc *shardState, total int32) {
 	}
 }
 
-// applyRecvCaps is the final delivery pass shared by the fast and
-// fault paths: receive-cap enforcement, receiver-side metrics, and the
-// wake list for halted destinations.
+// applyRecvCaps is the final delivery pass: receive-cap enforcement,
+// receiver-side metrics, and the wake list for halted destinations.
 //
 //overlay:hotpath
 func (e *Engine) applyRecvCaps(sc *shardState, lo int32) {
@@ -818,107 +889,6 @@ func (e *Engine) applyRecvCaps(sc *shardState, lo int32) {
 			sc.woken++
 		}
 	}
-}
-
-// deliverShardFaulty is deliverShard with the adversary consulted on
-// every message. Fresh messages routed into [lo, hi) are dropped,
-// delayed into the shard's holdback queue, or delivered; held messages
-// coming due this round are merged ahead of fresh traffic (in the
-// order they were held, which is itself deterministic). Both the count
-// and scatter passes evaluate the same pure fate function, so they
-// agree without storing per-message decisions, and no pass consults an
-// rng stream — the fault plane never perturbs protocol randomness.
-//
-//overlay:hotpath
-func (e *Engine) deliverShardFaulty(sc *shardState, run []int32, lo, hi, r int32) {
-	adv := e.adv
-	e.resetShard(sc)
-
-	// Count pass. Held messages due this round go first; a held message
-	// is re-checked against the schedule at its release round — its
-	// destination may have crashed, or a partition may have formed
-	// around it, while it was in flight.
-	total := int32(0)
-	nHeld := len(sc.held) // entries delayed this round are appended past here
-	for k := 0; k < nHeld; k++ {
-		hm := &sc.held[k]
-		if hm.due != r {
-			continue
-		}
-		if adv.dead(hm.dest, r) || adv.cut(hm.from, hm.dest, r) {
-			sc.advDrops++
-			continue
-		}
-		if e.inCnt[hm.dest] == 0 {
-			sc.touched = append(sc.touched, hm.dest)
-		}
-		e.inCnt[hm.dest]++
-		total++
-	}
-	for _, i := range run {
-		ctx := &e.ctxs[i]
-		for k, d := range ctx.outD {
-			if d < lo || d >= hi {
-				continue
-			}
-			if adv.dead(d, r) || adv.cut(i, d, r) {
-				sc.advDrops++
-				continue
-			}
-			drop, delay := adv.fate(r, i, k)
-			if drop {
-				sc.advDrops++
-				continue
-			}
-			if delay > 0 {
-				sc.held = append(sc.held, heldWire{w: ctx.outW[k], from: i, dest: d, due: r + delay})
-				sc.advDelays++
-				continue
-			}
-			if e.inCnt[d] == 0 {
-				sc.touched = append(sc.touched, d)
-			}
-			e.inCnt[d]++
-			total++
-		}
-	}
-	if total == 0 {
-		sc.compactHeld(r)
-		return
-	}
-	e.layoutArena(sc, total)
-
-	// Scatter pass: held first (same predicates as the count pass),
-	// then fresh messages.
-	for k := 0; k < nHeld; k++ {
-		hm := &sc.held[k]
-		if hm.due != r || adv.dead(hm.dest, r) || adv.cut(hm.from, hm.dest, r) {
-			continue
-		}
-		p := e.inPos[hm.dest]
-		sc.arena[p] = hm.w
-		e.inPos[hm.dest] = p + 1
-	}
-	for _, i := range run {
-		ctx := &e.ctxs[i]
-		for k, d := range ctx.outD {
-			if d < lo || d >= hi {
-				continue
-			}
-			if adv.dead(d, r) || adv.cut(i, d, r) {
-				continue
-			}
-			drop, delay := adv.fate(r, i, k)
-			if drop || delay > 0 {
-				continue
-			}
-			p := e.inPos[d]
-			sc.arena[p] = ctx.outW[k]
-			e.inPos[d] = p + 1
-		}
-	}
-	sc.compactHeld(r)
-	e.applyRecvCaps(sc, lo)
 }
 
 // compactHeld removes holdback entries that were delivered (or dropped

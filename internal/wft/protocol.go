@@ -242,12 +242,6 @@ func (p *Protocol) Halted() bool { return p.done }
 // its state could not serve them; zero in fault-free runs.
 func (p *Protocol) Anomalies() int { return p.anomalies }
 
-// IsRoot reports whether this node ended as the root.
-func (p *Protocol) IsRoot() bool { return p.rank == 0 }
-
-// RankValue returns the node's pre-order rank.
-func (p *Protocol) RankValue() int { return p.rank }
-
 // Init starts the flood with the node's own identifier.
 func (p *Protocol) Init(ctx *sim.Ctx) {
 	p.bestRoot = ctx.ID

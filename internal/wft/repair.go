@@ -406,13 +406,6 @@ func (p *RepairNode) scheduled(r int) bool {
 // the node ignored.
 func (p *RepairNode) Anomalies() int { return p.anomalies }
 
-// Committed reports whether the node's compacted rank was confirmed
-// by the sweep (survivors) — vacuously true when no member left.
-func (p *RepairNode) Committed() bool { return p.committed }
-
-// Acked reports whether a joiner's attachment was acknowledged.
-func (p *RepairNode) Acked() bool { return p.acked }
-
 // Init fires the phase-0 emissions: sweep-forest leaves report their
 // census immediately, and joiners greet their bootstrap contact when
 // there is no sweep phase to wait out.
