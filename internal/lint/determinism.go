@@ -46,7 +46,7 @@ func runDeterminism(pass *Pass) error {
 				if _, ok := pass.Info.TypeOf(n.X).Underlying().(*types.Map); !ok {
 					return true
 				}
-				ok, bare := hasOrderedComment(pass, file, n.Pos())
+				ok, bare := hasMarkerComment(pass, file, n.Pos(), orderedMarker)
 				switch {
 				case !ok:
 					pass.Reportf(n.Pos(), "range over map in engine package %s: iteration order is randomized; drain in sorted-key order, or annotate the statement //lint:ordered <reason> if the loop is order-insensitive", pass.PkgPath)

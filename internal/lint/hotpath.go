@@ -15,13 +15,16 @@ import (
 // closures that capture surrounding state without being invoked on the
 // spot (captured variables move to the heap), appends that grow a
 // fresh unsized local slice inside a loop (growth reallocates every
-// doubling), and explicit conversions of concrete values to interface
-// types (which box). The checks are syntactic approximations of escape
-// analysis, deliberately conservative: hot functions are written flat,
-// and anything the analyzer cannot see is flat is a finding.
+// doubling), explicit conversions of concrete values to interface types
+// (which box), and make or new, unless the line (or the line above)
+// carries //lint:alloc with a reason — amortised growth of storage the
+// function keeps is the one allocation a hot path may own, and it must
+// say so. The checks are syntactic approximations of escape analysis,
+// deliberately conservative: hot functions are written flat, and
+// anything the analyzer cannot see is flat is a finding.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "//overlay:hotpath functions may not contain fmt calls, string concatenation, escaping closures, unsized loop appends, or boxing conversions",
+	Doc:  "//overlay:hotpath functions may not contain fmt calls, string concatenation, escaping closures, unsized loop appends, boxing conversions, or make/new without a //lint:alloc reason",
 	Run:  runHotPath,
 }
 
@@ -32,13 +35,13 @@ func runHotPath(pass *Pass) error {
 			if !ok || !isHotpath(fn) || fn.Body == nil {
 				continue
 			}
-			checkHotFunc(pass, fn)
+			checkHotFunc(pass, file, fn)
 		}
 	}
 	return nil
 }
 
-func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
+func checkHotFunc(pass *Pass, file *ast.File, fn *ast.FuncDecl) {
 	invoked := immediatelyInvoked(fn.Body)
 	fresh := freshSlices(pass, fn.Body)
 
@@ -51,6 +54,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			loopDepth++
 		case *ast.CallExpr:
 			checkHotCall(pass, fn, n, fresh, loopDepth)
+			checkHotAlloc(pass, file, fn, n)
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isString(pass.Info.TypeOf(n)) {
 				pass.Reportf(n.Pos(), "string concatenation in hotpath function %s allocates; build strings off the hot path", fn.Name.Name)
@@ -105,6 +109,21 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, fresh map[*t
 				pass.Reportf(call.Pos(), "append to %s in a loop in hotpath function %s: the slice was declared without capacity; preallocate with make(..., 0, n) or reuse a scratch buffer", target.Name, fn.Name.Name)
 			}
 		}
+	}
+}
+
+// checkHotAlloc flags a call of the make or new builtin that no
+// //lint:alloc comment with a reason justifies.
+func checkHotAlloc(pass *Pass, file *ast.File, fn *ast.FuncDecl, call *ast.CallExpr) {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || (id.Name != "make" && id.Name != "new") || pass.Info.Uses[id] != types.Universe.Lookup(id.Name) {
+		return
+	}
+	switch ok, bare := hasMarkerComment(pass, file, call.Pos(), allocMarker); {
+	case !ok:
+		pass.Reportf(call.Pos(), "%s in hotpath function %s allocates; reuse storage the engine keeps, or annotate the line //lint:alloc <reason> if the allocation is amortised", id.Name, fn.Name.Name)
+	case bare:
+		pass.Reportf(call.Pos(), "//lint:alloc needs a reason: say why this allocation belongs on the hot path")
 	}
 }
 

@@ -24,6 +24,10 @@
 //     genuinely order-insensitive. The reason is mandatory prose.
 //   - `//overlay:hotpath` as a line of a function's doc comment marks
 //     the function as part of the allocation-free hot path.
+//   - `//lint:alloc <reason>` on the line of a make or new call inside
+//     an //overlay:hotpath function, or on the line directly above it,
+//     records that the allocation is amortised — storage the function
+//     grows geometrically and keeps, say. The reason is mandatory prose.
 package lint
 
 import (
@@ -163,25 +167,29 @@ func engineScope(path string) bool {
 // orderedMarker is the justification comment for map iteration.
 const orderedMarker = "//lint:ordered"
 
+// allocMarker is the justification comment for make or new on the hot
+// path.
+const allocMarker = "//lint:alloc"
+
 // hotpathMarker marks a function as part of the allocation-free hot
 // path when it appears as a line of the function's doc comment.
 const hotpathMarker = "//overlay:hotpath"
 
-// hasOrderedComment reports whether a //lint:ordered comment with a
-// non-empty reason sits on the statement's line or the line directly
-// above it in the same file.
-func hasOrderedComment(pass *Pass, file *ast.File, pos token.Pos) (ok, bare bool) {
+// hasMarkerComment reports whether a justification comment starting
+// with marker sits on pos's line or the line directly above it in the
+// same file, and whether it lacks the mandatory reason.
+func hasMarkerComment(pass *Pass, file *ast.File, pos token.Pos, marker string) (ok, bare bool) {
 	line := pass.Fset.Position(pos).Line
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, orderedMarker) {
+			if !strings.HasPrefix(c.Text, marker) {
 				continue
 			}
 			cl := pass.Fset.Position(c.Pos()).Line
 			if cl != line && cl != line-1 {
 				continue
 			}
-			reason := strings.TrimSpace(strings.TrimPrefix(c.Text, orderedMarker))
+			reason := strings.TrimSpace(strings.TrimPrefix(c.Text, marker))
 			return true, reason == ""
 		}
 	}

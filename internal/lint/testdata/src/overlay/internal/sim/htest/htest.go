@@ -26,6 +26,10 @@ func hot(names []string, v val, n int) string {
 	_ = cb
 	_ = boxer(v) // want `conversion to interface type boxer in hotpath function hot boxes its operand`
 	_ = out
+	_ = make([]int, n) // want `make in hotpath function hot allocates`
+	_ = new(val)       // want `new in hotpath function hot allocates`
+	//lint:alloc
+	_ = make([]int, n) // want `//lint:alloc needs a reason`
 	return msg
 }
 
@@ -41,19 +45,27 @@ func cold(names []string, v val, n int) string {
 	_ = cb
 	_ = boxer(v)
 	_ = out
+	_ = make([]int, n)
+	_ = new(val)
 	return msg
 }
 
-// flat shows the allocation-free spellings the analyzer accepts.
+// flat shows the spellings the analyzer accepts: allocation-free ones,
+// and allocations a //lint:alloc reason justifies, on the line or the
+// line above.
 //
 //overlay:hotpath
 func flat(scratch []string, n int) int {
 	// Invoked on the spot: captures stay on the stack.
 	total := func() int { return n * 2 }()
 	// Preallocated: growth never reallocates.
+	//lint:alloc one exact allocation per call
 	out := make([]string, 0, len(scratch))
 	for _, s := range scratch {
 		out = append(out, s)
 	}
-	return total + len(out)
+	if cap(scratch) < n {
+		scratch = make([]string, 2*n) //lint:alloc geometric growth of kept storage
+	}
+	return total + len(out) + len(scratch)
 }

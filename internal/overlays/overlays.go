@@ -70,7 +70,7 @@ func DeBruijnEdges(nodeAt, members []int) [][2]int { return edges(deBruijn, node
 //overlay:hotpath
 func edges(kind view, nodeAt, members []int) [][2]int {
 	n := len(nodeAt)
-	off := make([]int32, n+1)
+	off := make([]int32, n+1) //lint:alloc the per-call offsets the counting sort needs
 	var out [][2]int
 	for pass := 0; pass < 2; pass++ {
 		for r := 0; r < n; r++ {
@@ -119,7 +119,7 @@ func edges(kind view, nodeAt, members []int) [][2]int {
 			for u := 0; u < n; u++ {
 				off[u+1] += off[u]
 			}
-			out = make([][2]int, off[n])
+			out = make([][2]int, off[n]) //lint:alloc the returned edge list, sized exactly
 		}
 	}
 	if members != nil {

@@ -3,12 +3,12 @@ package sim
 import "math"
 
 // Fault plane. An Adversary is a seed-deterministic fault schedule the
-// engine evaluates once per message, at its sender: the sequential
-// sender pass of a delivery (Engine.settleFates) assigns every queued
-// message a fate (deliver, drop, or delay) by a pure hash of (adversary
-// seed, delivery round, sender index, send ordinal) — a property of the
-// message, not of the shard that delivers it, so the outcome is
-// bit-identical at every worker count. Crash-stop and partition
+// engine evaluates once per message, at its sender: the sender range of
+// a delivery that holds the sender (Engine.settleFates) assigns every
+// queued message a fate (deliver, drop, or delay) by a pure hash of
+// (adversary seed, delivery round, sender index, send ordinal) — a
+// property of the message, not of the range or shard that handles it,
+// so the outcome is bit-identical at every worker count. Crash-stop and partition
 // schedules are plain per-node and per-round predicates on the same
 // clock.
 //
@@ -22,8 +22,8 @@ import "math"
 //     held back a uniform 1..DelayMax rounds in its destination shard's
 //     holdback queue and merged ahead of that round's fresh traffic
 //     when it comes due (held messages age first, in the order they
-//     were held: by round, then sender index, then send order — what
-//     one sequential sender pass yields at any worker count). A held
+//     were held: by round, then sender index, then send order — the
+//     order the sender ranges hand them over in, at any worker count). A held
 //     message is re-checked against the crash and partition schedules
 //     at its release round: a destination that died or a cut that
 //     formed while it was in flight still claims it.

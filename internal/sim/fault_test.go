@@ -527,6 +527,7 @@ func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 	res := specResult{sent: make([]int64, n), recv: make([]int64, n)}
 	var held []heldWire
 	var perm []int
+	var keep []bool
 	for i := int32(0); i < n; i++ {
 		if !adv.dead(i, 0) {
 			nodes[i].Init(&e.ctxs[i])
@@ -551,7 +552,7 @@ func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 			ctx := &e.ctxs[i]
 			sent := ctx.sentUnits
 			if cfg.SendCap > 0 && sent > cfg.SendCap {
-				sent = capOutbox(ctx, cfg.SendCap, &perm)
+				sent = capOutbox(ctx, cfg.SendCap, &perm, &keep)
 			}
 			res.sent[i] += int64(sent)
 			res.units += int64(sent)
@@ -579,7 +580,7 @@ func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 				units += int(w.Units)
 			}
 			if cfg.RecvCap > 0 && units > cfg.RecvCap {
-				keep := chooseWithin(len(in), cfg.RecvCap, func(k int) int { return int(in[k].Units) }, e.ctxs[j].Rand, &perm)
+				keep := chooseWithin(len(in), cfg.RecvCap, func(k int) int { return int(in[k].Units) }, e.ctxs[j].Rand, &perm, &keep)
 				inbox[j], units = nil, 0
 				for k, w := range in {
 					if keep[k] {
@@ -635,7 +636,10 @@ func matchSpec(t *testing.T, name string, cfg Config, fanout, rounds int) {
 
 // TestFaultDeliveryMatchesSpec holds the engine's one delivery path to
 // specRun on every fault type alone and together, with fewer nodes than
-// workers, shards of unequal size (257) and a single shard.
+// workers (2 and 5), shards of unequal size (257, and 48 at 7 workers),
+// sender ranges that straddle shard boundaries (the run list thins out
+// as nodes crash and halt, while the shards stay put) and a single
+// shard.
 func TestFaultDeliveryMatchesSpec(t *testing.T) {
 	parts := []Partition{
 		{From: 2, Until: 6, Side: []int{0, 1, 2, 3, 4, 5}},
@@ -660,8 +664,8 @@ func TestFaultDeliveryMatchesSpec(t *testing.T) {
 		// by its destination's receive cap.
 		{"all-capped", all, 2, 3},
 	}
-	for _, n := range []int{2, 48, 257} {
-		for _, w := range []int{1, 2, 3, 16} {
+	for _, n := range []int{2, 5, 48, 257} {
+		for _, w := range []int{1, 2, 3, 7, 16} {
 			for _, c := range cases {
 				adv := c.adv
 				cfg := Config{N: n, Seed: 21, Workers: w, SendCap: c.sendCap, RecvCap: c.recvCap, Adversary: &adv}

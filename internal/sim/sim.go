@@ -25,26 +25,34 @@
 //
 // Determinism: every node owns a private rng stream split from the run
 // seed; node handlers run concurrently across a worker pool but observe
-// only their own state, inbox, and stream. Outgoing messages are
-// delivered by destination-sharded workers that each scan the outboxes
-// in (sender-index, send-order), so every inbox is filled in exactly
-// the order a sequential merge would produce and a run is a pure
-// function of (protocol, seed) regardless of Workers.
+// only their own state, inbox, and stream. Delivery alternates between
+// contiguous sender ranges of the run list and contiguous destination
+// shards, both taken in index order (see deliver): each range counts
+// its messages per destination, each shard gives every range its own
+// stretch of each inbox in range order, and each range copies its
+// messages into its stretches. Every inbox is thereby filled in
+// exactly the order a sequential merge would produce — (sender-index,
+// send-order) — with no locks or atomics, and a run is a pure function
+// of (protocol, seed) regardless of Workers.
 //
 // Faults: there is one delivery path. An installed Adversary decides
-// each message's fate once, in the sequential sender pass that already
-// enforces the send cap (see settleFates): a lost message is struck
-// from its sender's destination column and a delayed one parked in its
-// destination shard's holdback queue, so the shards deliver what is
-// left — and what comes due — without consulting the adversary again,
-// except to re-check a parked message at its release round.
+// each message's fate once, in the sender range that already enforces
+// its sender's send cap (see settleFates): a lost message is struck
+// from its sender's destination column and a delayed one handed to its
+// destination shard, which parks it in its holdback queue in range
+// order — the same (sender-index, send-order) at every worker count.
+// The shards deliver what is left, and what comes due, without
+// consulting the adversary again, except to re-check a parked message
+// at its release round.
 //
 // Scale: the engine is built for 100k+-node message-level runs.
 // Outboxes are columnar (a flat []Wire per sender with a parallel
-// destination column) and each delivery shard scatters into one flat
-// []Wire arena indexed by per-destination offset/count arrays
-// (CSR-style), so a round performs zero per-message allocations and
-// delivery is a cache-linear scan instead of pointer chasing.
+// destination column) and each delivery shard owns one flat []Wire
+// arena indexed by per-destination offset/count arrays (CSR-style), so
+// delivery is a cache-linear scan instead of pointer chasing. Arenas,
+// scratch and queues grow geometrically and keep their capacity, so a
+// round that moves no more traffic than an earlier one allocates
+// nothing.
 // Identifier routing is arithmetic, not a data structure: identifiers
 // are consecutive draws of one splitmix64 stream, so inverting the
 // stream turns an identifier back into its node index (see lookup). An
@@ -153,11 +161,20 @@ type Engine struct {
 
 	// Columnar inbox index: node i's inbox is the slice
 	// arena[inOff[i] : inOff[i]+inCnt[i]] of its delivery shard's
-	// arena. inPos is the scatter cursor. Destinations a shard did not
+	// arena. inPos is the layout cursor. Destinations a shard did not
 	// touch keep a stale inOff but an inCnt of zero, reset from the
 	// shard's previous touched list, so per-round work is proportional
 	// to traffic, not to N.
 	inOff, inCnt, inPos []int32
+
+	// tally[q*N+d] is sender range q's count of the round's messages for
+	// destination d; once d's shard has laid out its arena it is the
+	// position range q copies its next message for d to. A range zeroes
+	// its column from its lanes' touched lists after scattering, so the
+	// column is all zeros between rounds. It holds a column per range the
+	// engine has used, and grows at most twice: to one column, then to
+	// one per worker.
+	tally []int32
 
 	// Active-set scheduler state. active lists non-halted nodes in
 	// ascending index order; runList is the merge of active with halted
@@ -167,16 +184,18 @@ type Engine struct {
 	scratch []int32 // swap space for rebuilding active/runList
 
 	// shards own disjoint contiguous destination ranges of shardSize
-	// indices each: node i's inbox lives in shards[i/shardSize].
+	// indices each: node i's inbox lives in shards[i/shardSize]. Worker q
+	// also runs sender range q, the q-th of ranges contiguous stretches of
+	// the run list (1 for a round run inline); see deliver.
 	shards    []shardState
 	shardSize int
+	ranges    int
 
-	// sendPerm is the scratch permutation for send-cap sampling; the
-	// sender pass is sequential, so one buffer serves every node.
-	sendPerm []int
+	// wg joins the worker pool's goroutines after each fanned-out pass.
+	wg sync.WaitGroup
 
 	// adv is the compiled fault plane; nil when no adversary is
-	// installed, in which case the sender pass settles no fates and the
+	// installed, in which case the sender ranges settle no fates and the
 	// holdback queues stay empty.
 	adv *advState
 
@@ -201,10 +220,15 @@ type Engine struct {
 // about as much as a few hundred message copies.
 const inlineGrain = 8192
 
-// shardState is one delivery worker's private accumulator. Shards own
-// disjoint contiguous destination ranges, so they never contend. The
-// tail padding keeps neighbouring shards' hot fields off a shared
-// cache line.
+// shardState is one worker's private state: worker s lays out and caps
+// destination shard s, and sender range s counts and scatters its
+// senders' messages. Shards and ranges are disjoint, so workers never
+// contend; the sender and shard passes never overlap, so one set of
+// cap-sampling scratch serves the send cap and the receive cap. Every
+// buffer keeps its capacity for the engine's lifetime, so a round that
+// moves no more traffic than an earlier one allocates nothing. The tail
+// padding keeps neighbouring workers' hot fields off a shared cache
+// line.
 type shardState struct {
 	arena   []Wire  // flat inbox storage for the shard's destinations
 	touched []int32 // destinations that received messages this round
@@ -214,17 +238,38 @@ type shardState struct {
 	// woken counts the set bits, so a quiet shard is not scanned at all.
 	wake    []uint64
 	woken   int
-	perm    []int // scratch permutation for receive-cap sampling
+	perm    []int  // scratch permutation for cap sampling
+	keep    []bool // scratch keep mask for cap sampling
 	maxRecv int
 	drops   int64
 
 	// Fault-plane state (adversary runs only): the holdback queue of
-	// delayed messages destined for this shard's range, which the sender
-	// pass appends to and the shard releases from, and the count of those
-	// a crash or a cut claimed at release, merged into Metrics each round.
+	// delayed messages destined for this shard's range, which the shard
+	// takes over from the sender ranges' lanes and releases from, and
+	// the count of those a crash or a cut claimed at release, merged into
+	// Metrics each round.
 	held     []heldWire
 	advDrops int64
-	_        [64]byte
+
+	// Sender-range side: out[t] is the range's lane to shard t, and the
+	// counters are the range's share of the round's sender-side metrics,
+	// merged in range order once every range is counted.
+	out                                     []lane
+	sentMax, queued                         int
+	units, capHits, faultDrops, faultDelays int64
+	_                                       [64]byte
+}
+
+// lane is what one sender range hands one destination shard in a round:
+// the shard's destinations the range has messages for, in first-message
+// order (their counts are in the range's tally column), and the
+// messages the range parked for the shard's holdback queue, in
+// (sender-index, send-order). The padding gives each lane a cache line
+// of its own, since ranges append to neighbouring lanes concurrently.
+type lane struct {
+	touched []int32
+	held    []heldWire
+	_       [16]byte
 }
 
 // Ctx is a node's handle to the engine, valid for the duration of the
@@ -347,8 +392,14 @@ func newEngine(cfg Config, nodes []Node, idStream rng.Source) *Engine {
 	if e.shardSize < 1 {
 		e.shardSize = 1
 	}
+	// One slab of w·w lanes, row s the lanes of sender range s, and one
+	// behind every shard's wake bitmap, its rows a cache line apart.
+	lanes := make([]lane, w*w)
+	words := (e.shardSize + 63) / 64
+	wake := make([]uint64, w*(words+8))
 	for s := range e.shards {
-		e.shards[s].wake = make([]uint64, (e.shardSize+63)/64)
+		e.shards[s].out = lanes[s*w : (s+1)*w : (s+1)*w]
+		e.shards[s].wake = wake[s*(words+8) : s*(words+8)+words : s*(words+8)+words]
 	}
 	e.metrics.PerNodeSent = make([]int64, n)
 	e.metrics.PerNodeRecv = make([]int64, n)
@@ -528,118 +579,147 @@ func (e *Engine) initNodes() {
 		}
 		e.runList = append(e.runList, int32(i))
 	}
-	e.forEach(len(e.runList), len(e.runList), func(k int) {
-		i := e.runList[k]
-		e.nodes[i].Init(&e.ctxs[i])
-	})
+	e.forEach(initPass, len(e.runList), len(e.runList))
 	e.deliver()
 }
 
 func (e *Engine) step() {
 	e.round++
 	run := e.runList
-	e.forEach(len(run), len(run)+e.queued, func(k int) {
-		i := run[k]
-		e.nodes[i].Round(&e.ctxs[i], e.inboxOf(i))
-	})
+	e.forEach(roundPass, len(run), len(run)+e.queued)
 	// Inboxes are consumed; the delivery pass resets the arenas (and
 	// the per-destination counts, via each shard's touched list) before
 	// refilling them for the next round.
 	e.deliver()
 }
 
-// forEach runs fn(0..k-1) across the worker pool, or inline when the
-// engine is effectively sequential or the pass is small: work is the
-// pass's size in nodes plus messages, and under inlineGrain the
-// hand-off would cost more than it spreads (Config.Workers > 1 keeps
-// even those on the pool).
-func (e *Engine) forEach(k, work int, fn func(int)) {
+// pass names one of the engine's fanned-out loops. forEach dispatches
+// on it rather than taking a closure: a closure handed to the worker
+// pool escapes to the heap, and every round would allocate one.
+type pass uint8
+
+const (
+	initPass    pass = iota // Init of run-list entry k
+	roundPass               // Round of run-list entry k
+	sendPass                // sender range k: caps, fates, tally
+	layoutPass              // destination shard k: arena layout
+	scatterPass             // sender range k: copies into the arenas
+	capPass                 // destination shard k: receive cap, wake-ups
+)
+
+// do runs item k of pass p.
+func (e *Engine) do(p pass, k int) {
+	switch p {
+	case initPass:
+		i := e.runList[k]
+		e.nodes[i].Init(&e.ctxs[i])
+	case roundPass:
+		i := e.runList[k]
+		e.nodes[i].Round(&e.ctxs[i], e.inboxOf(i))
+	case sendPass:
+		e.sendRange(k)
+	case layoutPass:
+		e.layoutShard(k)
+	case scatterPass:
+		e.scatterRange(k)
+	case capPass:
+		e.applyRecvCaps(k)
+	}
+}
+
+// spread is the number of chunks forEach splits a pass of k items into:
+// 1, run inline, when the engine is effectively sequential or the pass
+// is small — work is its size in nodes plus messages, and under
+// inlineGrain the hand-off would cost more than it spreads
+// (Config.Workers > 1 keeps even those on the pool) — and otherwise one
+// per worker.
+func (e *Engine) spread(k, work int) int {
 	w := len(e.shards)
 	if w < 2 || k < 2 || (!e.sharded && work < inlineGrain) {
-		for i := 0; i < k; i++ {
-			fn(i)
-		}
-		return
+		return 1
 	}
-	var wg sync.WaitGroup
+	return w
+}
+
+// forEach runs items 0..k-1 of pass p in contiguous chunks (see
+// spread), the first on the driving goroutine and the rest on the
+// worker pool.
+func (e *Engine) forEach(p pass, k, work int) {
+	w := e.spread(k, work)
 	chunk := (k + w - 1) / w
-	for s := 0; s < w; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
+	for lo := chunk; lo < k; lo += chunk {
+		e.wg.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
+			defer e.wg.Done()
 			for i := lo; i < hi; i++ {
-				fn(i)
+				e.do(p, i)
 			}
-		}(lo, hi)
+		}(lo, min(lo+chunk, k))
 	}
-	wg.Wait()
+	for i := 0; i < min(chunk, k); i++ {
+		e.do(p, i)
+	}
+	e.wg.Wait()
 }
 
 // deliver moves every queued outgoing message into its destination
 // inbox, enforcing the send cap then the receive cap, and rebuilds the
 // active set and next-round run list.
 //
-// The sender pass is sequential in node-index order (it owns the
-// send-cap rng draws, the sender-side metrics and, under an adversary,
-// every message's fate). It parks delayed messages in (sender-index,
-// send-order), the order the sharded scan below meets messages in, so
-// a holdback queue reads the same at every worker count. Delivery
-// itself is sharded: destination indices are partitioned into
-// contiguous ranges, and each shard worker scans all outbox destination
-// columns in (sender-index, send-order), scattering messages routed
-// into its own range into its flat arena, so each inbox segment is
-// filled in exactly the order the sequential merge produces, with no
-// locking.
+// Delivery runs in four share-nothing passes, with no locking and no
+// atomics, alternating between sender ranges — contiguous stretches of
+// the run list, one per worker or a single one for a round run inline —
+// and destination shards:
+//
+//  1. sendRange: each range applies the send cap, settles fates under
+//     an adversary and tallies its surviving messages per destination.
+//  2. layoutShard: each shard sizes its destinations' inbox segments
+//     from the ranges' tallies and gives every range its own stretch of
+//     each segment, in range order, behind the held messages due.
+//  3. scatterRange: each range copies its messages straight from the
+//     outboxes into their stretches.
+//  4. applyRecvCaps: each shard applies the receive cap and collects
+//     wake-ups.
+//
+// Ranges are contiguous and taken in order, so each inbox receives its
+// messages in (sender-index, send-order) and each holdback queue its
+// parked messages in the same order — exactly what one sequential
+// merge produces, whatever the worker count. Each message is read
+// twice, both times on its sender's side, and copied once; no shard
+// scans another shard's traffic.
 func (e *Engine) deliver() {
 	run := e.runList
 
-	// deliverRound is the round the queued messages will be consumed in.
-	deliverRound := int32(e.round + 1)
-
-	// Sender pass: caps, fates and sender-side metrics.
-	roundSentMax, queued := 0, 0
-	for _, i := range run {
-		ctx := &e.ctxs[i]
-		sent := ctx.sentUnits
-		ctx.sentUnits = 0
-		if e.cfg.SendCap > 0 && sent > e.cfg.SendCap {
-			// Enforce the cap by dropping a random subset of the
-			// sender's messages and record the violation: correct
-			// protocols never hit this.
-			sent = capOutbox(ctx, e.cfg.SendCap, &e.sendPerm)
-			e.metrics.SendCapViolations++
+	// The sender passes' work is the round's, the run list plus the inbox
+	// volume it consumed.
+	work := len(run) + e.queued
+	e.ranges = e.spread(len(run), work)
+	if need := e.ranges * e.cfg.N; len(e.tally) < need {
+		if e.ranges > 1 {
+			need = len(e.shards) * e.cfg.N
 		}
-		if e.adv != nil {
-			e.settleFates(i, ctx, deliverRound)
-		}
-		e.metrics.PerNodeSent[i] += int64(sent)
-		queued += len(ctx.outW)
-		e.metrics.TotalUnits += int64(sent)
-		if sent > roundSentMax {
-			roundSentMax = sent
-		}
+		e.tally = make([]int32, need)
 	}
-
+	e.forEach(sendPass, e.ranges, work)
+	roundSentMax, queued := 0, 0
+	for q := range e.shards[:e.ranges] {
+		sc := &e.shards[q]
+		roundSentMax = max(roundSentMax, sc.sentMax)
+		queued += sc.queued
+		e.metrics.TotalUnits += sc.units
+		e.metrics.SendCapViolations += sc.capHits
+		e.metrics.FaultDrops += sc.faultDrops
+		e.metrics.FaultDelays += sc.faultDelays
+		sc.sentMax, sc.queued = 0, 0
+		sc.units, sc.capHits, sc.faultDrops, sc.faultDelays = 0, 0, 0, 0
+	}
 	e.metrics.TotalMessages += int64(queued)
 	e.queued = queued
 
-	// Sharded delivery into the flat per-shard arenas.
-	e.forEach(len(e.shards), len(run)+queued, func(s int) {
-		lo := int32(s * e.shardSize)
-		hi := lo + int32(e.shardSize)
-		if hi > int32(e.cfg.N) {
-			hi = int32(e.cfg.N)
-		}
-		e.deliverShard(&e.shards[s], run, lo, hi, deliverRound)
-	})
+	work = len(run) + queued
+	e.forEach(layoutPass, len(e.shards), work)
+	e.forEach(scatterPass, e.ranges, work)
+	e.forEach(capPass, len(e.shards), work)
 
 	// Merge shard accumulators (deterministic: max and sums).
 	roundRecvMax := 0
@@ -654,21 +734,13 @@ func (e *Engine) deliver() {
 	e.metrics.RoundMaxSent = append(e.metrics.RoundMaxSent, roundSentMax)
 	e.metrics.RoundMaxRecv = append(e.metrics.RoundMaxRecv, roundRecvMax)
 
-	// Outboxes are fully drained; reset them keeping capacity. Wires
-	// are pointer-free, so stale tails pin nothing.
-	for _, i := range run {
-		ctx := &e.ctxs[i]
-		ctx.outW = ctx.outW[:0]
-		ctx.outD = ctx.outD[:0]
-	}
-
 	// Rebuild the active set: nodes that ran and are still live. Nodes
 	// that did not run cannot have changed state, and were halted.
 	// Nodes whose crash round has arrived are removed for good.
 	next := e.scratch[:0]
 	if e.adv != nil && e.adv.hasCrash {
 		for _, i := range run {
-			if !e.halted(i) && !e.adv.dead(i, deliverRound) {
+			if !e.halted(i) && !e.adv.dead(i, int32(e.round+1)) {
 				next = append(next, i)
 			}
 		}
@@ -713,21 +785,73 @@ func (e *Engine) deliver() {
 	e.runList = merged
 }
 
+// senders returns sender range q: the q-th of e.ranges contiguous
+// stretches of the run list.
+func (e *Engine) senders(q int) []int32 {
+	run := e.runList
+	chunk := (len(run) + e.ranges - 1) / e.ranges
+	return run[min(q*chunk, len(run)):min((q+1)*chunk, len(run))]
+}
+
+// sendRange is sender range q's first pass. For each sender in index
+// order it enforces the send cap (sampling with the sender's own
+// stream), adds the sender-side metrics to the range's share and, after
+// settleFates when an adversary is installed, tallies the surviving
+// messages in the range's column, noting each destination's first
+// message in the lane to its shard.
+//
+//overlay:hotpath
+func (e *Engine) sendRange(q int) {
+	sc := &e.shards[q]
+	tally := e.tally[q*e.cfg.N : (q+1)*e.cfg.N]
+	r := int32(e.round + 1) // the round the queued messages are consumed in
+	for _, i := range e.senders(q) {
+		ctx := &e.ctxs[i]
+		sent := ctx.sentUnits
+		ctx.sentUnits = 0
+		if e.cfg.SendCap > 0 && sent > e.cfg.SendCap {
+			// Enforce the cap by dropping a random subset of the sender's
+			// messages and record the violation: correct protocols never
+			// hit this.
+			sent = capOutbox(ctx, e.cfg.SendCap, &sc.perm, &sc.keep)
+			sc.capHits++
+		}
+		e.metrics.PerNodeSent[i] += int64(sent)
+		sc.units += int64(sent)
+		sc.queued += len(ctx.outW)
+		sc.sentMax = max(sc.sentMax, sent)
+		if e.adv != nil {
+			e.settleFates(sc, i, ctx, r)
+		}
+		for _, d := range ctx.outD {
+			if d == lost {
+				continue
+			}
+			if tally[d] == 0 {
+				ln := &sc.out[int(d)/e.shardSize]
+				ln.touched = append(ln.touched, d)
+			}
+			tally[d]++
+		}
+	}
+}
+
 // lost replaces the destination of a message the fault plane has
-// claimed; no shard's [lo, hi) contains it, so delivery passes over the
-// message without knowing why.
+// claimed: the tally and scatter passes pass over it, and a parked
+// message claimed at its release round is skipped by its shard's
+// scatter.
 const lost = -1
 
 // settleFates decides, once, what becomes of each message node i queued
 // for round r: a message to a crashed destination, across an active cut
 // or with a drop fate is marked lost in place, and a delayed one moves
-// to its destination shard's holdback queue. It runs in the sequential
-// sender pass after the send cap, so a fate's ordinal is the message's
-// final outbox position, and consults no rng stream — the fault plane
-// never perturbs protocol randomness.
+// to the lane to its destination shard, to be parked in the shard's
+// holdback queue. It runs after the send cap, so a fate's ordinal is the
+// message's final outbox position, and consults no rng stream — the
+// fault plane never perturbs protocol randomness.
 //
 //overlay:hotpath
-func (e *Engine) settleFates(i int32, ctx *Ctx, r int32) {
+func (e *Engine) settleFates(sc *shardState, i int32, ctx *Ctx, r int32) {
 	adv := e.adv
 	for k, d := range ctx.outD {
 		drop, delay := true, int32(0)
@@ -736,11 +860,11 @@ func (e *Engine) settleFates(i int32, ctx *Ctx, r int32) {
 		}
 		switch {
 		case drop:
-			e.metrics.FaultDrops++
+			sc.faultDrops++
 		case delay > 0:
-			sc := &e.shards[int(d)/e.shardSize]
-			sc.held = append(sc.held, heldWire{w: ctx.outW[k], from: i, dest: d, due: r + delay})
-			e.metrics.FaultDelays++
+			ln := &sc.out[int(d)/e.shardSize]
+			ln.held = append(ln.held, heldWire{w: ctx.outW[k], from: i, dest: d, due: r + delay})
+			sc.faultDelays++
 		default:
 			continue
 		}
@@ -748,24 +872,31 @@ func (e *Engine) settleFates(i int32, ctx *Ctx, r int32) {
 	}
 }
 
-// deliverShard fills the shard's arena with the messages destined for
-// [lo, hi) at round r: a count pass over the destination columns sizes
-// the per-destination segments (CSR-style offsets), a scatter pass
-// copies the wires in (sender-index, send-order), and a final pass
-// applies the receive cap and receiver-side metrics. Both passes take
-// the shard's held messages due at r ahead of the fresh ones (held
-// messages age first, in the order they were held). Per-destination
-// counts from the previous round are zeroed via the shard's old touched
-// list, so the work is proportional to traffic rather than to N.
+// layoutShard lays out shard s's arena for the next round. It takes over
+// the messages the sender ranges parked for it, in range order, into its
+// holdback queue; sums each destination's held messages due and the
+// ranges' tallies into its inbox segment (CSR-style offsets); copies the
+// held messages due to the front of their segments (held messages age
+// first, in the order they were held); and turns each range's tally for
+// a destination into the position where that range's stretch of the
+// segment starts. Per-destination counts from the previous round are
+// zeroed via the shard's old touched list, so the work is proportional
+// to traffic rather than to N.
 //
 //overlay:hotpath
-func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi, r int32) {
+func (e *Engine) layoutShard(s int) {
+	sc := &e.shards[s]
+	r := int32(e.round + 1)
 	e.resetShard(sc)
+	for q := range e.shards[:e.ranges] {
+		ln := &e.shards[q].out[s]
+		sc.held = append(sc.held, ln.held...)
+		ln.held = ln.held[:0]
+	}
 
-	// Count pass: scan only the 4-byte destination columns. A held
-	// message is re-checked against the schedule at its release round —
-	// its destination may have crashed, or a partition may have formed
-	// around it, while it was in flight.
+	// Count. A held message is re-checked against the schedule at its
+	// release round — its destination may have crashed, or a partition
+	// may have formed around it, while it was in flight.
 	total := int32(0)
 	for k := range sc.held {
 		hm := &sc.held[k]
@@ -783,16 +914,14 @@ func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi, r int32) {
 		e.inCnt[hm.dest]++
 		total++
 	}
-	for _, i := range run {
-		for _, d := range e.ctxs[i].outD {
-			if d < lo || d >= hi {
-				continue
-			}
+	for q := range e.shards[:e.ranges] {
+		tally := e.tally[q*e.cfg.N:]
+		for _, d := range e.shards[q].out[s].touched {
 			if e.inCnt[d] == 0 {
 				sc.touched = append(sc.touched, d)
 			}
-			e.inCnt[d]++
-			total++
+			e.inCnt[d] += tally[d]
+			total += tally[d]
 		}
 	}
 	if total == 0 {
@@ -801,7 +930,7 @@ func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi, r int32) {
 	}
 	e.layoutArena(sc, total)
 
-	// Scatter pass: cache-linear copies into the arena.
+	// Held messages first, then one stretch per range, in range order.
 	for k := range sc.held {
 		hm := &sc.held[k]
 		if hm.due != r || hm.dest == lost {
@@ -812,19 +941,47 @@ func (e *Engine) deliverShard(sc *shardState, run []int32, lo, hi, r int32) {
 		e.inPos[hm.dest] = p + 1
 	}
 	sc.compactHeld(r)
-	for _, i := range run {
-		ctx := &e.ctxs[i]
-		for k, d := range ctx.outD {
-			if d < lo || d >= hi {
-				continue
-			}
-			p := e.inPos[d]
-			sc.arena[p] = ctx.outW[k]
-			e.inPos[d] = p + 1
+	for q := range e.shards[:e.ranges] {
+		tally := e.tally[q*e.cfg.N:]
+		for _, d := range e.shards[q].out[s].touched {
+			n := tally[d]
+			tally[d] = e.inPos[d]
+			e.inPos[d] += n
 		}
 	}
+}
 
-	e.applyRecvCaps(sc, lo)
+// scatterRange is sender range q's second pass: it copies each
+// surviving message of its senders to the position its tally column
+// holds for the destination, then empties the senders' outboxes and
+// zeroes the column for the next round.
+//
+//overlay:hotpath
+func (e *Engine) scatterRange(q int) {
+	sc := &e.shards[q]
+	tally := e.tally[q*e.cfg.N : (q+1)*e.cfg.N]
+	for _, i := range e.senders(q) {
+		ctx := &e.ctxs[i]
+		for k, d := range ctx.outD {
+			if d == lost {
+				continue
+			}
+			p := tally[d]
+			e.shards[int(d)/e.shardSize].arena[p] = ctx.outW[k]
+			tally[d] = p + 1
+		}
+		// The outbox is drained; keep its capacity. Wires are
+		// pointer-free, so stale tails pin nothing.
+		ctx.outW = ctx.outW[:0]
+		ctx.outD = ctx.outD[:0]
+	}
+	for t := range sc.out {
+		ln := &sc.out[t]
+		for _, d := range ln.touched {
+			tally[d] = 0
+		}
+		ln.touched = ln.touched[:0]
+	}
 }
 
 // resetShard clears the previous round's per-shard delivery state. The
@@ -845,7 +1002,11 @@ func (e *Engine) resetShard(sc *shardState) {
 
 // layoutArena assigns per-destination offsets (segments in
 // first-arrival order of the touched list — contiguity is all inboxOf
-// needs) and sizes the arena.
+// needs) and sizes the arena, growing it geometrically: a shard whose
+// traffic grows round over round reallocates a logarithmic number of
+// times, not every round. The factor is 1.25, not 2: most engines live
+// a few rounds (every repair engine) and keep their last arena, so the
+// overshoot of a doubling costs more bytes than the extra growth steps.
 //
 //overlay:hotpath
 func (e *Engine) layoutArena(sc *shardState, total int32) {
@@ -856,17 +1017,18 @@ func (e *Engine) layoutArena(sc *shardState, total int32) {
 		off += e.inCnt[j]
 	}
 	if cap(sc.arena) < int(total) {
-		sc.arena = make([]Wire, total)
-	} else {
-		sc.arena = sc.arena[:total]
+		sc.arena = make([]Wire, max(int(total), cap(sc.arena)+cap(sc.arena)/4)) //lint:alloc geometric growth, kept for the engine's lifetime
 	}
+	sc.arena = sc.arena[:total]
 }
 
-// applyRecvCaps is the final delivery pass: receive-cap enforcement,
+// applyRecvCaps is shard s's last pass: receive-cap enforcement,
 // receiver-side metrics, and the wake list for halted destinations.
 //
 //overlay:hotpath
-func (e *Engine) applyRecvCaps(sc *shardState, lo int32) {
+func (e *Engine) applyRecvCaps(s int) {
+	sc := &e.shards[s]
+	lo := int32(s * e.shardSize)
 	for _, j := range sc.touched {
 		seg := sc.arena[e.inOff[j] : e.inOff[j]+e.inCnt[j]]
 		units := 0
@@ -915,7 +1077,7 @@ func (e *Engine) capInbox(sc *shardState, j int32) int {
 	off := int(e.inOff[j])
 	seg := sc.arena[off : off+int(e.inCnt[j])]
 	keep := chooseWithin(len(seg), e.cfg.RecvCap,
-		func(k int) int { return int(seg[k].Units) }, e.ctxs[j].Rand, &sc.perm)
+		func(k int) int { return int(seg[k].Units) }, e.ctxs[j].Rand, &sc.perm, &sc.keep)
 	kept, used := 0, 0
 	for k := range seg {
 		if !keep[k] {
@@ -932,12 +1094,12 @@ func (e *Engine) capInbox(sc *shardState, j int32) int {
 // capOutbox keeps a random subset of outgoing messages within cap
 // units, preserving emission order among the kept, compacting all
 // outbox columns in lockstep, and returns the units actually sent.
-func capOutbox(c *Ctx, cap int, perm *[]int) int {
-	keep := chooseWithin(len(c.outW), cap,
-		func(k int) int { return int(c.outW[k].Units) }, c.Rand, perm)
+func capOutbox(c *Ctx, cap int, perm *[]int, keep *[]bool) int {
+	mask := chooseWithin(len(c.outW), cap,
+		func(k int) int { return int(c.outW[k].Units) }, c.Rand, perm, keep)
 	kept, used := 0, 0
 	for k := range c.outW {
-		if !keep[k] {
+		if !mask[k] {
 			continue
 		}
 		c.outW[kept] = c.outW[k]
@@ -951,11 +1113,18 @@ func capOutbox(c *Ctx, cap int, perm *[]int) int {
 }
 
 // chooseWithin marks a uniformly random subset of n items whose unit
-// sizes fit within cap, greedily in random order. perm is a reusable
-// scratch permutation buffer (grown as needed and written back), so a
-// capped node costs no allocation beyond the keep mask.
-func chooseWithin(n, limit int, units func(int) int, src *rng.Source, perm *[]int) []bool {
-	keep := make([]bool, n)
+// sizes fit within cap, greedily in random order, and returns the keep
+// mask. perm and keep are reusable scratch buffers (grown as needed and
+// written back), so once they have reached the largest capped inbox or
+// outbox a capped node costs no allocation.
+func chooseWithin(n, limit int, units func(int) int, src *rng.Source, perm *[]int, keep *[]bool) []bool {
+	k := *keep
+	if cap(k) < n {
+		k = make([]bool, n)
+	}
+	k = k[:n]
+	clear(k)
+	*keep = k
 	p := *perm
 	if cap(p) < n {
 		p = make([]int, n)
@@ -968,8 +1137,8 @@ func chooseWithin(n, limit int, units func(int) int, src *rng.Source, perm *[]in
 		u := units(i)
 		if used+u <= limit {
 			used += u
-			keep[i] = true
+			k[i] = true
 		}
 	}
-	return keep
+	return k
 }

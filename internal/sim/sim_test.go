@@ -227,11 +227,13 @@ func TestSizedPayloadBlockedByRecvCap(t *testing.T) {
 	}
 }
 
-// gossipNode floods a random token to stress determinism checks.
+// gossipNode floods a random token (fanout of them, at least one) to
+// stress determinism checks.
 type gossipNode struct {
-	peers []ids.ID
-	sum   uint64
-	turns int
+	peers  []ids.ID
+	fanout int
+	sum    uint64
+	turns  int
 }
 
 func (g *gossipNode) Init(ctx *Ctx) {
@@ -251,8 +253,10 @@ func (g *gossipNode) Round(ctx *Ctx, inbox []Wire) {
 }
 
 func (g *gossipNode) send(ctx *Ctx) {
-	to := g.peers[ctx.Rand.Intn(len(g.peers))]
-	Send(ctx, to, valMsg{ctx.Rand.Uint64()})
+	for k := 0; k < max(g.fanout, 1); k++ {
+		to := g.peers[ctx.Rand.Intn(len(g.peers))]
+		Send(ctx, to, valMsg{ctx.Rand.Uint64()})
+	}
 }
 
 func (g *gossipNode) Halted() bool { return g.turns >= 5 }
@@ -295,24 +299,22 @@ func TestDeterminismAcrossExecutionModes(t *testing.T) {
 	}
 }
 
-// runGossipMetrics runs the gossip protocol under an explicit engine
-// configuration and returns the per-node sums plus the full metrics.
-func runGossipMetrics(cfg Config, recvCap int) ([]uint64, *Metrics) {
-	const n = 256
-	cfg.N = n
-	cfg.RecvCap = recvCap
-	nodes := make([]Node, n)
-	gs := make([]*gossipNode, n)
+// runGossipMetrics runs the gossip protocol, fanout sends a turn, for
+// rounds rounds under cfg and returns the per-node sums plus the full
+// metrics.
+func runGossipMetrics(cfg Config, fanout, rounds int) ([]uint64, *Metrics) {
+	nodes := make([]Node, cfg.N)
+	gs := make([]*gossipNode, cfg.N)
 	for i := range nodes {
-		gs[i] = &gossipNode{}
+		gs[i] = &gossipNode{fanout: fanout}
 		nodes[i] = gs[i]
 	}
 	e := New(cfg, nodes)
 	for i := range gs {
 		gs[i].peers = e.IDs()
 	}
-	e.Run(10)
-	sums := make([]uint64, n)
+	e.Run(rounds)
+	sums := make([]uint64, cfg.N)
 	for i, g := range gs {
 		sums[i] = g.sum
 	}
@@ -320,19 +322,94 @@ func runGossipMetrics(cfg Config, recvCap int) ([]uint64, *Metrics) {
 }
 
 // TestShardedDeliveryMatchesSequential is the guardrail for the
-// sharded-delivery refactor: the sequential path and the parallel path
-// (with the worker pool forced on) must produce identical node states
-// and bit-for-bit identical Metrics for the same seed.
+// sharded delivery: the sequential path and the parallel one (with the
+// worker pool forced on) must produce identical node states and
+// bit-for-bit identical Metrics for the same seed. The worker counts
+// make sender ranges straddle destination-shard boundaries (7 and 16 do
+// not divide 256), run more workers than nodes (n = 5 at 16 workers)
+// and leave the last shard short (n = 257); the configurations add
+// caps and a delaying adversary, whose held messages cross from the
+// ranges to the shards.
 func TestShardedDeliveryMatchesSequential(t *testing.T) {
-	seqSums, seqM := runGossipMetrics(Config{Seed: 42, Workers: 1}, 0)
-	for _, workers := range []int{2, 4, 16} {
-		parSums, parM := runGossipMetrics(Config{Seed: 42, Workers: workers}, 0)
-		if !reflect.DeepEqual(seqSums, parSums) {
-			t.Errorf("workers=%d: sequential and sharded runs diverged in node state", workers)
+	adv := &Adversary{Seed: 3, DropProb: 0.05, DelayProb: 0.3, DelayMax: 3,
+		Crashes: []Crash{{Node: 2, Round: 4}}}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"capped", Config{SendCap: 1, RecvCap: 2}},
+		{"adversary", Config{Adversary: adv}},
+		{"adversary-capped", Config{SendCap: 1, RecvCap: 2, Adversary: adv}},
+	} {
+		for _, n := range []int{5, 256, 257} {
+			cfg := c.cfg
+			cfg.N, cfg.Seed, cfg.Workers = n, 42, 1
+			seqSums, seqM := runGossipMetrics(cfg, 3, 16)
+			for _, workers := range []int{2, 3, 4, 7, 16} {
+				cfg.Workers = workers
+				parSums, parM := runGossipMetrics(cfg, 3, 16)
+				if !reflect.DeepEqual(seqSums, parSums) {
+					t.Errorf("%s n=%d workers=%d: sequential and sharded runs diverged in node state", c.name, n, workers)
+				}
+				if !reflect.DeepEqual(seqM, parM) {
+					t.Errorf("%s n=%d workers=%d: sequential and sharded runs diverged in metrics:\nseq: %+v\npar: %+v",
+						c.name, n, workers, seqM, parM)
+				}
+			}
 		}
-		if !reflect.DeepEqual(seqM, parM) {
-			t.Errorf("workers=%d: sequential and sharded runs diverged in metrics:\nseq: %+v\npar: %+v",
-				workers, seqM, parM)
+	}
+}
+
+// steadyNode sends two messages every round, one to its ring successor
+// and one to a peer its stream picks, and never halts: the round's
+// traffic is fixed even though its destinations are not.
+type steadyNode struct {
+	peers []ids.ID
+	sum   uint64
+}
+
+func (s *steadyNode) Init(ctx *Ctx) { s.send(ctx) }
+
+func (s *steadyNode) Round(ctx *Ctx, inbox []Wire) {
+	for _, w := range inbox {
+		s.sum += w.W[0]
+	}
+	s.send(ctx)
+}
+
+func (s *steadyNode) send(ctx *Ctx) {
+	Send(ctx, s.peers[(ctx.Index+1)%len(s.peers)], valMsg{1})
+	Send(ctx, s.peers[ctx.Rand.Intn(len(s.peers))], valMsg{2})
+}
+
+// TestSteadyStateDeliveryAllocatesNothing pins the point of delivery
+// storage that grows and stays: once a run has seen its largest round,
+// a round — node execution, send cap, delivery, receive cap and run
+// list — allocates nothing. The warm-up is long enough that the
+// per-round metric columns do not grow during the measured rounds.
+func TestSteadyStateDeliveryAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		sendCap, recvCap int
+	}{{"plain", 0, 0}, {"capped", 1, 1}} {
+		const n = 64
+		nodes := make([]Node, n)
+		ss := make([]*steadyNode, n)
+		for i := range nodes {
+			ss[i] = &steadyNode{}
+			nodes[i] = ss[i]
+		}
+		e := New(Config{N: n, Seed: 9, Workers: 1, SendCap: c.sendCap, RecvCap: c.recvCap}, nodes)
+		for i := range ss {
+			ss[i].peers = e.IDs()
+		}
+		e.Run(600)
+		if allocs := testing.AllocsPerRun(100, func() { e.Run(1) }); allocs != 0 {
+			t.Errorf("%s: a steady-state round allocates %.0f objects; want 0", c.name, allocs)
+		}
+		if c.sendCap > 0 && e.Metrics().SendCapViolations == 0 {
+			t.Errorf("%s: the send cap never engaged", c.name)
 		}
 	}
 }
@@ -342,8 +419,8 @@ func TestShardedDeliveryMatchesSequential(t *testing.T) {
 // drop the same messages (same per-node sums) and report the same
 // RecvDrops count.
 func TestRecvDropsReproducible(t *testing.T) {
-	seqSums, seqM := runGossipMetrics(Config{Seed: 7, Workers: 1}, 2)
-	parSums, parM := runGossipMetrics(Config{Seed: 7, Workers: 4}, 2)
+	seqSums, seqM := runGossipMetrics(Config{N: 256, Seed: 7, Workers: 1, RecvCap: 2}, 1, 10)
+	parSums, parM := runGossipMetrics(Config{N: 256, Seed: 7, Workers: 4, RecvCap: 2}, 1, 10)
 	if seqM.RecvDrops == 0 {
 		t.Fatal("test needs a cap tight enough to force drops")
 	}
@@ -354,7 +431,7 @@ func TestRecvDropsReproducible(t *testing.T) {
 		t.Errorf("metrics diverged under drops:\nseq: %+v\npar: %+v", seqM, parM)
 	}
 	// And the whole run is reproducible from the seed alone.
-	againSums, againM := runGossipMetrics(Config{Seed: 7, Workers: 4}, 2)
+	againSums, againM := runGossipMetrics(Config{N: 256, Seed: 7, Workers: 4, RecvCap: 2}, 1, 10)
 	if !reflect.DeepEqual(parSums, againSums) || !reflect.DeepEqual(parM, againM) {
 		t.Error("repeated run with equal seed diverged")
 	}

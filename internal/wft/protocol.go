@@ -160,9 +160,11 @@ type Protocol struct {
 
 	// Tree state. children is sorted ascending after phase B and
 	// childSize is aligned with it (a parallel column instead of a
-	// per-node map; sizeKnown counts the filled entries).
+	// per-node map; sizeKnown counts the filled entries). Children are
+	// neighbours, so BuildEngine carves childSize's storage from a slab
+	// parallel to the neighbour lists.
 	children  []ids.ID
-	childSize []int
+	childSize []int32
 	sizeKnown int
 	sizeSent  bool
 	subtree   int
@@ -173,7 +175,9 @@ type Protocol struct {
 	after ids.ID
 	succ  ids.ID
 
-	// Jump tables: jump[k] = owner of rank (rank + 2^k) mod total.
+	// Jump tables: jump[k] = owner of rank (rank + 2^k) mod total, in
+	// room for the ⌈log₂ n⌉+1 levels that BuildEngine carves from one
+	// slab.
 	jump []ids.ID
 
 	// Results.
@@ -214,7 +218,13 @@ func BuildEngine(g *graphx.Graph, floodRounds int, cfg sim.Config) (*sim.Engine,
 	for i := range protos {
 		totalDeg += g.Degree(i)
 	}
+	// The per-node columns the schedule fills later come from two more
+	// slabs: childSize parallel to the neighbour lists, and a jump table
+	// of ⌈log₂ n⌉+1 levels each.
 	arena := make([]ids.ID, 0, totalDeg)
+	sizes := make([]int32, totalDeg)
+	levels := sim.LogBound(g.N) + 1
+	jumps := make([]ids.ID, g.N*levels)
 	for i, p := range protos {
 		start := len(arena)
 		for _, v := range g.Neighbors(i) {
@@ -225,6 +235,8 @@ func BuildEngine(g *graphx.Graph, floodRounds int, cfg sim.Config) (*sim.Engine,
 			arena = append(arena, nb)
 		}
 		p.neighbors = arena[start:len(arena):len(arena)]
+		p.childSize = sizes[start:start:len(arena)]
+		p.jump = jumps[i*levels : i*levels : (i+1)*levels]
 	}
 	return eng, protos
 }
@@ -293,7 +305,7 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 			}
 		}
 		slices.Sort(p.children)
-		p.childSize = make([]int, len(p.children))
+		p.childSize = p.childSize[:len(p.children)]
 		p.maybeSendSize(ctx)
 	case r < phaseE:
 		for _, w := range inbox {
@@ -302,7 +314,7 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 				var msg sizeMsg
 				msg.Decode(w)
 				if c := p.childIndex(w.From); c >= 0 && p.childSize[c] == 0 {
-					p.childSize[c] = msg.size
+					p.childSize[c] = int32(msg.size)
 					p.sizeKnown++
 				}
 			case kindInterval:
@@ -384,7 +396,7 @@ func (p *Protocol) maybeSendSize(ctx *sim.Ctx) {
 	p.sizeSent = true
 	p.subtree = 1
 	for _, s := range p.childSize {
-		p.subtree += s
+		p.subtree += int(s)
 	}
 	if p.bestRoot == ctx.ID {
 		// Root: start interval distribution. Its own interval is
@@ -403,13 +415,9 @@ func (p *Protocol) applyInterval(ctx *sim.Ctx, msg intervalMsg) {
 	p.rank = msg.lo
 	p.total = msg.total
 	p.after = msg.after
-	if p.jump == nil {
-		// One exact allocation for the whole jump table (≤ K+1 levels).
-		p.jump = make([]ids.ID, 0, ctx.LogBound()+1)
-	}
 	lo := msg.lo + 1
 	for i, c := range p.children {
-		hi := lo + p.childSize[i]
+		hi := lo + int(p.childSize[i])
 		after := msg.after
 		if i+1 < len(p.children) {
 			after = p.children[i+1]
