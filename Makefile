@@ -74,10 +74,11 @@ service-smoke:
 
 # The fuzz smoke: 10 s of each native fuzz target — the derived-view
 # rank arithmetic, the evolver and delivery under an adversary, each
-# against its specification, the identifier stream's inverse, and the
-# three wire round-trips. go test -fuzz takes one target and one package
-# per run.
+# against its specification, the identifier stream's inverse, the
+# three wire round-trips and the plan parser. go test -fuzz takes one
+# target and one package per run.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParsePlan$$' -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz='^FuzzDrawOf$$' -fuzztime=10s ./internal/rng
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultDelivery$$' -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzDerivedEdges$$' -fuzztime=10s ./internal/overlays

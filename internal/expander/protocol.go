@@ -67,11 +67,6 @@ type Protocol struct {
 	// maxTokenLoad tracks Lemma 3.2's per-round token load.
 	maxTokenLoad int
 	dropped      int
-
-	// tokScratch collects arrived token origins in acceptance rounds: a
-	// ∆-capacity chunk of BuildEngine's arena that grows on its own only
-	// if more than ∆ tokens ever meet at this node.
-	tokScratch []ids.ID
 }
 
 var _ sim.Node = (*Protocol)(nil)
@@ -94,11 +89,9 @@ func BuildEngine(m *graphx.Multi, p Params, cfg sim.Config) (*sim.Engine, []*Pro
 	// one capacity-capped chunk of ∆ identifiers per node: a node's
 	// cross edges never exceed ∆/2 and padding stops at ∆, so the
 	// buffers are swapped between evolutions and no append ever
-	// reallocates. Footprint matches the multigraph itself. A third arena
-	// holds the acceptance rounds' token scratch.
+	// reallocates. Footprint matches the multigraph itself.
 	slotArena := make([]ids.ID, m.N*p.Delta)
 	nextArena := make([]ids.ID, m.N*p.Delta)
-	tokArena := make([]ids.ID, m.N*p.Delta)
 	for i, proto := range protos {
 		lo, hi := i*p.Delta, (i+1)*p.Delta
 		buf := slotArena[lo:lo:hi]
@@ -107,7 +100,6 @@ func BuildEngine(m *graphx.Multi, p Params, cfg sim.Config) (*sim.Engine, []*Pro
 		}
 		proto.slots = buf
 		proto.nextEdges = nextArena[lo:lo:hi]
-		proto.tokScratch = tokArena[lo:lo:hi]
 	}
 	return eng, protos
 }
@@ -155,19 +147,17 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 		}
 	case p.offset == ell:
 		// Acceptance: keep at most 3∆/8 arrived tokens, reply to each
-		// origin, and install the endpoint side of the edge.
-		tokens := p.tokScratch[:0]
+		// origin, and install the endpoint side of the edge. The token
+		// wires are filtered in place, in the inbox this round owns.
+		tokens := inbox[:0]
 		for _, w := range inbox {
 			if w.Kind == kindToken {
-				var tok tokenMsg
-				tok.Decode(w)
-				tokens = append(tokens, tok.origin)
+				tokens = append(tokens, w)
 			}
 		}
 		if len(tokens) > p.maxTokenLoad {
 			p.maxTokenLoad = len(tokens)
 		}
-		p.tokScratch = tokens[:0]
 		acceptCap := 3 * p.params.Delta / 8
 		if len(tokens) > acceptCap {
 			picked := ctx.Rand.SampleWithoutReplacement(len(tokens), acceptCap)
@@ -176,8 +166,8 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 				p.accept(ctx, tokens[i])
 			}
 		} else {
-			for _, origin := range tokens {
-				p.accept(ctx, origin)
+			for _, w := range tokens {
+				p.accept(ctx, w)
 			}
 		}
 	case p.offset == ell+1:
@@ -202,16 +192,18 @@ func (p *Protocol) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	}
 }
 
-// accept installs the endpoint side of a walk edge and replies to the
-// origin.
+// accept installs the endpoint side of the walk edge token w ends and
+// replies to its origin.
 //
 //overlay:hotpath
-func (p *Protocol) accept(ctx *sim.Ctx, origin ids.ID) {
-	if origin == ctx.ID {
+func (p *Protocol) accept(ctx *sim.Ctx, w sim.Wire) {
+	var tok tokenMsg
+	tok.Decode(w)
+	if tok.origin == ctx.ID {
 		return // a walk that returned home creates no edge
 	}
-	p.nextEdges = append(p.nextEdges, origin)
-	sim.Send(ctx, origin, replyMsg{})
+	p.nextEdges = append(p.nextEdges, tok.origin)
+	sim.Send(ctx, tok.origin, replyMsg{})
 }
 
 // emitTokens starts ∆/8 fresh walks (first hop happens immediately),

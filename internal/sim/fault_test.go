@@ -26,14 +26,18 @@ type recEntry struct {
 	val   uint64
 }
 
-// gossipRec sends `fanout` messages to pseudo-random peers every round
-// for `rounds` rounds, recording everything it receives. It exercises
-// the delivery path with enough traffic that per-message fates matter.
+// gossipRec sends burst(round, index) messages to pseudo-random peers
+// every round for `rounds` rounds, recording everything it receives. It
+// exercises the delivery path with enough traffic that per-message
+// fates matter. A scribbling node overwrites its inbox once it has
+// recorded it, as the Node contract allows.
 type gossipRec struct {
-	fanout, rounds int
-	inited         bool
-	recv           []recEntry
-	done           bool
+	burst    func(round, index int) int
+	rounds   int
+	scribble bool
+	inited   bool
+	recv     []recEntry
+	done     bool
 }
 
 func (g *gossipRec) Init(ctx *Ctx) {
@@ -43,7 +47,7 @@ func (g *gossipRec) Init(ctx *Ctx) {
 
 func (g *gossipRec) emit(ctx *Ctx) {
 	all := ctx.engine.IDs()
-	for k := 0; k < g.fanout; k++ {
+	for k := g.burst(ctx.Round(), ctx.Index); k > 0; k-- {
 		to := all[ctx.Rand.Intn(len(all))]
 		Send(ctx, to, fvalMsg{v: uint64(ctx.Round())<<16 | uint64(ctx.Index)})
 	}
@@ -52,6 +56,11 @@ func (g *gossipRec) emit(ctx *Ctx) {
 func (g *gossipRec) Round(ctx *Ctx, inbox []Wire) {
 	for _, w := range inbox {
 		g.recv = append(g.recv, recEntry{round: ctx.Round(), from: w.From, val: w.W[0]})
+	}
+	if g.scribble {
+		for k := range inbox {
+			inbox[k] = Wire{From: ctx.ID, Kind: 0xffff, Units: -1, W: [4]uint64{^uint64(0), 1, 2, 3}}
+		}
 	}
 	if ctx.Round() < g.rounds {
 		g.emit(ctx)
@@ -62,12 +71,17 @@ func (g *gossipRec) Round(ctx *Ctx, inbox []Wire) {
 
 func (g *gossipRec) Halted() bool { return g.done }
 
+// fanout is the burst of a gossip that sends k messages every round.
+func fanout(k int) func(round, index int) int {
+	return func(int, int) int { return k }
+}
+
 // newGossip builds n gossipRec nodes.
-func newGossip(n, fanout, rounds int) ([]Node, []*gossipRec) {
+func newGossip(n, rounds int, burst func(round, index int) int) ([]Node, []*gossipRec) {
 	nodes := make([]Node, n)
 	recs := make([]*gossipRec, n)
 	for i := range nodes {
-		recs[i] = &gossipRec{fanout: fanout, rounds: rounds}
+		recs[i] = &gossipRec{burst: burst, rounds: rounds}
 		nodes[i] = recs[i]
 	}
 	return nodes, recs
@@ -76,7 +90,7 @@ func newGossip(n, fanout, rounds int) ([]Node, []*gossipRec) {
 func runFaultGossip(t *testing.T, n int, cfg Config) ([]*gossipRec, *Engine) {
 	t.Helper()
 	cfg.N = n
-	nodes, recs := newGossip(n, 3, 12)
+	nodes, recs := newGossip(n, 12, fanout(3))
 	eng := New(cfg, nodes)
 	eng.Run(64)
 	return recs, eng
@@ -520,17 +534,22 @@ type specResult struct {
 // parked messages due at r, in parking order and re-checked against
 // crashes and cuts at r, then the fresh ones; the receive cap samples
 // what is left. The engine it builds serves only as the nodes' Ctxs
-// (identifiers, streams, outboxes); it never runs.
+// (identifiers, streams, outboxes) and calls them the way a node pass
+// does, as one chunk; it never runs.
 func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 	e := New(cfg, nodes)
 	adv, n := e.adv, int32(cfg.N)
+	if adv == nil {
+		adv = compileAdversary(&Adversary{}, cfg.N) // faults nothing
+	}
 	res := specResult{sent: make([]int64, n), recv: make([]int64, n)}
 	var held []heldWire
 	var perm []int
 	var keep []bool
+	ob := &e.shards[0].blocks
 	for i := int32(0); i < n; i++ {
 		if !adv.dead(i, 0) {
-			nodes[i].Init(&e.ctxs[i])
+			e.call(ob, i, nil)
 		}
 	}
 	for {
@@ -551,14 +570,16 @@ func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 		for i := int32(0); i < n; i++ {
 			ctx := &e.ctxs[i]
 			sent := ctx.sentUnits
+			ctx.sentUnits = 0
 			if cfg.SendCap > 0 && sent > cfg.SendCap {
 				sent = capOutbox(ctx, cfg.SendCap, &perm, &keep)
 			}
 			res.sent[i] += int64(sent)
 			res.units += int64(sent)
-			res.msgs += int64(len(ctx.outW))
-			for k, w := range ctx.outW {
-				d := ctx.outD[k]
+			outW, outD := ctx.drain()
+			res.msgs += int64(len(outW))
+			for k, w := range outW {
+				d := outD[k]
 				drop, delay := adv.fate(r, i, k)
 				switch {
 				case adv.dead(d, r) || adv.cut(i, d, r) || drop:
@@ -570,7 +591,6 @@ func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 					inbox[d] = append(inbox[d], w)
 				}
 			}
-			ctx.sentUnits, ctx.outW, ctx.outD = 0, ctx.outW[:0], ctx.outD[:0]
 		}
 		maxRecv, busy := 0, len(held) > 0
 		run := make([]bool, n)
@@ -602,21 +622,30 @@ func specRun(cfg Config, nodes []Node, maxRounds int) specResult {
 			return res
 		}
 		e.round++
-		for j := range nodes {
+		ob.rewind()
+		for j := int32(0); j < n; j++ {
 			if run[j] {
-				nodes[j].Round(&e.ctxs[j], inbox[j])
+				e.call(ob, j, inbox[j])
 			}
 		}
 	}
 }
 
-// matchSpec runs one gossip on the engine and on specRun and holds every
-// node's reception list and the run's accounting to the specification.
-func matchSpec(t *testing.T, name string, cfg Config, fanout, rounds int) {
+// matchSpec runs one gossip, k sends a round, on the engine and on
+// specRun and holds every node's reception list and the run's
+// accounting to the specification.
+func matchSpec(t *testing.T, name string, cfg Config, k, rounds int) {
 	t.Helper()
-	specNodes, want := newGossip(cfg.N, fanout, rounds)
+	matchBurst(t, name, cfg, rounds, fanout(k))
+}
+
+// matchBurst is matchSpec for a gossip whose nodes send burst(round,
+// index) messages a round. It returns the nodes and the engine it ran.
+func matchBurst(t *testing.T, name string, cfg Config, rounds int, burst func(round, index int) int) ([]*gossipRec, *Engine) {
+	t.Helper()
+	specNodes, want := newGossip(cfg.N, rounds, burst)
 	spec := specRun(cfg, specNodes, 64)
-	nodes, got := newGossip(cfg.N, fanout, rounds)
+	nodes, got := newGossip(cfg.N, rounds, burst)
 	eng := New(cfg, nodes)
 	eng.Run(64)
 	for i := range got {
@@ -632,6 +661,7 @@ func matchSpec(t *testing.T, name string, cfg Config, fanout, rounds int) {
 	if !reflect.DeepEqual(have, spec) {
 		t.Errorf("%s: accounting\n %+v\nspecification:\n %+v", name, have, spec)
 	}
+	return got, eng
 }
 
 // TestFaultDeliveryMatchesSpec holds the engine's one delivery path to
@@ -670,6 +700,106 @@ func TestFaultDeliveryMatchesSpec(t *testing.T) {
 				adv := c.adv
 				cfg := Config{N: n, Seed: 21, Workers: w, SendCap: c.sendCap, RecvCap: c.recvCap, Adversary: &adv}
 				matchSpec(t, fmt.Sprintf("%s/n=%d/workers=%d", c.name, n, w), cfg, 3, 12)
+			}
+		}
+	}
+}
+
+// TestOutboxBlockBoundaries holds delivery to specRun and to the
+// Workers: 1 run, metrics included, where outboxes cross the blocks
+// they are carved from. With 16 nodes a block is 4·⌈16/w⌉ wires — 64,
+// 32, 24 and 4 at workers 1, 2, 3 and 16 — and a node pass of a full
+// run list gives chunk q the nodes of shard q, so the bursts below put
+// a boundary exactly where each case says, and specRun's one chunk
+// meets them at other places again.
+func TestOutboxBlockBoundaries(t *testing.T) {
+	const n = 16
+	for _, c := range []struct {
+		name  string
+		burst func(round, index int) int
+	}{
+		// In round 2 node 5 sends more than a block at every worker count:
+		// its outbox moves on to blocks allocated for it, each twice the
+		// burst that overflowed the last.
+		{"node-over-block", func(round, index int) int {
+			if index == 5 && round == 2 {
+				return 3*64 + 1
+			}
+			return 1
+		}},
+		// The first half send 8 each and fill a block exactly (8, 4 and 3
+		// senders at workers 1, 2 and 3) before the next sender's first
+		// message, which has to start the next block. (Under the adversary
+		// node 7 never runs, and the boundary falls elsewhere.)
+		{"chunk-fills-block", func(_, index int) int {
+			if index < n/2 {
+				return 8
+			}
+			return 2
+		}},
+		// Every third node sends more than half a block at workers 1, the
+		// others nothing: each burst but the first starts in the middle of
+		// a block, overflows it and moves on, past senders with no outbox.
+		{"silent-between-bursts", func(_, index int) int {
+			if index%3 == 0 {
+				return 40
+			}
+			return 0
+		}},
+	} {
+		for _, cc := range []struct {
+			name             string
+			sendCap, recvCap int
+			adv              *Adversary
+		}{
+			{"plain", 0, 0, nil},
+			{"capped", 24, 30, nil},
+			{"adversary", 0, 0, everyFault()},
+			{"adversary-capped", 24, 30, everyFault()},
+		} {
+			var want uint64
+			var wantM *Metrics
+			for _, w := range []int{1, 2, 3, 16} {
+				name := fmt.Sprintf("%s/%s/workers=%d", c.name, cc.name, w)
+				cfg := Config{N: n, Seed: 13, Workers: w, SendCap: cc.sendCap, RecvCap: cc.recvCap, Adversary: cc.adv}
+				recs, eng := matchBurst(t, name, cfg, 6, c.burst)
+				fp, m := fingerprintRecs(recs), eng.Metrics()
+				if w == 1 {
+					want, wantM = fp, m
+					if len(eng.shards[0].blocks.list) < 2 {
+						t.Errorf("%s: every outbox fitted one block; the case tests nothing", name)
+					}
+					continue
+				}
+				if fp != want || !reflect.DeepEqual(m, wantM) {
+					t.Errorf("%s: receptions %016x and metrics\n %+v\ndiffer from workers=1: %016x\n %+v", name, fp, m, want, wantM)
+				}
+			}
+		}
+	}
+}
+
+// TestInboxOverwriteIsHarmless: a node may overwrite its own inbox
+// during Round. Gossip nodes that scribble over theirs once they have
+// read it receive what plain ones do, with identical metrics, at every
+// worker count from 1 to 16, under every fault type and both caps.
+func TestInboxOverwriteIsHarmless(t *testing.T) {
+	for _, capped := range []int{0, 4} {
+		cfg := Config{N: 257, Seed: 21, Workers: 1, SendCap: capped, RecvCap: capped, Adversary: everyFault()}
+		plain, pe := runFaultGossip(t, cfg.N, cfg)
+		for w := 1; w <= 16; w++ {
+			cfg.Workers = w
+			nodes, recs := newGossip(cfg.N, 12, fanout(3))
+			for _, g := range recs {
+				g.scribble = true
+			}
+			eng := New(cfg, nodes)
+			eng.Run(64)
+			if a, b := fingerprintRecs(recs), fingerprintRecs(plain); a != b {
+				t.Errorf("cap=%d workers=%d: scribbling nodes received %016x, plain ones %016x", capped, w, a, b)
+			}
+			if !reflect.DeepEqual(eng.Metrics(), pe.Metrics()) || eng.Round() != pe.Round() {
+				t.Errorf("cap=%d workers=%d: metrics diverged from the plain run:\n %+v\n %+v", capped, w, eng.Metrics(), pe.Metrics())
 			}
 		}
 	}

@@ -46,13 +46,15 @@
 // at its release round.
 //
 // Scale: the engine is built for 100k+-node message-level runs.
-// Outboxes are columnar (a flat []Wire per sender with a parallel
-// destination column) and each delivery shard owns one flat []Wire
-// arena indexed by per-destination offset/count arrays (CSR-style), so
-// delivery is a cache-linear scan instead of pointer chasing. Arenas,
-// scratch and queues grow geometrically and keep their capacity, so a
-// round that moves no more traffic than an earlier one allocates
-// nothing.
+// Outboxes are columnar (a []Wire window per sender with a parallel
+// destination column) and carved, in send order, from fixed-size blocks
+// owned by the worker chunk that runs the sender (see outBlocks), so
+// send memory follows a round's traffic rather than every node's
+// largest burst; each delivery shard owns one flat []Wire arena indexed
+// by per-destination offset/count arrays (CSR-style), so delivery is a
+// cache-linear scan instead of pointer chasing. Blocks, arenas, scratch
+// and queues are kept for the engine's lifetime, so a round that moves
+// no more traffic than an earlier one allocates nothing.
 // Identifier routing is arithmetic, not a data structure: identifiers
 // are consecutive draws of one splitmix64 stream, so inverting the
 // stream turns an identifier back into its node index (see lookup). An
@@ -92,7 +94,8 @@ type Node interface {
 	Init(ctx *Ctx)
 	// Round runs every round with the messages delivered this round.
 	// The inbox slice aliases the engine's delivery arena and is
-	// reused; it must not be retained after Round returns.
+	// reused: Round may overwrite it (filter it in place, say), but
+	// must not retain it after returning.
 	Round(ctx *Ctx, inbox []Wire)
 }
 
@@ -220,9 +223,17 @@ type Engine struct {
 // about as much as a few hundred message copies.
 const inlineGrain = 8192
 
+// blockWires is the wire count of an outbox block (see outBlocks):
+// large enough that a round's traffic takes a few blocks per worker,
+// small enough that an engine whose rounds are quiet holds little. A
+// block is also at most four wires per node of a shard, so a tiny
+// engine's first blocks cost four wires a node, not thousands.
+const blockWires = 4096
+
 // shardState is one worker's private state: worker s lays out and caps
-// destination shard s, and sender range s counts and scatters its
-// senders' messages. Shards and ranges are disjoint, so workers never
+// destination shard s, sender range s counts and scatters its senders'
+// messages, and node chunk s carves its nodes' outboxes from its
+// blocks. Shards, ranges and chunks are disjoint, so workers never
 // contend; the sender and shard passes never overlap, so one set of
 // cap-sampling scratch serves the send cap and the receive cap. Every
 // buffer keeps its capacity for the engine's lifetime, so a round that
@@ -230,6 +241,7 @@ const inlineGrain = 8192
 // padding keeps neighbouring workers' hot fields off a shared cache
 // line.
 type shardState struct {
+	blocks  outBlocks
 	arena   []Wire  // flat inbox storage for the shard's destinations
 	touched []int32 // destinations that received messages this round
 	// wake marks the halted destinations among touched, one bit per
@@ -272,6 +284,30 @@ type lane struct {
 	_       [16]byte
 }
 
+// outBlocks is the outbox storage of one worker chunk of a node pass:
+// blocks of wires, each with a parallel destination column, handed out
+// front to back. The chunk runs its nodes one at a time, and a node's
+// outbox is the stretch of the current block from the cursor on (see
+// Ctx.growOut); when the node returns, the cursor moves past what it
+// sent. Every sender's outbox is thus one contiguous window, and the
+// chunk's blocks hold the pass's traffic back to back. Delivery drains
+// every outbox before the next node pass resets the cursor, and the
+// blocks are kept for the engine's lifetime.
+type outBlocks struct {
+	list      []outBlock
+	cur, used int // the first used wires of list[cur] are taken
+}
+
+// rewind hands the blocks out from the start again.
+func (ob *outBlocks) rewind() { ob.cur, ob.used = 0, 0 }
+
+// outBlock is one block of outbox storage: wires and their destination
+// indices.
+type outBlock struct {
+	w []Wire
+	d []int32
+}
+
 // Ctx is a node's handle to the engine, valid for the duration of the
 // run. All methods must be called only from the owning node's Init or
 // Round.
@@ -285,22 +321,17 @@ type Ctx struct {
 	// Rand is the node's private random stream.
 	Rand *rng.Source
 
-	// Columnar outbox: outW[k] goes to node index outD[k].
-	outW []Wire
-	outD []int32
+	// Columnar outbox: outW[k] goes to node index outD[k]. Both are
+	// windows on one block of blocks, the outbox storage of the chunk
+	// running the node this pass, and nil until the node's first send
+	// after delivery drained them (see growOut).
+	outW   []Wire
+	outD   []int32
+	blocks *outBlocks
 
 	sentUnits int
 	halted    bool
 }
-
-// Every node starts with an outbox window of outboxCap messages carved
-// from one slab, enough for a node that only talks to its tree
-// neighbours; the first growth goes straight to outboxGrown (see
-// growOut).
-const (
-	outboxCap   = 4
-	outboxGrown = 32
-)
 
 // New builds an engine running the given nodes. Node identifiers are
 // assigned as random distinct 64-bit values so that minimum-ID
@@ -360,21 +391,13 @@ func newEngine(cfg Config, nodes []Node, idStream rng.Source) *Engine {
 		e.idents[i] = id
 	}
 	root := rng.New(cfg.Seed)
-	// One slab behind every node's initial outbox window; a window is
-	// capped at its own stretch, so a sender that outgrows it reallocates
-	// alone and never writes into its neighbour's.
-	outW := make([]Wire, n*outboxCap)
-	outD := make([]int32, n*outboxCap)
 	for i := 0; i < n; i++ {
 		e.rands[i] = root.SplitVal(uint64(i) + 1)
-		lo, hi := i*outboxCap, (i+1)*outboxCap
 		e.ctxs[i] = Ctx{
 			engine: e,
 			Index:  i,
 			ID:     e.idents[i],
 			Rand:   &e.rands[i],
-			outW:   outW[lo:lo:hi],
-			outD:   outD[lo:lo:hi],
 		}
 		if h, ok := nodes[i].(Halter); ok {
 			e.halters[i] = h
@@ -579,18 +602,42 @@ func (e *Engine) initNodes() {
 		}
 		e.runList = append(e.runList, int32(i))
 	}
-	e.forEach(initPass, len(e.runList), len(e.runList))
+	e.runNodes(len(e.runList))
 	e.deliver()
 }
 
 func (e *Engine) step() {
 	e.round++
-	run := e.runList
-	e.forEach(roundPass, len(run), len(run)+e.queued)
+	e.runNodes(len(e.runList) + e.queued)
 	// Inboxes are consumed; the delivery pass resets the arenas (and
 	// the per-destination counts, via each shard's touched list) before
 	// refilling them for the next round.
 	e.deliver()
+}
+
+// runNodes runs the node pass over the run list: Init in round 0,
+// Round after. Delivery has drained every outbox, so each chunk hands
+// out its blocks from the start again.
+func (e *Engine) runNodes(work int) {
+	for s := range e.shards {
+		e.shards[s].blocks.rewind()
+	}
+	e.forEach(nodePass, len(e.runList), work)
+}
+
+// call runs node i — its Init in round 0, its Round with inbox after —
+// with its sends carved from ob, and moves ob's cursor past them.
+//
+//overlay:hotpath
+func (e *Engine) call(ob *outBlocks, i int32, inbox []Wire) {
+	ctx := &e.ctxs[i]
+	ctx.blocks = ob
+	if e.round == 0 {
+		e.nodes[i].Init(ctx)
+	} else {
+		e.nodes[i].Round(ctx, inbox)
+	}
+	ob.used += len(ctx.outW)
 }
 
 // pass names one of the engine's fanned-out loops. forEach dispatches
@@ -599,23 +646,19 @@ func (e *Engine) step() {
 type pass uint8
 
 const (
-	initPass    pass = iota // Init of run-list entry k
-	roundPass               // Round of run-list entry k
+	nodePass    pass = iota // Init or Round of run-list entry k
 	sendPass                // sender range k: caps, fates, tally
 	layoutPass              // destination shard k: arena layout
 	scatterPass             // sender range k: copies into the arenas
 	capPass                 // destination shard k: receive cap, wake-ups
 )
 
-// do runs item k of pass p.
-func (e *Engine) do(p pass, k int) {
+// do runs item k of pass p in chunk q of forEach.
+func (e *Engine) do(p pass, k, q int) {
 	switch p {
-	case initPass:
+	case nodePass:
 		i := e.runList[k]
-		e.nodes[i].Init(&e.ctxs[i])
-	case roundPass:
-		i := e.runList[k]
-		e.nodes[i].Round(&e.ctxs[i], e.inboxOf(i))
+		e.call(&e.shards[q].blocks, i, e.inboxOf(i))
 	case sendPass:
 		e.sendRange(k)
 	case layoutPass:
@@ -647,17 +690,17 @@ func (e *Engine) spread(k, work int) int {
 func (e *Engine) forEach(p pass, k, work int) {
 	w := e.spread(k, work)
 	chunk := (k + w - 1) / w
-	for lo := chunk; lo < k; lo += chunk {
+	for q := 1; q*chunk < k; q++ {
 		e.wg.Add(1)
-		go func(lo, hi int) {
+		go func(q int) {
 			defer e.wg.Done()
-			for i := lo; i < hi; i++ {
-				e.do(p, i)
+			for i := q * chunk; i < min((q+1)*chunk, k); i++ {
+				e.do(p, i, q)
 			}
-		}(lo, min(lo+chunk, k))
+		}(q)
 	}
 	for i := 0; i < min(chunk, k); i++ {
-		e.do(p, i)
+		e.do(p, i, 0)
 	}
 	e.wg.Wait()
 }
@@ -951,29 +994,25 @@ func (e *Engine) layoutShard(s int) {
 	}
 }
 
-// scatterRange is sender range q's second pass: it copies each
-// surviving message of its senders to the position its tally column
-// holds for the destination, then empties the senders' outboxes and
-// zeroes the column for the next round.
+// scatterRange is sender range q's second pass: it drains its senders'
+// outboxes, copying each surviving message to the position its tally
+// column holds for the destination, then zeroes the column for the next
+// round.
 //
 //overlay:hotpath
 func (e *Engine) scatterRange(q int) {
 	sc := &e.shards[q]
 	tally := e.tally[q*e.cfg.N : (q+1)*e.cfg.N]
 	for _, i := range e.senders(q) {
-		ctx := &e.ctxs[i]
-		for k, d := range ctx.outD {
+		outW, outD := e.ctxs[i].drain()
+		for k, d := range outD {
 			if d == lost {
 				continue
 			}
 			p := tally[d]
-			e.shards[int(d)/e.shardSize].arena[p] = ctx.outW[k]
+			e.shards[int(d)/e.shardSize].arena[p] = outW[k]
 			tally[d] = p + 1
 		}
-		// The outbox is drained; keep its capacity. Wires are
-		// pointer-free, so stale tails pin nothing.
-		ctx.outW = ctx.outW[:0]
-		ctx.outD = ctx.outD[:0]
 	}
 	for t := range sc.out {
 		ln := &sc.out[t]

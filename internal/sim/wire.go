@@ -102,12 +102,35 @@ func (c *Ctx) seal(w *Wire) {
 	c.sentUnits += int(w.Units)
 }
 
-// growOut moves a full outbox to columns of twice the capacity, and of
-// at least outboxGrown: a sender that outgrows the small window New
-// carved for it is a fan-out sender, and should reach its steady state
-// in one or two growths rather than doubling up from there.
+// growOut gives a full outbox room for one more message from the blocks
+// of the chunk running the node. A node's first send takes the rest of
+// the current block as its window. A node that fills its window has
+// reached the end of the block, and moves the b messages it has sent so
+// far to the next block with room for more than b; a block of
+// max(blockWires, 2b) wires (fewer in a tiny engine) is allocated only
+// when no block is left. Either way the outbox stays one contiguous
+// window, ending where its block ends.
 func (c *Ctx) growOut() {
-	n := max(2*cap(c.outW), outboxGrown)
-	c.outW = append(make([]Wire, 0, n), c.outW...)
-	c.outD = append(make([]int32, 0, n), c.outD...)
+	ob, b := c.blocks, len(c.outW)
+	for ob.cur < len(ob.list) && len(ob.list[ob.cur].w)-ob.used <= b {
+		ob.cur, ob.used = ob.cur+1, 0
+	}
+	if ob.cur == len(ob.list) {
+		n := max(min(blockWires, 4*c.engine.shardSize), 2*b)
+		ob.list = append(ob.list, outBlock{w: make([]Wire, n), d: make([]int32, n)})
+	}
+	blk := &ob.list[ob.cur]
+	c.outW = append(blk.w[ob.used:ob.used], c.outW...)
+	c.outD = append(blk.d[ob.used:ob.used], c.outD...)
+}
+
+// drain hands the outbox over to delivery and leaves it nil; its wires
+// stay in their block until the next node pass hands the block out
+// again.
+//
+//overlay:hotpath
+func (c *Ctx) drain() ([]Wire, []int32) {
+	w, d := c.outW, c.outD
+	c.outW, c.outD = nil, nil
+	return w, d
 }

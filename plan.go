@@ -32,8 +32,9 @@ type Plan struct {
 //	delaymax=K         maximum delay in rounds (default 1)
 //	crash=NODE@ROUND   crash-stop NODE at global round ROUND (repeatable)
 //	crashfrac=F@ROUND  crash a random F-fraction of nodes at ROUND
-//	cut=LO-HI@FROM-TO  partition nodes LO..HI (inclusive) away from the
-//	                   rest during global rounds [FROM, TO) (repeatable)
+//	cut=LO-HI@FROM-TO  partition nodes LO..HI (inclusive, at most 2^22
+//	                   of them) away from the rest during global rounds
+//	                   [FROM, TO) (repeatable)
 //	domains=D          split the id space into D contiguous correlated
 //	                   failure domains (rack-shaped; node v is in
 //	                   domain v·D/n)
@@ -95,7 +96,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			sawFault = true
 		case "drop", "delay":
 			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v < 0 || v > 1 {
+			if err != nil || !inUnit(v) {
 				return nil, fmt.Errorf("overlay: %s=%q is not a probability in [0,1]", key, val)
 			}
 			if key == "drop" {
@@ -124,7 +125,7 @@ func ParsePlan(spec string) (*Plan, error) {
 				return nil, fmt.Errorf("overlay: crashfrac=%q: want FRAC@ROUND", val)
 			}
 			f, err := strconv.ParseFloat(fs, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !inUnit(f) {
 				return nil, fmt.Errorf("overlay: crashfrac fraction %q is not in [0,1]", fs)
 			}
 			r, err := strconv.Atoi(rs)
@@ -141,6 +142,9 @@ func ParsePlan(spec string) (*Plan, error) {
 			lo, hi, err := parseDashPair(rangeSpec)
 			if err != nil || lo > hi {
 				return nil, fmt.Errorf("overlay: cut node range %q: want LO-HI with LO <= HI", rangeSpec)
+			}
+			if hi-lo >= maxCutNodes {
+				return nil, fmt.Errorf("overlay: cut node range %q spans more than %d nodes", rangeSpec, maxCutNodes)
 			}
 			from, until, err := parseDashPair(window)
 			if err != nil || until <= from {
@@ -194,7 +198,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			sawChurn = true
 		case "join", "leave", "rebuild":
 			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v < 0 || v > 1 {
+			if err != nil || !inUnit(v) {
 				return nil, fmt.Errorf("overlay: %s=%q is not a fraction in [0,1]", key, val)
 			}
 			switch key {
@@ -240,3 +244,13 @@ func ParsePlan(spec string) (*Plan, error) {
 	}
 	return out, nil
 }
+
+// maxCutNodes bounds the width of a cut= node range. The side is listed
+// node by node, so without a bound a plan of a few bytes could ask for
+// gigabytes (or, past the int range, a negative length); 2^22 nodes is
+// far more than any message-level build, the only kind a fault plan
+// applies to, simulates.
+const maxCutNodes = 1 << 22
+
+// inUnit reports whether v lies in [0,1]; NaN does not.
+func inUnit(v float64) bool { return v >= 0 && v <= 1 }

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +65,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"drop=0.1,drop=0.2",       // repeated fault singleton
 		"epochs=2,epochs=3",       // repeated churn singleton
 		"churnseed=1,churnseed=2", // repeated churn seed
+		"delay=NaN",               // NaN is no probability
+		"epochs=2,join=nan",       // nor a fraction
+		"cut=0-4194304@1-2",       // a side of 2^22+1 nodes
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
@@ -72,6 +76,41 @@ func TestParsePlanErrors(t *testing.T) {
 	if _, err := ParsePlan("wat=1"); err == nil || !strings.Contains(err.Error(), "unknown plan directive") {
 		t.Errorf("unified grammar should report unknown *plan* directives, got %v", err)
 	}
+}
+
+// FuzzParsePlan holds ParsePlan, the one parser of plans arriving from
+// outside (the -plan flags, overlayd's create and plan bodies), to three
+// properties on any input: it never panics; it is deterministic, the
+// same text giving the same plan or the same error; and an accepted
+// fault plan either validates against a build of n nodes, and then
+// expands its domains and materializes its crashes, or is refused with
+// an error, never a panic, at every n tried. Its seed corpus, committed
+// under testdata/fuzz/FuzzParsePlan, runs with the tier-1 tests; it
+// includes the two finds the target was written for: a cut= range wide
+// enough to overflow the side's length, and NaN, which compares false
+// against both ends of [0,1] and so passed as a probability.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		q, err2 := ParsePlan(spec)
+		if !reflect.DeepEqual(p, q) || fmt.Sprint(err) != fmt.Sprint(err2) {
+			t.Fatalf("ParsePlan(%q) twice: %+v, %v and %+v, %v", spec, p, err, q, err2)
+		}
+		if err != nil {
+			if p != nil {
+				t.Fatalf("ParsePlan(%q) returned a plan with error %v", spec, err)
+			}
+			return
+		}
+		if p.Faults == nil {
+			return
+		}
+		for _, n := range []int{1, 7, 64} {
+			if p.Faults.validate(n) == nil {
+				p.Faults.expandDomains(n).materializeCrashes(n)
+			}
+		}
+	})
 }
 
 // TestParsePlanDomains covers the correlated-failure-domain grammar:
