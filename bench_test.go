@@ -410,8 +410,8 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 // cached Chord read must stay at 0, and the first read of the four
 // views — two allocations each, beside the restored state — at 16: a
 // map or a graph on that path costs hundreds). A row may also budget
-// bytes per op (0 = unchecked). The message-level row's budgets are
-// 1.3x the 882 allocs/op and 1,448,450 B/op it read at -cpu 1 once
+// bytes per op (0 = unchecked). The message-level row's byte budget is
+// 1.3x the 1,448,450 B/op (882 allocs/op) it read at -cpu 1 once
 // outboxes were carved from per-worker blocks instead of a window per
 // node that each fan-out sender outgrew (1,892 allocs/op and
 // 2,172,800 B/op before; 2,913 and 2,189,100 before delivery storage
@@ -425,10 +425,18 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 // until the evolver, reads 76 MB. Wall time is not fenced: it is not
 // deterministic enough to gate on, and bench/ is where it is measured.
 // Sharded rounds and parallel phases allocate per-worker state, so the
-// rows that can run them pin Workers: 1 to read the same on every host.
+// rows that can run them pin Workers: 1 to read the same on every host,
+// and the two builds have a Workers: 2 row each, where every fanned-out
+// pass runs on a worker team, so an allocation per pass shows. Since
+// each call runs one team for all its passes and the input is ingested
+// into one array, these four rows are 1.3x what they read then: 634,
+// 165, 722 and 172 allocs/op (883, 4,349, 5,628 and 5,832 before, when
+// every pass spawned its goroutines and every input node's out-list was
+// appended on its own) and, for the Workers: 2 rows, 1,608,003 and
+// 7,565,082 B/op.
 func TestAllocFence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs seven benchmarks")
+		t.Skip("runs nine benchmarks")
 	}
 	for _, row := range []struct {
 		name   string
@@ -436,8 +444,10 @@ func TestAllocFence(t *testing.T) {
 		budget int64 // allocs/op
 		bytes  int64 // B/op; 0 = unchecked
 	}{
-		{"BuildTreeMessageLevel_256", func(b *testing.B) { benchBuildMessageLevel(b, 256, 1) }, 1140, 1_880_000},
-		{"BuildTreeFast_4096", func(b *testing.B) { benchBuildFast(b, 4096, 1) }, 8800, 9_500_000},
+		{"BuildTreeMessageLevel_256", func(b *testing.B) { benchBuildMessageLevel(b, 256, 1) }, 830, 1_880_000},
+		{"BuildTreeFast_4096", func(b *testing.B) { benchBuildFast(b, 4096, 1) }, 215, 9_500_000},
+		{"BuildTreeMessageLevel_256/workers=2", func(b *testing.B) { benchBuildMessageLevel(b, 256, 2) }, 940, 2_090_000},
+		{"BuildTreeFast_4096/workers=2", func(b *testing.B) { benchBuildFast(b, 4096, 2) }, 224, 9_840_000},
 		{"SessionEpoch", BenchmarkSessionEpoch, 130, 0},
 		{"SessionEpochMeasured_4096", func(b *testing.B) { benchSessionEpochMeasured(b, 1) }, 630, 3_770_000},
 		{"SessionEpochChordReads", BenchmarkSessionEpochChordReads, 0, 0},

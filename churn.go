@@ -27,18 +27,19 @@ type ChurnPlan struct {
 	RebuildFraction float64
 }
 
-// validate rejects schedules that would silently degenerate.
+// validate rejects schedules that would silently degenerate, and
+// fractions outside [0,1] (NaN among them).
 func (p *ChurnPlan) validate() error {
 	if p.Epochs < 1 {
 		return fmt.Errorf("overlay: ChurnPlan.Epochs %d, want >= 1", p.Epochs)
 	}
-	if p.JoinFrac < 0 || p.JoinFrac > 1 {
+	if !inUnit(p.JoinFrac) {
 		return fmt.Errorf("overlay: ChurnPlan.JoinFrac %v outside [0,1]", p.JoinFrac)
 	}
-	if p.LeaveFrac < 0 || p.LeaveFrac > 1 {
+	if !inUnit(p.LeaveFrac) {
 		return fmt.Errorf("overlay: ChurnPlan.LeaveFrac %v outside [0,1]", p.LeaveFrac)
 	}
-	if p.RebuildFraction < 0 || p.RebuildFraction > 1 {
+	if !inUnit(p.RebuildFraction) {
 		return fmt.Errorf("overlay: ChurnPlan.RebuildFraction %v outside [0,1]", p.RebuildFraction)
 	}
 	return nil

@@ -82,17 +82,11 @@ type Partition struct {
 }
 
 // validate rejects plans that reference nodes outside the n-node
-// build or carry out-of-range probabilities: a mistyped schedule must
-// fail loudly, not silently run as a weaker adversary.
+// build or carry out-of-range rates (see validateRates): a mistyped
+// schedule must fail loudly, not silently run as a weaker adversary.
 func (p *FaultPlan) validate(n int) error {
-	if p.DropProb < 0 || p.DropProb > 1 {
-		return fmt.Errorf("overlay: FaultPlan.DropProb %v outside [0,1]", p.DropProb)
-	}
-	if p.DelayProb < 0 || p.DelayProb > 1 {
-		return fmt.Errorf("overlay: FaultPlan.DelayProb %v outside [0,1]", p.DelayProb)
-	}
-	if p.CrashFrac < 0 || p.CrashFrac > 1 {
-		return fmt.Errorf("overlay: FaultPlan.CrashFrac %v outside [0,1]", p.CrashFrac)
+	if err := p.validateRates(); err != nil {
+		return err
 	}
 	for _, c := range p.Crashes {
 		if c.Node < 0 || c.Node >= n {
@@ -125,6 +119,26 @@ func (p *FaultPlan) validate(n int) error {
 		if cut.Until != 0 && cut.Until <= cut.From {
 			return fmt.Errorf("overlay: FaultPlan domain cut %d has empty window [%d,%d)", i, cut.From, cut.Until)
 		}
+	}
+	return nil
+}
+
+// validateRates rejects probabilities and fractions outside [0,1], NaN
+// among them, and a DelayMax the engine's 32-bit delay cannot hold: the
+// checks that need no node count, which a session makes of every plan it
+// installs, its identifiers being global rather than a build's.
+func (p *FaultPlan) validateRates() error {
+	if !inUnit(p.DropProb) {
+		return fmt.Errorf("overlay: FaultPlan.DropProb %v outside [0,1]", p.DropProb)
+	}
+	if !inUnit(p.DelayProb) {
+		return fmt.Errorf("overlay: FaultPlan.DelayProb %v outside [0,1]", p.DelayProb)
+	}
+	if p.DelayMax > maxDelay {
+		return fmt.Errorf("overlay: FaultPlan.DelayMax %d above %d rounds", p.DelayMax, maxDelay)
+	}
+	if !inUnit(p.CrashFrac) {
+		return fmt.Errorf("overlay: FaultPlan.CrashFrac %v outside [0,1]", p.CrashFrac)
 	}
 	return nil
 }

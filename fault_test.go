@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 )
 
@@ -195,6 +196,54 @@ func TestFaultPlanValidation(t *testing.T) {
 		_, err := BuildTree(lineGraph(32), &Options{MessageLevel: true, Faults: plan})
 		if err == nil {
 			t.Errorf("%s: BuildTree accepted the invalid plan", name)
+		}
+	}
+}
+
+// TestGoPlansRejectNaNAndWideDelays: plans built in Go rather than
+// parsed get the parser's checks. NaN compares false against both ends
+// of [0,1], so a range test written as v < 0 || v > 1 lets it through; a
+// DelayMax past 2^31-1 would wrap the engine's 32-bit delay. BuildTree,
+// a session's Open and SetFaults, and ChurnPlan.validate refuse both (and
+// Open a NaN RebuildFraction), and the largest delay that fits is still
+// accepted.
+func TestGoPlansRejectNaNAndWideDelays(t *testing.T) {
+	nan := math.NaN()
+	faults := map[string]*FaultPlan{
+		"NaN drop prob":   {DropProb: nan},
+		"NaN delay prob":  {DelayProb: nan},
+		"NaN crash frac":  {CrashFrac: nan, CrashFracRound: 10},
+		"delay past 2^31": {DelayProb: 0.5, DelayMax: math.MaxInt32 + 1},
+	}
+	sess, res := openLineSession(t, 32, &SessionOptions{Build: Options{Seed: 7, MessageLevel: true}})
+	for name, plan := range faults {
+		if _, err := BuildTree(lineGraph(32), &Options{MessageLevel: true, Faults: plan}); err == nil {
+			t.Errorf("%s: BuildTree accepted the plan", name)
+		}
+		if _, err := Open(res, &SessionOptions{Build: Options{Seed: 7, MessageLevel: true, Faults: plan}}); err == nil {
+			t.Errorf("%s: Open accepted the plan", name)
+		}
+		if err := sess.SetFaults(plan); err == nil {
+			t.Errorf("%s: SetFaults accepted the plan", name)
+		}
+	}
+	if _, err := Open(res, &SessionOptions{RebuildFraction: nan}); err == nil {
+		t.Error("Open accepted a NaN RebuildFraction")
+	}
+	widest := &FaultPlan{DelayProb: 0.5, DelayMax: math.MaxInt32}
+	if err := widest.validate(32); err != nil {
+		t.Errorf("DelayMax 2^31-1 refused: %v", err)
+	}
+	if err := sess.SetFaults(widest); err != nil {
+		t.Errorf("SetFaults refused DelayMax 2^31-1: %v", err)
+	}
+	for name, plan := range map[string]*ChurnPlan{
+		"NaN join":    {Epochs: 1, JoinFrac: nan},
+		"NaN leave":   {Epochs: 1, LeaveFrac: nan},
+		"NaN rebuild": {Epochs: 1, RebuildFraction: nan},
+	} {
+		if err := plan.validate(); err == nil {
+			t.Errorf("%s: ChurnPlan.validate accepted the plan", name)
 		}
 	}
 }

@@ -29,7 +29,7 @@
 // acceptance stream split by its node index. Tokens and nodes are
 // therefore independent of each other and of execution order, which is
 // what lets an evolution run its walk, acceptance and row-building
-// phases across a worker pool — and advance many tokens at once within
+// phases across a worker team — and advance many tokens at once within
 // one worker — while staying a pure function of (graph, params, seed):
 // the output is bit-for-bit identical at every worker count, and
 // identical to the one-token-at-a-time, one-edge-at-a-time specification
@@ -57,7 +57,7 @@ type Params struct {
 	// produced it; required by the spanning-tree construction
 	// (Theorem 1.3) and by tests, at O(ℓ) memory per edge.
 	RecordPaths bool
-	// Workers bounds the worker pool for the walk, acceptance and
+	// Workers bounds the worker team for the walk, acceptance and
 	// row-building phases (0 = GOMAXPROCS, 1 = sequential). The result
 	// is bit-identical at every value.
 	Workers int
@@ -121,11 +121,25 @@ const (
 // CreateExpander allocate their working set once, and it shares nothing
 // between workers: each phase partitions its index space into
 // contiguous ranges whose writes are disjoint. The scratch is O(n·∆/8)
-// token state plus one ℓ·n load table per worker.
+// token state plus one ℓ·n load table per worker. One worker team runs
+// every phase of every evolution; its owner closes it before returning.
+// The four phase functions are bound once, in newEvolver, and read the
+// evolution at hand from the evolver's fields, so a phase hands the team
+// no fresh closure.
 type evolver struct {
 	n, delta, ell             int
 	perNode, acceptCap, total int
 	workers                   int
+	team                      par.Team
+
+	// The evolution being run: G_i's slots (in, stride), G_{i+1}'s (out)
+	// and its walk and acceptance streams.
+	in, out              []int32
+	stride               int
+	walkRoot, acceptRoot *rng.Source
+	// walkFn, loadFn, acceptFn and rowFn are the bound phases: walk,
+	// sumLoads, accept and fillRows.
+	walkFn, loadFn, acceptFn, rowFn func(chunk, lo, hi int)
 
 	pos     []int32      // [total] token t's node; after the walk, its endpoint
 	draws   []int32      // [walk chunks][ell][walkBlock] slots drawn for the block being walked
@@ -164,6 +178,8 @@ func newEvolver(n int, p Params) *evolver {
 	if p.RecordPaths {
 		e.trail = make([]int32, e.ell*e.total)
 	}
+	e.team.Open(e.workers)
+	e.walkFn, e.loadFn, e.acceptFn, e.rowFn = e.walk, e.sumLoads, e.accept, e.fillRows
 	return e
 }
 
@@ -181,20 +197,17 @@ func newEvolver(n int, p Params) *evolver {
 // ranges; (4) every node pulls its own row of G_{i+1} — parallel over
 // node ranges, see fillRows.
 func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, keepEdges bool) *Evolution {
-	n, total := e.n, e.total
-	walkRoot := src.Split(walkStreamLabel)
-	acceptRoot := src.Split(acceptStreamLabel)
+	n := e.n
+	e.in, e.stride, e.out = in, stride, out
+	e.walkRoot = src.Split(walkStreamLabel)
+	e.acceptRoot = src.Split(acceptStreamLabel)
 	for i := range e.partial {
 		e.partial[i] = chunkStats{}
 	}
 
 	// Phase 1.
-	par.ForChunk(e.workers, total, func(chunk, lo, hi int) {
-		e.walk(in, stride, walkRoot, chunk, lo, hi)
-	})
-	par.ForChunk(e.workers, e.ell*n, func(chunk, lo, hi int) {
-		e.partial[chunk].maxLoad = maxLoad(e.loads, e.ell*n, lo, hi)
-	})
+	e.team.Run(e.total, e.walkFn)
+	e.team.Run(e.ell*n, e.loadFn)
 
 	// Phase 2: counting sort of token indices by endpoint, stable in
 	// token order.
@@ -212,9 +225,7 @@ func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, k
 	}
 
 	// Phase 3.
-	par.ForChunk(e.workers, n, func(chunk, lo, hi int) {
-		e.accept(acceptRoot, &e.partial[chunk], lo, hi)
-	})
+	e.team.Run(n, e.acceptFn)
 	ev := &Evolution{}
 	for _, st := range e.partial {
 		ev.Stats.MaxTokenLoad = max(ev.Stats.MaxTokenLoad, int(st.maxLoad))
@@ -223,9 +234,7 @@ func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, k
 	}
 
 	// Phase 4.
-	par.ForChunk(e.workers, n, func(chunk, lo, hi int) {
-		e.fillRows(out, e.keys[chunk*e.perNode:(chunk+1)*e.perNode], lo, hi)
-	})
+	e.team.Run(n, e.rowFn)
 	if keepEdges {
 		e.edges(ev)
 	}
@@ -242,8 +251,9 @@ const walkBlock = 256
 // the block, each token's ℓ in a row on its own stream with the state
 // in a register; then ℓ steps, each over the whole block. Loads are
 // counted in the chunk's own table, one row per step.
-func (e *evolver) walk(flat []int32, stride int, walkRoot *rng.Source, chunk, lo, hi int) {
+func (e *evolver) walk(chunk, lo, hi int) {
 	n, ell := e.n, e.ell
+	flat, stride, walkRoot := e.in, e.stride, e.walkRoot
 	draws := e.draws[chunk*ell*walkBlock:][:ell*walkBlock]
 	loads := e.loads[chunk*ell*n:][:ell*n]
 	for b := lo; b < hi; b += walkBlock {
@@ -288,6 +298,12 @@ func stepBlock(flat []int32, stride int, slots, pos, load []int32) {
 	}
 }
 
+// sumLoads records, as node chunk chunk's share of Stats, the largest
+// load among entries [lo, hi) of the walk chunks' summed load tables.
+func (e *evolver) sumLoads(chunk, lo, hi int) {
+	e.partial[chunk].maxLoad = maxLoad(e.loads, e.ell*e.n, lo, hi)
+}
+
 // maxLoad sums the walk chunks' load tables, size entries each, over
 // entries [lo, hi), zeroing them for the next evolution, and returns the
 // largest sum.
@@ -310,7 +326,8 @@ func maxLoad(loads []int32, size, lo, hi int) int32 {
 // holding more than 3∆/8 tokens keeps a random subset drawn without
 // replacement on its private stream, compacted to the front of its
 // segment in acceptance order; every token learns its rank there.
-func (e *evolver) accept(acceptRoot *rng.Source, st *chunkStats, lo, hi int) {
+func (e *evolver) accept(chunk, lo, hi int) {
+	acceptRoot, st := e.acceptRoot, &e.partial[chunk]
 	for v := lo; v < hi; v++ {
 		seg := e.grouped[e.start[v]:e.start[v+1]]
 		if len(seg) > e.acceptCap {
@@ -345,12 +362,13 @@ func (e *evolver) accept(acceptRoot *rng.Source, st *chunkStats, lo, hi int) {
 // kept tokens, by (endpoint, rank); the origins of the tokens u kept,
 // in acceptance order; the endpoints above u of its own kept tokens;
 // self-loops up to ∆. Tokens that returned to their origin make no
-// edge. The acceptance cap bounds the cross slots by ∆/8 + 3∆/8. keys
-// is scratch for u's ≤ ∆/8 own tokens.
+// edge. The acceptance cap bounds the cross slots by ∆/8 + 3∆/8. The
+// chunk's keys are scratch for u's ≤ ∆/8 own tokens.
 //
 //overlay:hotpath
-func (e *evolver) fillRows(out []int32, keys []uint64, lo, hi int) {
-	perNode, delta := e.perNode, e.delta
+func (e *evolver) fillRows(chunk, lo, hi int) {
+	perNode, delta, out := e.perNode, e.delta, e.out
+	keys := e.keys[chunk*perNode : (chunk+1)*perNode]
 	for u := lo; u < hi; u++ {
 		nk := 0
 		for t := u * perNode; t < (u+1)*perNode; t++ {
@@ -432,7 +450,9 @@ func Evolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 	checkRegular(m, p.Delta)
 	in, stride := m.FlatSlots()
 	out := make([]int32, m.N*p.Delta)
-	ev := newEvolver(m.N, p).evolve(in, stride, out, src, true)
+	e := newEvolver(m.N, p)
+	defer e.team.Close()
+	ev := e.evolve(in, stride, out, src, true)
 	ev.Next = graphx.MultiFromRows(m.N, p.Delta, out)
 	return ev
 }
@@ -458,6 +478,7 @@ func CreateExpander(g0 *graphx.Multi, p Params, src *rng.Source) *Result {
 	}
 	checkRegular(g0, p.Delta)
 	e := newEvolver(g0.N, p)
+	defer e.team.Close()
 	cur, stride := g0.FlatSlots()
 	var bufs [2][]int32
 	for i := 0; i < p.Evolutions; i++ {

@@ -2,9 +2,9 @@ package expander
 
 // The specification of one evolution: the sequential-at-heart Evolve
 // and CreateExpander this package shipped until the evolver in
-// evolve.go replaced them, kept verbatim (renamed, nothing else) as the
-// oracle TestEvolveMatchesSpec and FuzzEvolveMatchesSpec compare the
-// evolver against, slot for slot. It builds G_{i+1} the obvious way —
+// evolve.go replaced them, kept verbatim (renamed, and fanned out on a
+// par.Team since par.For went) as the oracle TestEvolveMatchesSpec and
+// FuzzEvolveMatchesSpec compare the evolver against, slot for slot. It builds G_{i+1} the obvious way —
 // one AddCrossEdge per accepted token in (endpoint, acceptance) order,
 // then PadSelfLoops — and retains every intermediate graph.
 
@@ -38,6 +38,9 @@ func specEvolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 	acceptCap := 3 * delta / 8
 	total := n * perNode
 	workers := par.Workers(p.Workers)
+	var team par.Team
+	team.Open(workers)
+	defer team.Close()
 	flat, stride := m.FlatSlots()
 	walkRoot := src.Split(walkStreamLabel)
 	acceptRoot := src.Split(acceptStreamLabel)
@@ -60,7 +63,7 @@ func specEvolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 	if p.RecordPaths {
 		paths = make([][]int, total)
 	}
-	par.For(workers, total, func(lo, hi int) {
+	team.Run(total, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			ts := walkRoot.SplitVal(uint64(t))
 			at := int32(t / perNode) // tokens are laid out origin-major
@@ -114,7 +117,7 @@ func specEvolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 	kept := fill // reuse: kept[v] <= fill[v]
 	type accStats struct{ dropped, selfArrivals int }
 	partial := make([]accStats, workers)
-	par.ForChunk(workers, n, func(chunk, lo, hi int) {
+	team.Run(n, func(chunk, lo, hi int) {
 		sel := make([]int32, acceptCap)
 		st := &partial[chunk]
 		for v := lo; v < hi; v++ {

@@ -1,7 +1,9 @@
 package expander
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"overlay/internal/graphx"
 	"overlay/internal/rng"
@@ -113,5 +115,46 @@ func TestCreateExpanderParallelMatchesSequential(t *testing.T) {
 					i, w, want.History[i].Stats, got.History[i].Stats)
 			}
 		}
+	}
+}
+
+// TestTeamsEndWithTheirCall: the worker team behind Evolve,
+// CreateExpander and SpectralGapWorkers lives for the one call, so the
+// goroutine count is back at its baseline once each returns, at every
+// worker count.
+func TestTeamsEndWithTheirCall(t *testing.T) {
+	g := topology.Ring(128)
+	m, bp := prepared(t, g)
+	p := DefaultParams(g.N)
+	p.Delta, p.Evolutions = bp.Delta, 3
+	base := runtime.NumGoroutine()
+	for w := 2; w <= 16; w++ {
+		p.Workers = w
+		res := CreateExpander(m, p, rng.New(7))
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("workers=%d: %d goroutines after CreateExpander, baseline %d", w, got, base)
+		}
+		Evolve(m, p, rng.New(7))
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("workers=%d: %d goroutines after Evolve, baseline %d", w, got, base)
+		}
+		res.Final.SpectralGapWorkers(20, rng.New(3), w)
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("workers=%d: %d goroutines after SpectralGapWorkers, baseline %d", w, got, base)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is at most base,
+// or after a second of waiting: a worker that has returned from its loop
+// may still be on its way out of the scheduler.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

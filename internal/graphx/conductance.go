@@ -80,7 +80,7 @@ func putEigenScratch(sc *eigenScratch) {
 // controls accuracy; 200 is ample for the sizes used in experiments.
 // The rng source makes the start vector deterministic per caller. The
 // iteration runs across GOMAXPROCS workers; use SpectralGapWorkers to
-// pin the pool size.
+// pin the team size.
 func (m *Multi) SpectralGap(iters int, src *rng.Source) float64 {
 	return m.SpectralGapWorkers(iters, src, 0)
 }
@@ -105,16 +105,18 @@ func (m *Multi) SpectralGapWorkers(iters int, src *rng.Source, workers int) floa
 // nothing and the per-coordinate accumulation order is fixed; xs holds
 // the pre-scaled vector x[w]/(2·deg(w)) so the gather's random-index
 // reads touch a single array, and the walk is fused with the Rayleigh
-// quotient <x, Px>_π (P is self-adjoint under π). All worker closures
-// are built once per restart, before the iteration loop, reading the
-// per-iteration scalars through a shared state struct — the loop body
-// itself allocates nothing.
+// quotient <x, Px>_π (P is self-adjoint under π). One worker team
+// serves the call, and all worker closures are built once per restart,
+// before the iteration loop, reading the per-iteration scalars through a
+// shared state struct — the loop body itself allocates nothing.
 func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, []float64, *eigenScratch) {
 	n := m.N
 	if n < 2 {
 		return 0, make([]float64, n), nil
 	}
-	workers = par.Workers(workers)
+	var team par.Team
+	team.Open(workers)
+	defer team.Close()
 	sc := getEigenScratch(n)
 	pi, invTwoDeg, xs, sums := sc.pi, sc.invTwoDeg, sc.xs, sc.sums
 	flat, stride := m.FlatSlots()
@@ -135,7 +137,7 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 		}
 		return lo, hi
 	}
-	piBlocks := func(blo, bhi int) {
+	piBlocks := func(_, blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			lo, hi := blockAt(b)
 			t := 0.0
@@ -151,7 +153,7 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 			sums[b] = t
 		}
 	}
-	dotBlocks := func(blo, bhi int) {
+	dotBlocks := func(_, blo, bhi int) {
 		x := st.x
 		for b := blo; b < bhi; b++ {
 			lo, hi := blockAt(b)
@@ -163,7 +165,7 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 		}
 	}
 	// Fused: subtract the projection, accumulate the π-norm.
-	deflateBlocks := func(blo, bhi int) {
+	deflateBlocks := func(_, blo, bhi int) {
 		x, dot := st.x, st.dot
 		for b := blo; b < bhi; b++ {
 			lo, hi := blockAt(b)
@@ -177,7 +179,7 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 		}
 	}
 	// Fused: normalize x and pre-scale it for the gather.
-	scaleRange := func(lo, hi int) {
+	scaleRange := func(_, lo, hi int) {
 		x, inv := st.x, st.inv
 		for u := lo; u < hi; u++ {
 			xu := x[u] * inv
@@ -189,7 +191,7 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 	// Self-loop slots are part of A, so graphs that are already lazy
 	// are slowed by at most another factor 2, which only rescales the
 	// gap.
-	walkBlocks := func(blo, bhi int) {
+	walkBlocks := func(_, blo, bhi int) {
 		x, y := st.x, st.y
 		for b := blo; b < bhi; b++ {
 			lo, hi := blockAt(b)
@@ -213,8 +215,8 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 
 	// Stationary distribution of the reversible chain: π ∝ degree, and
 	// the inverse-degree weights the gather-form mat-vec reads.
-	total := par.SumBlocks(workers, sums, piBlocks)
-	par.For(workers, n, func(lo, hi int) {
+	total := team.Sum(sums, piBlocks)
+	team.Run(n, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			pi[u] /= total
 		}
@@ -225,16 +227,16 @@ func (m *Multi) secondEigen(iters int, src *rng.Source, workers int) (float64, [
 	lambda := 0.0
 	for it := 0; it < iters; it++ {
 		// Deflate the top eigenvector (all-ones in the π inner product).
-		st.dot = par.SumBlocks(workers, sums, dotBlocks)
-		norm := math.Sqrt(par.SumBlocks(workers, sums, deflateBlocks))
+		st.dot = team.Sum(sums, dotBlocks)
+		norm := math.Sqrt(team.Sum(sums, deflateBlocks))
 		if norm < 1e-300 {
 			// x collapsed into the top eigenspace; the chain mixes in
 			// one step as far as this start vector can tell.
 			return 0, st.x, sc
 		}
 		st.inv = 1 / norm
-		par.For(workers, n, scaleRange)
-		lambda = par.SumBlocks(workers, sums, walkBlocks)
+		team.Run(n, scaleRange)
+		lambda = team.Sum(sums, walkBlocks)
 		st.x, st.y = st.y, st.x
 	}
 	if lambda < 0 {

@@ -54,6 +54,42 @@ func NewDigraph(n int) *Digraph {
 	return &Digraph{N: n, Out: make([][]int, n)}
 }
 
+// DigraphFromEdges returns the directed graph on n nodes with the given
+// (from, to) edges: the graph a NewDigraph(n) and one AddEdge per edge,
+// in order, build, with each node's out-list in the order its edges
+// appear. The lists are counted first and then filled into one backing
+// array, each capped at its own length, so a later AddEdge reallocates
+// a list instead of overwriting its neighbour's; a node with no edge
+// keeps a nil list. Out-of-range endpoints panic, as in AddEdge.
+func DigraphFromEdges(n int, edges [][2]int) *Digraph {
+	// at[u+1] counts u's edges; the prefix sums make at[u] the start of
+	// u's stretch, and the fill advances it to the stretch's end.
+	at := make([]int, n+1)
+	for _, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			panic(fmt.Sprintf("graphx: edge (%d,%d) out of range [0,%d)", e[0], e[1], n))
+		}
+		at[e[0]+1]++
+	}
+	for u := 1; u <= n; u++ {
+		at[u] += at[u-1]
+	}
+	flat := make([]int, len(edges))
+	for _, e := range edges {
+		flat[at[e[0]]] = e[1]
+		at[e[0]]++
+	}
+	g := NewDigraph(n)
+	lo := 0
+	for u := range g.Out {
+		if hi := at[u]; hi > lo {
+			g.Out[u] = flat[lo:hi:hi]
+			lo = hi
+		}
+	}
+	return g
+}
+
 // AddEdge inserts the directed edge (u, v). It panics on out-of-range
 // endpoints: topology generators are the only writers and a bad index is
 // a programming error.

@@ -12,10 +12,13 @@ import (
 // round allocates nothing" is a committed benchmark fence. Inside an
 // annotated function the analyzer forbids the patterns that put
 // garbage on the per-round path: fmt calls, string concatenation,
-// closures that capture surrounding state without being invoked on the
-// spot (captured variables move to the heap), appends that grow a
-// fresh unsized local slice inside a loop (growth reallocates every
-// doubling), explicit conversions of concrete values to interface types
+// go statements (a goroutine, and the closure its call is wrapped in,
+// are allocated at every spawn — fan-out belongs to par.Team, whose
+// workers are started once per call), closures that capture surrounding
+// state without being invoked on the spot (captured variables move to
+// the heap; a literal a go statement calls is not invoked on the spot),
+// appends that grow a fresh unsized local slice inside a loop (growth
+// reallocates every doubling), explicit conversions of concrete values to interface types
 // (which box), and make or new, unless the line (or the line above)
 // carries //lint:alloc with a reason — amortised growth of storage the
 // function keeps is the one allocation a hot path may own, and it must
@@ -24,7 +27,7 @@ import (
 // anything the analyzer cannot see is flat is a finding.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "//overlay:hotpath functions may not contain fmt calls, string concatenation, escaping closures, unsized loop appends, boxing conversions, or make/new without a //lint:alloc reason",
+	Doc:  "//overlay:hotpath functions may not contain go statements, fmt calls, string concatenation, escaping closures, unsized loop appends, boxing conversions, or make/new without a //lint:alloc reason",
 	Run:  runHotPath,
 }
 
@@ -52,6 +55,8 @@ func checkHotFunc(pass *Pass, file *ast.File, fn *ast.FuncDecl) {
 			return
 		case *ast.ForStmt, *ast.RangeStmt:
 			loopDepth++
+		case *ast.GoStmt:
+			pass.Reportf(n.Pos(), "go statement in hotpath function %s spawns a goroutine per call; hand the work to a par.Team started outside the hot path", fn.Name.Name)
 		case *ast.CallExpr:
 			checkHotCall(pass, fn, n, fresh, loopDepth)
 			checkHotAlloc(pass, file, fn, n)
@@ -137,12 +142,18 @@ func isString(t types.Type) bool {
 }
 
 // immediatelyInvoked maps the function literals that are called on the
-// spot (an IIFE does not force its captures to outlive the frame).
+// spot (an IIFE does not force its captures to outlive the frame). The
+// literal of go func(){…}() is not: it runs on another goroutine, after
+// the frame may be gone, so its captures escape.
 func immediatelyInvoked(body *ast.BlockStmt) map[*ast.FuncLit]bool {
 	out := map[*ast.FuncLit]bool{}
+	spawned := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			spawned[n.Call] = true
+		case *ast.CallExpr:
+			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok && !spawned[n] {
 				out[lit] = true
 			}
 		}

@@ -24,7 +24,9 @@ func hot(names []string, v val, n int) string {
 	}
 	cb := func() int { return n } // want `closure in hotpath function hot captures n`
 	_ = cb
-	_ = boxer(v) // want `conversion to interface type boxer in hotpath function hot boxes its operand`
+	go func(q int) { _ = q + n }(n) // want `go statement in hotpath function hot` `closure in hotpath function hot captures n`
+	go v.box()                      // want `go statement in hotpath function hot`
+	_ = boxer(v)                    // want `conversion to interface type boxer in hotpath function hot boxes its operand`
 	_ = out
 	_ = make([]int, n) // want `make in hotpath function hot allocates`
 	_ = new(val)       // want `new in hotpath function hot allocates`
@@ -43,6 +45,8 @@ func cold(names []string, v val, n int) string {
 	}
 	cb := func() int { return n }
 	_ = cb
+	go func(q int) { _ = q + n }(n)
+	go v.box()
 	_ = boxer(v)
 	_ = out
 	_ = make([]int, n)

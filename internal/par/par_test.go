@@ -1,15 +1,21 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func TestForCoversRangeOnce(t *testing.T) {
+// TestTeamCoversRangeOnce: a pass visits every item exactly once, at
+// every team size (0 = GOMAXPROCS) and input size.
+func TestTeamCoversRangeOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 7, 64} {
+		var team Team
+		team.Open(workers)
 		for _, n := range []int{0, 1, 5, 64, 1000} {
 			hits := make([]int32, n)
-			For(workers, n, func(lo, hi int) {
+			team.Run(n, func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -20,26 +26,106 @@ func TestForCoversRangeOnce(t *testing.T) {
 				}
 			}
 		}
+		team.Close()
 	}
 }
 
-func TestForChunkIndicesDisjoint(t *testing.T) {
-	for _, workers := range []int{2, 3, 8} {
-		seen := make([]int32, workers)
-		ForChunk(workers, 100, func(chunk, lo, hi int) {
-			atomic.AddInt32(&seen[chunk], 1)
-		})
-		for c, s := range seen {
-			if s > 1 {
-				t.Fatalf("workers=%d: chunk %d used %d times", workers, c, s)
+// TestTeamPartition pins the partition every caller's determinism rests
+// on: chunk q of a pass of n items at team size w is
+// [q·⌈n/w'⌉, min((q+1)·⌈n/w'⌉, n)) with w' = min(w, n), empty chunks
+// dropped — the formula the engine, the evolver and the power iteration
+// partitioned by before they shared a team. Each chunk index runs once.
+func TestTeamPartition(t *testing.T) {
+	var team Team
+	defer team.Close()
+	for _, w := range []int{1, 2, 3, 4, 7, 16} {
+		team.Open(w)
+		for _, n := range []int{0, 1, 2, 3, 9, 10, 64, 257} {
+			got := make([][2]int, w)
+			for i := range got {
+				got[i] = [2]int{-1, -1}
+			}
+			team.Run(n, func(chunk, lo, hi int) { got[chunk] = [2]int{lo, hi} })
+			want := make([][2]int, w)
+			for i := range want {
+				want[i] = [2]int{-1, -1}
+			}
+			if ww := min(w, n); ww > 0 {
+				chunk := (n + ww - 1) / ww
+				for q := 0; q*chunk < n; q++ {
+					want[q] = [2]int{q * chunk, min((q+1)*chunk, n)}
+				}
+			}
+			for q := range want {
+				if got[q] != want[q] {
+					t.Fatalf("w=%d n=%d: chunk %d ran %v, want %v", w, n, q, got[q], want[q])
+				}
 			}
 		}
 	}
 }
 
+// TestTeamPassAllocatesNothing: once a team's workers are up, a pass of
+// a function bound once allocates nothing, and Close stops the workers
+// so a reopened pass starts them again.
+func TestTeamPassAllocatesNothing(t *testing.T) {
+	var team Team
+	team.Open(4)
+	defer team.Close()
+	hits := make([]int32, 1000)
+	fn := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hits[i]++
+		}
+	}
+	team.Run(len(hits), fn)
+	if allocs := testing.AllocsPerRun(100, func() { team.Run(len(hits), fn) }); allocs != 0 {
+		t.Errorf("a pass allocates %.0f objects; want 0", allocs)
+	}
+	team.Close()
+	team.Run(len(hits), fn)
+	// One pass before, AllocsPerRun's warm-up and 100 passes, one after.
+	for i, h := range hits {
+		if h != 103 {
+			t.Fatalf("index %d visited %d times, want 103", i, h)
+		}
+	}
+}
+
+// TestTeamCloseStopsWorkers: after Close the goroutine count is back at
+// its baseline, however many passes and reopenings came before.
+func TestTeamCloseStopsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, w := range []int{2, 3, 8, 16} {
+		var team Team
+		team.Open(w)
+		for pass := 0; pass < 3; pass++ {
+			team.Run(100, func(int, int, int) {})
+			team.Close()
+		}
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("w=%d: %d goroutines after Close, baseline %d", w, got, base)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is at most base,
+// or after a second of waiting: a worker that has returned from its loop
+// may still be on its way out of the scheduler.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBlockSumWorkerIndependent pins the fixed-block reduction: the
-// floating-point total must be bit-identical at every worker count,
-// because block boundaries depend only on n.
+// floating-point total must be bit-identical at every team size, because
+// block boundaries depend only on n.
 func TestBlockSumWorkerIndependent(t *testing.T) {
 	n := 3*RedBlock + 17
 	x := make([]float64, n)
@@ -47,21 +133,22 @@ func TestBlockSumWorkerIndependent(t *testing.T) {
 		x[i] = 1.0 / float64(i+3)
 	}
 	sums := make([]float64, Blocks(n))
-	ref := BlockSum(1, n, sums, func(lo, hi int) float64 {
-		t := 0.0
-		for i := lo; i < hi; i++ {
-			t += x[i]
-		}
-		return t
-	})
-	for _, w := range []int{2, 3, 5, 16} {
-		got := BlockSum(w, n, sums, func(lo, hi int) float64 {
-			t := 0.0
-			for i := lo; i < hi; i++ {
-				t += x[i]
+	blocks := func(_, blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			s := 0.0
+			for i := b * RedBlock; i < min((b+1)*RedBlock, n); i++ {
+				s += x[i]
 			}
-			return t
-		})
+			sums[b] = s
+		}
+	}
+	var one Team
+	ref := one.Sum(sums, blocks)
+	for _, w := range []int{2, 3, 5, 16} {
+		var team Team
+		team.Open(w)
+		got := team.Sum(sums, blocks)
+		team.Close()
 		if got != ref {
 			t.Fatalf("workers=%d: %v != %v", w, got, ref)
 		}

@@ -24,7 +24,7 @@
 // favoring any protocol ordering.
 //
 // Determinism: every node owns a private rng stream split from the run
-// seed; node handlers run concurrently across a worker pool but observe
+// seed; node handlers run concurrently across a worker team but observe
 // only their own state, inbox, and stream. Delivery alternates between
 // contiguous sender ranges of the run list and contiguous destination
 // shards, both taken in index order (see deliver): each range counts
@@ -54,7 +54,13 @@
 // by per-destination offset/count arrays (CSR-style), so delivery is a
 // cache-linear scan instead of pointer chasing. Blocks, arenas, scratch
 // and queues are kept for the engine's lifetime, so a round that moves
-// no more traffic than an earlier one allocates nothing.
+// no more traffic than an earlier one allocates nothing. Its five
+// fanned-out passes a round (the node pass and delivery's four) run on
+// one par.Team per Run call: the workers start at the call's first
+// fanned-out pass, take each pass's chunks as job values over their own
+// channels and are stopped before Run returns, so a pass spawns no
+// goroutine and a Run allocates only the team's start-up, whatever its
+// round count; the engine needs no Close.
 // Identifier routing is arithmetic, not a data structure: identifiers
 // are consecutive draws of one splitmix64 stream, so inverting the
 // stream turns an identifier back into its node index (see lookup). An
@@ -74,17 +80,16 @@
 // appends its (zero) per-round metrics and polls Config.Interrupt
 // exactly as a busy round does. Rounds with little to do (run list plus
 // queued messages under inlineGrain) run on the driving goroutine
-// instead of being fanned out to the worker pool, unless Workers > 1
+// instead of being fanned out to the worker team, unless Workers > 1
 // asked for the sharded path explicitly.
 package sim
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"overlay/internal/ids"
+	"overlay/internal/par"
 	"overlay/internal/rng"
 )
 
@@ -116,7 +121,7 @@ type Config struct {
 	// SendCap and RecvCap are per-round unit capacities; 0 disables the
 	// respective cap. The NCC0 model sets both to Θ(log n).
 	SendCap, RecvCap int
-	// Workers bounds the worker-pool size for node execution and
+	// Workers bounds the worker-team size for node execution and
 	// sharded delivery. 0 means GOMAXPROCS; 1 forces single-goroutine
 	// execution (useful when profiling protocol logic), bit-for-bit
 	// identical to the parallel path. Values above 1 force the sharded
@@ -137,14 +142,6 @@ type Config struct {
 	// consumes no protocol randomness. The function must be safe to
 	// call from the engine's driving goroutine.
 	Interrupt func() bool
-}
-
-// workers resolves the effective worker count.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Engine drives a set of nodes through synchronous rounds.
@@ -194,15 +191,21 @@ type Engine struct {
 	shardSize int
 	ranges    int
 
-	// wg joins the worker pool's goroutines after each fanned-out pass.
-	wg sync.WaitGroup
+	// team runs the fanned-out passes, one worker per shard; Run closes
+	// it before returning, so no worker outlives the call. pass is the
+	// pass the team is running and passFn the one function every pass is
+	// handed to it as, bound at the engine's first fanned-out pass so
+	// that a pass allocates nothing.
+	team   par.Team
+	pass   pass
+	passFn func(q, lo, hi int)
 
 	// adv is the compiled fault plane; nil when no adversary is
 	// installed, in which case the sender ranges settle no fates and the
 	// holdback queues stay empty.
 	adv *advState
 
-	// sharded pins every round to the worker pool (Config.Workers > 1);
+	// sharded pins every round to the worker team (Config.Workers > 1);
 	// otherwise rounds under inlineGrain run on the driving goroutine.
 	// queued is the message count of the last delivery pass, the
 	// next round's inbox volume.
@@ -403,13 +406,8 @@ func newEngine(cfg Config, nodes []Node, idStream rng.Source) *Engine {
 			e.halters[i] = h
 		}
 	}
-	w := cfg.workers()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := max(min(par.Workers(cfg.Workers), n), 1)
+	e.team.Open(w)
 	e.shards = make([]shardState, w)
 	e.shardSize = (n + w - 1) / w
 	if e.shardSize < 1 {
@@ -537,8 +535,11 @@ func (e *Engine) halted(i int32) bool {
 // returning the number of rounds executed. The in-flight condition
 // honors the wake-on-message guarantee: a message sent to a halted node
 // by the last active sender still gets delivered (one wake round)
-// before the engine stops.
+// before the engine stops. The worker team that runs the fanned-out
+// passes lives for the call: it starts at the call's first fanned-out
+// pass and is stopped before Run returns, however the run ends.
 func (e *Engine) Run(maxRounds int) int {
+	defer e.team.Close()
 	e.initNodes()
 	for r := 0; r < maxRounds; r++ {
 		if len(e.runList) == 0 && !e.pendingHeld() && (e.round >= e.floor || e.allDead()) {
@@ -640,9 +641,10 @@ func (e *Engine) call(ob *outBlocks, i int32, inbox []Wire) {
 	ob.used += len(ctx.outW)
 }
 
-// pass names one of the engine's fanned-out loops. forEach dispatches
-// on it rather than taking a closure: a closure handed to the worker
-// pool escapes to the heap, and every round would allocate one.
+// pass names one of the engine's fanned-out loops. forEach records it
+// in the engine and hands the team the one function runPass is bound to
+// (passFn), rather than a closure per pass: a closure handed to the team
+// escapes to the heap, and every pass would allocate one.
 type pass uint8
 
 const (
@@ -653,20 +655,23 @@ const (
 	capPass                 // destination shard k: receive cap, wake-ups
 )
 
-// do runs item k of pass p in chunk q of forEach.
-func (e *Engine) do(p pass, k, q int) {
-	switch p {
-	case nodePass:
-		i := e.runList[k]
-		e.call(&e.shards[q].blocks, i, e.inboxOf(i))
-	case sendPass:
-		e.sendRange(k)
-	case layoutPass:
-		e.layoutShard(k)
-	case scatterPass:
-		e.scatterRange(k)
-	case capPass:
-		e.applyRecvCaps(k)
+// runPass runs items [lo, hi) of the current pass as chunk q.
+func (e *Engine) runPass(q, lo, hi int) {
+	p := e.pass
+	for k := lo; k < hi; k++ {
+		switch p {
+		case nodePass:
+			i := e.runList[k]
+			e.call(&e.shards[q].blocks, i, e.inboxOf(i))
+		case sendPass:
+			e.sendRange(k)
+		case layoutPass:
+			e.layoutShard(k)
+		case scatterPass:
+			e.scatterRange(k)
+		case capPass:
+			e.applyRecvCaps(k)
+		}
 	}
 }
 
@@ -674,7 +679,7 @@ func (e *Engine) do(p pass, k, q int) {
 // 1, run inline, when the engine is effectively sequential or the pass
 // is small — work is its size in nodes plus messages, and under
 // inlineGrain the hand-off would cost more than it spreads
-// (Config.Workers > 1 keeps even those on the pool) — and otherwise one
+// (Config.Workers > 1 keeps even those on the team) — and otherwise one
 // per worker.
 func (e *Engine) spread(k, work int) int {
 	w := len(e.shards)
@@ -685,24 +690,20 @@ func (e *Engine) spread(k, work int) int {
 }
 
 // forEach runs items 0..k-1 of pass p in contiguous chunks (see
-// spread), the first on the driving goroutine and the rest on the
-// worker pool.
+// spread): on the driving goroutine alone, or across the team, whose
+// chunk 0 is the driving goroutine's.
+//
+//overlay:hotpath
 func (e *Engine) forEach(p pass, k, work int) {
-	w := e.spread(k, work)
-	chunk := (k + w - 1) / w
-	for q := 1; q*chunk < k; q++ {
-		e.wg.Add(1)
-		go func(q int) {
-			defer e.wg.Done()
-			for i := q * chunk; i < min((q+1)*chunk, k); i++ {
-				e.do(p, i, q)
-			}
-		}(q)
+	e.pass = p
+	if e.spread(k, work) == 1 {
+		e.runPass(0, 0, k)
+		return
 	}
-	for i := 0; i < min(chunk, k); i++ {
-		e.do(p, i, 0)
+	if e.passFn == nil {
+		e.passFn = e.runPass
 	}
-	e.wg.Wait()
+	e.team.Run(k, e.passFn)
 }
 
 // deliver moves every queued outgoing message into its destination

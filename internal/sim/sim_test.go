@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"overlay/internal/ids"
 	"overlay/internal/rng"
@@ -323,7 +325,7 @@ func runGossipMetrics(cfg Config, fanout, rounds int) ([]uint64, *Metrics) {
 
 // TestShardedDeliveryMatchesSequential is the guardrail for the
 // sharded delivery: the sequential path and the parallel one (with the
-// worker pool forced on) must produce identical node states and
+// worker team forced on) must produce identical node states and
 // bit-for-bit identical Metrics for the same seed. The worker counts
 // make sender ranges straddle destination-shard boundaries (7 and 16 do
 // not divide 256), run more workers than nodes (n = 5 at 16 workers)
@@ -386,31 +388,97 @@ func (s *steadyNode) send(ctx *Ctx) {
 // TestSteadyStateDeliveryAllocatesNothing pins the point of delivery
 // storage that grows and stays: once a run has seen its largest round,
 // a round — node execution, send cap, delivery, receive cap and run
-// list — allocates nothing. The warm-up is long enough that the
-// per-round metric columns do not grow during the measured rounds.
+// list — allocates nothing. At Workers: 1 a Run of one round allocates
+// nothing; sharded (Workers 2 and 4, every pass fanned out) a Run
+// allocates its worker team's start-up and nothing per pass, so a Run of
+// 64 rounds allocates exactly what a Run of one does. The warm-up is long
+// enough that the per-round metric columns grow at most a few times
+// during the measured rounds, which the per-Run average rounds away.
 func TestSteadyStateDeliveryAllocatesNothing(t *testing.T) {
-	for _, c := range []struct {
-		name             string
-		sendCap, recvCap int
-	}{{"plain", 0, 0}, {"capped", 1, 1}} {
-		const n = 64
-		nodes := make([]Node, n)
-		ss := make([]*steadyNode, n)
-		for i := range nodes {
-			ss[i] = &steadyNode{}
-			nodes[i] = ss[i]
+	for _, workers := range []int{1, 2, 4} {
+		for _, c := range []struct {
+			name             string
+			sendCap, recvCap int
+		}{{"plain", 0, 0}, {"capped", 1, 1}} {
+			e := newSteady(Config{N: 64, Seed: 9, Workers: workers, SendCap: c.sendCap, RecvCap: c.recvCap})
+			e.Run(2000)
+			one := testing.AllocsPerRun(100, func() { e.Run(1) })
+			many := testing.AllocsPerRun(20, func() { e.Run(64) })
+			if workers == 1 && one != 0 {
+				t.Errorf("%s: a steady-state round allocates %.0f objects; want 0", c.name, one)
+			}
+			if one != many {
+				t.Errorf("%s workers=%d: Run(1) allocates %.0f objects and Run(64) %.0f; want the same, the team's start-up",
+					c.name, workers, one, many)
+			}
+			if c.sendCap > 0 && e.Metrics().SendCapViolations == 0 {
+				t.Errorf("%s: the send cap never engaged", c.name)
+			}
 		}
-		e := New(Config{N: n, Seed: 9, Workers: 1, SendCap: c.sendCap, RecvCap: c.recvCap}, nodes)
-		for i := range ss {
-			ss[i].peers = e.IDs()
+	}
+}
+
+// TestRunStopsItsWorkers: the worker team of a sharded engine lives for
+// one Run call, so the goroutine count is back at its baseline after Run
+// returns, whichever way it ends — quiescence, its round budget or
+// Config.Interrupt — and an engine can Run again afterwards.
+func TestRunStopsItsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{2, 3, 4, 16} {
+		_, m := runGossipMetrics(Config{N: 64, Seed: 5, Workers: workers}, 2, 1000)
+		if rounds := len(m.RoundMaxSent); rounds >= 1000 {
+			t.Fatalf("workers=%d: the gossip run did not quiesce", workers)
 		}
-		e.Run(600)
-		if allocs := testing.AllocsPerRun(100, func() { e.Run(1) }); allocs != 0 {
-			t.Errorf("%s: a steady-state round allocates %.0f objects; want 0", c.name, allocs)
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("workers=%d: %d goroutines after a quiescent Run, baseline %d", workers, got, base)
 		}
-		if c.sendCap > 0 && e.Metrics().SendCapViolations == 0 {
-			t.Errorf("%s: the send cap never engaged", c.name)
+
+		polls := 0
+		e := newSteady(Config{N: 64, Seed: 5, Workers: workers, Interrupt: func() bool {
+			polls++
+			return polls > 12
+		}})
+		if r := e.Run(7); r != 7 || e.Interrupted() {
+			t.Fatalf("workers=%d: Run(7) ran %d rounds, interrupted %v", workers, r, e.Interrupted())
 		}
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("workers=%d: %d goroutines after Run used up its rounds, baseline %d", workers, got, base)
+		}
+		if r := e.Run(100); r != 12 || !e.Interrupted() {
+			t.Fatalf("workers=%d: the interrupted Run stopped at round %d, interrupted %v; want 12, true", workers, r, e.Interrupted())
+		}
+		if got := settledGoroutines(base); got > base {
+			t.Errorf("workers=%d: %d goroutines after an interrupted Run, baseline %d", workers, got, base)
+		}
+	}
+}
+
+// newSteady builds an engine of cfg.N steadyNodes.
+func newSteady(cfg Config) *Engine {
+	nodes := make([]Node, cfg.N)
+	ss := make([]*steadyNode, cfg.N)
+	for i := range nodes {
+		ss[i] = &steadyNode{}
+		nodes[i] = ss[i]
+	}
+	e := New(cfg, nodes)
+	for i := range ss {
+		ss[i].peers = e.IDs()
+	}
+	return e
+}
+
+// settledGoroutines returns the goroutine count once it is at most base,
+// or after a second of waiting: a worker that has returned from its loop
+// may still be on its way out of the scheduler.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

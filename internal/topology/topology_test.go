@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,67 @@ func TestGeneratorsWeaklyConnected(t *testing.T) {
 	for name, g := range gens {
 		if !g.Undirected().IsConnected() {
 			t.Errorf("%s: not weakly connected", name)
+		}
+	}
+}
+
+// TestDigraphFromEdgesMatchesAddEdge pins graphx.DigraphFromEdges, the
+// one-array ingest of an edge list, to the AddEdge loop it replaces: for
+// every generator here, the generator's edges, listed in a shuffled
+// order, build the same out-lists (order within each list included, and
+// nil for a node without edges) either way — and keep doing so when
+// edges are appended afterwards, which must reallocate a list rather
+// than write into the next node's stretch of the shared array.
+func TestDigraphFromEdgesMatchesAddEdge(t *testing.T) {
+	src := rng.New(11)
+	gens := map[string]*graphx.Digraph{
+		"line":      Line(33),
+		"ring":      Ring(33),
+		"star":      Star(33),
+		"tree":      BinaryTree(33),
+		"grid":      Grid(5, 7),
+		"torus":     Torus(5, 7),
+		"cube":      Hypercube(5),
+		"regular":   RandomRegular(34, 3, src),
+		"er":        ErdosRenyi(33, 0.05, src),
+		"lolli":     Lollipop(33, 10),
+		"barbell":   Barbell(6, 4),
+		"caterp":    Caterpillar(11, 2),
+		"copies":    DisjointCopies(3, func(i int) *graphx.Digraph { return Ring(5 + i) }),
+		"cut":       CutGadget(4, 5),
+		"bipartite": Bipartite(3, 4),
+		"isolated":  graphx.NewDigraph(6),
+	}
+	for name, g := range gens {
+		var listed [][2]int
+		for u, out := range g.Out {
+			for _, v := range out {
+				listed = append(listed, [2]int{u, v})
+			}
+		}
+		edges := make([][2]int, len(listed))
+		for i, j := range src.Perm(len(listed)) {
+			edges[i] = listed[j]
+		}
+		want := graphx.NewDigraph(g.N)
+		for _, e := range edges {
+			want.AddEdge(e[0], e[1])
+		}
+		got := graphx.DigraphFromEdges(g.N, edges)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DigraphFromEdges differs from the AddEdge loop", name)
+			continue
+		}
+		// Append to every node, the last first, then the first one
+		// again: each append must leave every other list as it was.
+		for u := g.N - 1; u >= 0; u-- {
+			got.AddEdge(u, (u+1)%g.N)
+			want.AddEdge(u, (u+1)%g.N)
+		}
+		got.AddEdge(0, g.N-1)
+		want.AddEdge(0, g.N-1)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: appending after DigraphFromEdges differs from the AddEdge loop", name)
 		}
 	}
 }

@@ -59,14 +59,12 @@ func (g *Graph) digraph() (*graphx.Digraph, error) {
 	if g.N < 0 {
 		return nil, fmt.Errorf("overlay: negative node count %d", g.N)
 	}
-	d := graphx.NewDigraph(g.N)
 	for _, e := range g.Edges {
 		if e[0] < 0 || e[0] >= g.N || e[1] < 0 || e[1] >= g.N {
 			return nil, fmt.Errorf("overlay: edge %v out of range [0,%d)", e, g.N)
 		}
-		d.AddEdge(e[0], e[1])
 	}
-	return d, nil
+	return graphx.DigraphFromEdges(g.N, g.Edges), nil
 }
 
 // Options tune BuildTree. The zero value requests defaults everywhere.
@@ -89,7 +87,7 @@ type Options struct {
 	// CapFactor κ sets the NCC0 per-round capacity κ·⌈log₂ n⌉ for the
 	// message-level path (0 = uncapped measurement mode).
 	CapFactor int
-	// Workers bounds the worker pools of both paths (0 = GOMAXPROCS, 1 =
+	// Workers bounds the worker teams of both paths (0 = GOMAXPROCS, 1 =
 	// a single goroutine, for profiling or running under instrumentation).
 	// The message-level engine shards message delivery across this many
 	// goroutines; the fast path splits the evolution token walks and

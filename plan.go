@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -29,7 +30,7 @@ type Plan struct {
 //	seed=S             fault seed (uint64)
 //	drop=P             per-message drop probability
 //	delay=P            per-message delay probability
-//	delaymax=K         maximum delay in rounds (default 1)
+//	delaymax=K         maximum delay in rounds (default 1, at most 2^31-1)
 //	crash=NODE@ROUND   crash-stop NODE at global round ROUND (repeatable)
 //	crashfrac=F@ROUND  crash a random F-fraction of nodes at ROUND
 //	cut=LO-HI@FROM-TO  partition nodes LO..HI (inclusive, at most 2^22
@@ -107,8 +108,8 @@ func ParsePlan(spec string) (*Plan, error) {
 			sawFault = true
 		case "delaymax":
 			v, err := strconv.Atoi(val)
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("overlay: delaymax=%q is not a positive round count", val)
+			if err != nil || v < 1 || v > maxDelay {
+				return nil, fmt.Errorf("overlay: delaymax=%q is not a round count in [1,%d]", val, maxDelay)
 			}
 			faults.DelayMax = v
 			sawFault = true
@@ -251,6 +252,11 @@ func ParsePlan(spec string) (*Plan, error) {
 // far more than any message-level build, the only kind a fault plan
 // applies to, simulates.
 const maxCutNodes = 1 << 22
+
+// maxDelay bounds FaultPlan.DelayMax: the engine keeps a delay, and the
+// round a delayed message comes due, in 32 bits, and a longer delay
+// would wrap there.
+const maxDelay = math.MaxInt32
 
 // inUnit reports whether v lies in [0,1]; NaN does not.
 func inUnit(v float64) bool { return v >= 0 && v <= 1 }

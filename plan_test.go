@@ -56,18 +56,20 @@ func TestParsePlanPartialSpecs(t *testing.T) {
 // singleton directive.
 func TestParsePlanErrors(t *testing.T) {
 	for _, bad := range []string{
-		"nope=1",                  // unknown directive
-		"drop",                    // not key=value
-		"drop=2",                  // probability out of range
-		"epochs=0",                // non-positive
-		"rebuild=0",               // ambiguous with unset
-		"churnseed=x",             // malformed seed
-		"drop=0.1,drop=0.2",       // repeated fault singleton
-		"epochs=2,epochs=3",       // repeated churn singleton
-		"churnseed=1,churnseed=2", // repeated churn seed
-		"delay=NaN",               // NaN is no probability
-		"epochs=2,join=nan",       // nor a fraction
-		"cut=0-4194304@1-2",       // a side of 2^22+1 nodes
+		"nope=1",                                 // unknown directive
+		"drop",                                   // not key=value
+		"drop=2",                                 // probability out of range
+		"epochs=0",                               // non-positive
+		"rebuild=0",                              // ambiguous with unset
+		"churnseed=x",                            // malformed seed
+		"drop=0.1,drop=0.2",                      // repeated fault singleton
+		"epochs=2,epochs=3",                      // repeated churn singleton
+		"churnseed=1,churnseed=2",                // repeated churn seed
+		"delay=NaN",                              // NaN is no probability
+		"epochs=2,join=nan",                      // nor a fraction
+		"cut=0-4194304@1-2",                      // a side of 2^22+1 nodes
+		"delay=0.5,delaymax=2147483648",          // wraps the engine's int32 delay
+		"delay=0.5,delaymax=9223372036854775807", // and so does the int range's top
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)

@@ -195,11 +195,16 @@ func Open(res *BuildResult, opt *SessionOptions) (*Session, error) {
 	if n == 0 {
 		return nil, errors.New("overlay: cannot open a session over an empty build")
 	}
-	if opt.RebuildFraction < 0 || opt.RebuildFraction > 1 {
+	if !inUnit(opt.RebuildFraction) {
 		return nil, fmt.Errorf("overlay: SessionOptions.RebuildFraction %v outside [0,1]", opt.RebuildFraction)
 	}
-	if opt.Build.Faults != nil && !opt.Build.MessageLevel {
-		return nil, errors.New("overlay: SessionOptions.Build.Faults requires MessageLevel (the fast path simulates no messages to fault)")
+	if opt.Build.Faults != nil {
+		if !opt.Build.MessageLevel {
+			return nil, errors.New("overlay: SessionOptions.Build.Faults requires MessageLevel (the fast path simulates no messages to fault)")
+		}
+		if err := opt.Build.Faults.validateRates(); err != nil {
+			return nil, err
+		}
 	}
 	if opt.Accounting < Charged || opt.Accounting > Measured {
 		return nil, fmt.Errorf("overlay: SessionOptions.Accounting %d is not Charged or Measured", opt.Accounting)
@@ -522,11 +527,18 @@ func (s *Session) Restore(cp *Checkpoint) error {
 // analytic paths simulate no messages to fault. This is the
 // fault-injection entry point of a live service: an operator (or a
 // chaos driver) arms the adversary mid-session without reopening it.
+// A plan with a probability or fraction outside [0,1] (NaN among them)
+// or a DelayMax above 2^31-1 rounds is refused, as at Open.
 func (s *Session) SetFaults(p *FaultPlan) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p != nil && !s.build.MessageLevel {
-		return errors.New("overlay: SetFaults requires a MessageLevel build configuration (the fast path simulates no messages to fault)")
+	if p != nil {
+		if !s.build.MessageLevel {
+			return errors.New("overlay: SetFaults requires a MessageLevel build configuration (the fast path simulates no messages to fault)")
+		}
+		if err := p.validateRates(); err != nil {
+			return err
+		}
 	}
 	s.faults = p.expandDomains(s.Checkpoint().nextID)
 	return nil
