@@ -75,8 +75,8 @@ service-smoke:
 # The fuzz smoke: 10 s of each native fuzz target — the derived-view
 # rank arithmetic, the evolver and delivery under an adversary, each
 # against its specification, the identifier stream's inverse, the
-# three wire round-trips and the plan parser. go test -fuzz takes one
-# target and one package per run.
+# three wire round-trips, the plan parser and overlayd's page parser.
+# go test -fuzz takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePlan$$' -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz='^FuzzDrawOf$$' -fuzztime=10s ./internal/rng
@@ -86,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFloodIntervalRoundTrip$$' -fuzztime=10s ./internal/wft
 	$(GO) test -run='^$$' -fuzz='^FuzzJumpFindRoundTrip$$' -fuzztime=10s ./internal/wft
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenRoundTrip$$' -fuzztime=10s ./internal/expander
+	$(GO) test -run='^$$' -fuzz='^FuzzParsePage$$' -fuzztime=10s ./internal/service
 
 # Fail (like CI) when any file needs formatting.
 fmt:

@@ -420,9 +420,11 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 // 2,903,450 B/op (3,511,270 before the blocks);
 // the fast build's is the two ping-pong graphs of CreateExpander
 // (2·n·∆·4 B = 3.1 MB at n = 4096, ∆ = 96) plus the evolver's scratch
-// and the rest of the build — 7.33 MB measured — with 30 % head-room;
-// retaining every intermediate graph in Result.History, as the code did
-// until the evolver, reads 76 MB. Wall time is not fenced: it is not
+// and the rest of the build — 7.05 MB measured at Workers 1 and 7.06 MB
+// at Workers 2 — with 30 % head-room (7.33 and 7.57 MB while the walk
+// counted token loads into a w·ℓ·n·4 B table per evolver: 256 KB at
+// Workers 1, 512 KB at Workers 2); retaining every intermediate graph in
+// Result.History, as the code did until the evolver, reads 76 MB. Wall time is not fenced: it is not
 // deterministic enough to gate on, and bench/ is where it is measured.
 // Sharded rounds and parallel phases allocate per-worker state, so the
 // rows that can run them pin Workers: 1 to read the same on every host,
@@ -432,8 +434,8 @@ func BenchmarkA2_DeltaAblation(b *testing.B) {
 // into one array, these four rows are 1.3x what they read then: 634,
 // 165, 722 and 172 allocs/op (883, 4,349, 5,628 and 5,832 before, when
 // every pass spawned its goroutines and every input node's out-list was
-// appended on its own) and, for the Workers: 2 rows, 1,608,003 and
-// 7,565,082 B/op.
+// appended on its own) and, for the Workers: 2 message-level row,
+// 1,608,003 B/op.
 func TestAllocFence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs nine benchmarks")
@@ -445,9 +447,9 @@ func TestAllocFence(t *testing.T) {
 		bytes  int64 // B/op; 0 = unchecked
 	}{
 		{"BuildTreeMessageLevel_256", func(b *testing.B) { benchBuildMessageLevel(b, 256, 1) }, 830, 1_880_000},
-		{"BuildTreeFast_4096", func(b *testing.B) { benchBuildFast(b, 4096, 1) }, 215, 9_500_000},
+		{"BuildTreeFast_4096", func(b *testing.B) { benchBuildFast(b, 4096, 1) }, 215, 9_170_000},
 		{"BuildTreeMessageLevel_256/workers=2", func(b *testing.B) { benchBuildMessageLevel(b, 256, 2) }, 940, 2_090_000},
-		{"BuildTreeFast_4096/workers=2", func(b *testing.B) { benchBuildFast(b, 4096, 2) }, 224, 9_840_000},
+		{"BuildTreeFast_4096/workers=2", func(b *testing.B) { benchBuildFast(b, 4096, 2) }, 224, 9_180_000},
 		{"SessionEpoch", BenchmarkSessionEpoch, 130, 0},
 		{"SessionEpochMeasured_4096", func(b *testing.B) { benchSessionEpochMeasured(b, 1) }, 630, 3_770_000},
 		{"SessionEpochChordReads", BenchmarkSessionEpochChordReads, 0, 0},

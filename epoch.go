@@ -312,7 +312,8 @@ func (s *Session) rungFaults(p *epochPlan, attempt, spent int) *FaultPlan {
 }
 
 // rung is one ladder attempt's outcome: its bill and either the
-// repaired membership and tree or the reason the adversary defeated it.
+// repaired membership and tree or the reason the adversary, or a losing
+// draw, defeated it.
 type rung struct {
 	Bill
 	members []int
@@ -329,7 +330,7 @@ type rung struct {
 // commits wins: its membership and tree come back for the caller to
 // publish. When every rung fails, bill.Aborted is set with every
 // attempt itemized and nothing comes back. A non-nil error is a hard
-// specification failure, never an adversary defeat.
+// specification failure, never an adversary defeat or a losing draw.
 func (s *Session) runEpochLadder(p *epochPlan, seed uint64, bill *EpochBill) ([]int, *Tree, error) {
 	var attempts []Bill
 	var reasons []string
@@ -343,7 +344,8 @@ func (s *Session) runEpochLadder(p *epochPlan, seed uint64, bill *EpochBill) ([]
 		b.Itemized += fmt.Sprintf("%-28s %v\n", kind+" aborted", reason)
 		attempts = append(attempts, b)
 		spent += b.Rounds
-		reasons = append(reasons, fmt.Sprintf("measured %s aborted (%v)", kind, reason))
+		mode := strings.TrimPrefix(b.Path, kind+"/")
+		reasons = append(reasons, fmt.Sprintf("%s %s aborted (%v)", mode, kind, reason))
 	}
 
 	switch {
@@ -540,9 +542,9 @@ func (s *Session) patchMeasuredAttempt(p *epochPlan, seed uint64, attempt, spent
 // failed rungs) and index space, with attempt > 0 re-deriving the
 // fate stream. A committed rebuild returns the new membership and tree
 // (its casualties shrink the membership beyond the scheduled leavers,
-// counted into bill.Left); an adversary-aborted one its partial bill
-// and the abort reason. A non-nil error is a hard failure that ends
-// the ladder.
+// counted into bill.Left); an adversary-aborted one, or a losing draw
+// (ErrEvolutionDisconnected), its partial bill and the reason. A
+// non-nil error is a hard failure that ends the ladder.
 func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, attempt, spent int) (rung, error) {
 	newMembers, newOf := p.newMembers, p.newOf
 	s0, k1 := len(p.survivors), len(newMembers)
@@ -588,16 +590,22 @@ func (s *Session) rebuildAttempt(p *epochPlan, seed uint64, bill *EpochBill, att
 		opts.Faults = q
 	}
 	res, err := BuildTree(g, &opts)
+	mode, path := "charged", "rebuild/fast"
+	if opts.MessageLevel {
+		mode, path = "measured", "rebuild/measured"
+	}
+	var lost *disconnectedError
+	if errors.As(err, &lost) {
+		b := lost.bill
+		b.Path = path
+		b.Itemized = billLine("rebuild attempt (BuildTree)", b.Rounds, b.Messages, mode)
+		return rung{Bill: b, defeat: err}, nil
+	}
 	if err != nil {
 		return rung{}, fmt.Errorf("overlay: epoch rebuild failed: %w", err)
 	}
 	b := res.Stats.Bill
-	mode := "charged"
-	b.Path = "rebuild/fast"
-	if opts.MessageLevel {
-		mode = "measured"
-		b.Path = "rebuild/measured"
-	}
+	b.Path = path
 	if res.Aborted {
 		b.Itemized = billLine("rebuild attempt (BuildTree)", b.Rounds, b.Messages, mode)
 		return rung{Bill: b, defeat: errors.New(res.AbortReason)}, nil

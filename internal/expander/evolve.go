@@ -55,7 +55,8 @@ type Params struct {
 	Evolutions int
 	// RecordPaths retains, for every created edge, the walk path that
 	// produced it; required by the spanning-tree construction
-	// (Theorem 1.3) and by tests, at O(ℓ) memory per edge.
+	// (Theorem 1.3) and by tests, at O(ℓ) memory per edge. It also
+	// turns on Stats.MaxTokenLoad, which is read off the same trail.
 	RecordPaths bool
 	// Workers bounds the worker team for the walk, acceptance and
 	// row-building phases (0 = GOMAXPROCS, 1 = sequential). The result
@@ -93,14 +94,16 @@ type Evolution struct {
 	// Paths[k] is the node sequence (origin ... endpoint, ℓ+1 entries)
 	// of the walk that created Edges[k]; nil unless RecordPaths.
 	Paths [][]int
-	// Stats carries the token-load measurements of Lemma 3.2.
+	// Stats carries the token measurements of Lemma 3.2.
 	Stats Stats
 }
 
 // Stats aggregates token behaviour within one evolution.
 type Stats struct {
 	// MaxTokenLoad is the largest number of tokens held by any node in
-	// any walk round (Lemma 3.2 bounds this by 3∆/8 w.h.p.).
+	// any walk round (Lemma 3.2 bounds this by 3∆/8 w.h.p.). It is
+	// measured only under Params.RecordPaths, from the recorded walks;
+	// otherwise it is 0. The algorithm itself never reads it.
 	MaxTokenLoad int
 	// DroppedTokens counts tokens rejected by the 3∆/8 acceptance cap.
 	DroppedTokens int
@@ -121,11 +124,11 @@ const (
 // CreateExpander allocate their working set once, and it shares nothing
 // between workers: each phase partitions its index space into
 // contiguous ranges whose writes are disjoint. The scratch is O(n·∆/8)
-// token state plus one ℓ·n load table per worker. One worker team runs
-// every phase of every evolution; its owner closes it before returning.
-// The four phase functions are bound once, in newEvolver, and read the
-// evolution at hand from the evolver's fields, so a phase hands the team
-// no fresh closure.
+// token state, and ℓ times that under RecordPaths for the trail. One
+// worker team runs every phase of every evolution; its owner closes it
+// before returning. The three phase functions are bound once, in
+// newEvolver, and read the evolution at hand from the evolver's fields,
+// so a phase hands the team no fresh closure.
 type evolver struct {
 	n, delta, ell             int
 	perNode, acceptCap, total int
@@ -137,16 +140,15 @@ type evolver struct {
 	in, out              []int32
 	stride               int
 	walkRoot, acceptRoot *rng.Source
-	// walkFn, loadFn, acceptFn and rowFn are the bound phases: walk,
-	// sumLoads, accept and fillRows.
-	walkFn, loadFn, acceptFn, rowFn func(chunk, lo, hi int)
+	// walkFn, acceptFn and rowFn are the bound phases: walk, accept and
+	// fillRows.
+	walkFn, acceptFn, rowFn func(chunk, lo, hi int)
 
 	pos     []int32      // [total] token t's node; after the walk, its endpoint
 	draws   []int32      // [walk chunks][ell][walkBlock] slots drawn for the block being walked
-	loads   []int32      // [walk chunks][ell][n] tokens per node after each step
 	start   []int32      // [n+1] endpoint v's tokens are grouped[start[v]:start[v+1]]
 	grouped []int32      // [total] token indices by endpoint, kept ones first
-	kept    []int32      // [n] counting-sort cursors, then the tokens endpoint v accepted
+	kept    []int32      // [n] trail histogram, counting-sort cursors, then the tokens endpoint v accepted
 	rank    []int32      // [total] token t's index in its endpoint's kept prefix, -1 if dropped
 	keys    []uint64     // [row chunks][perNode] row-fill sort scratch
 	trail   []int32      // [ell][total] token positions after each step; RecordPaths only
@@ -155,7 +157,6 @@ type evolver struct {
 
 // chunkStats is one node chunk's share of Stats.
 type chunkStats struct {
-	maxLoad               int32
 	dropped, selfArrivals int
 }
 
@@ -168,7 +169,6 @@ func newEvolver(n int, p Params) *evolver {
 	e.total = n * e.perNode
 	e.pos = make([]int32, e.total)
 	e.draws = make([]int32, e.workers*e.ell*walkBlock)
-	e.loads = make([]int32, e.workers*e.ell*n)
 	e.start = make([]int32, n+1)
 	e.grouped = make([]int32, e.total)
 	e.kept = make([]int32, n)
@@ -179,7 +179,7 @@ func newEvolver(n int, p Params) *evolver {
 		e.trail = make([]int32, e.ell*e.total)
 	}
 	e.team.Open(e.workers)
-	e.walkFn, e.loadFn, e.acceptFn, e.rowFn = e.walk, e.sumLoads, e.accept, e.fillRows
+	e.walkFn, e.acceptFn, e.rowFn = e.walk, e.accept, e.fillRows
 	return e
 }
 
@@ -189,13 +189,13 @@ func newEvolver(n int, p Params) *evolver {
 // when the evolver records trails, are built only if keepEdges.
 //
 // Phases: (1) walk — parallel over token ranges, a block of tokens a
-// step at a time (see walk), each range counting loads in its own
-// table; the tables are then summed per (step, node) for Lemma 3.2's
-// maximum; (2) tokens are grouped by endpoint with a counting sort
-// (sequential, O(tokens)); (3) each endpoint applies the 3∆/8 cap on
-// its private stream and ranks the tokens it keeps — parallel over node
-// ranges; (4) every node pulls its own row of G_{i+1} — parallel over
-// node ranges, see fillRows.
+// step at a time (see walk); under RecordPaths, Lemma 3.2's maximum
+// load is then counted off the trail (sequential, O(ℓ·tokens));
+// (2) tokens are grouped by endpoint with a counting sort (sequential,
+// O(tokens)); (3) each endpoint applies the 3∆/8 cap on its private
+// stream and ranks the tokens it keeps — parallel over node ranges;
+// (4) every node pulls its own row of G_{i+1} — parallel over node
+// ranges, see fillRows.
 func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, keepEdges bool) *Evolution {
 	n := e.n
 	e.in, e.stride, e.out = in, stride, out
@@ -207,7 +207,10 @@ func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, k
 
 	// Phase 1.
 	e.team.Run(e.total, e.walkFn)
-	e.team.Run(e.ell*n, e.loadFn)
+	ev := &Evolution{}
+	if e.trail != nil {
+		ev.Stats.MaxTokenLoad = e.maxLoad()
+	}
 
 	// Phase 2: counting sort of token indices by endpoint, stable in
 	// token order.
@@ -226,9 +229,7 @@ func (e *evolver) evolve(in []int32, stride int, out []int32, src *rng.Source, k
 
 	// Phase 3.
 	e.team.Run(n, e.acceptFn)
-	ev := &Evolution{}
 	for _, st := range e.partial {
-		ev.Stats.MaxTokenLoad = max(ev.Stats.MaxTokenLoad, int(st.maxLoad))
 		ev.Stats.DroppedTokens += st.dropped
 		ev.Stats.SelfArrivals += st.selfArrivals
 	}
@@ -249,13 +250,11 @@ const walkBlock = 256
 // walk runs the walks of tokens [lo, hi) — laid out origin-major, so
 // token t starts at t/(∆/8) — a block at a time: first every draw of
 // the block, each token's ℓ in a row on its own stream with the state
-// in a register; then ℓ steps, each over the whole block. Loads are
-// counted in the chunk's own table, one row per step.
+// in a register; then ℓ steps, each over the whole block.
 func (e *evolver) walk(chunk, lo, hi int) {
-	n, ell := e.n, e.ell
+	ell := e.ell
 	flat, stride, walkRoot := e.in, e.stride, e.walkRoot
 	draws := e.draws[chunk*ell*walkBlock:][:ell*walkBlock]
-	loads := e.loads[chunk*ell*n:][:ell*n]
 	for b := lo; b < hi; b += walkBlock {
 		pos := e.pos[b:min(b+walkBlock, hi)]
 		drawSlots(walkRoot, b, len(pos), ell, e.delta, draws)
@@ -263,7 +262,7 @@ func (e *evolver) walk(chunk, lo, hi int) {
 			pos[i] = int32((b + i) / e.perNode)
 		}
 		for s := 0; s < ell; s++ {
-			stepBlock(flat, stride, draws[s*walkBlock:][:len(pos)], pos, loads[s*n:][:n])
+			stepBlock(flat, stride, draws[s*walkBlock:][:len(pos)], pos)
 			if e.trail != nil {
 				copy(e.trail[s*e.total+b:], pos)
 			}
@@ -285,41 +284,30 @@ func drawSlots(walkRoot *rng.Source, first, count, ell, delta int, draws []int32
 }
 
 // stepBlock advances each token of a block one lazy step, to the slot
-// drawn for it, and counts it at the node it reaches. The tokens are
-// independent, so their loads of flat are in flight together.
+// drawn for it. The tokens are independent, so their loads of flat are
+// in flight together.
 //
 //overlay:hotpath
-func stepBlock(flat []int32, stride int, slots, pos, load []int32) {
+func stepBlock(flat []int32, stride int, slots, pos []int32) {
 	pos = pos[:len(slots)]
 	for i, slot := range slots {
-		next := flat[int(pos[i])*stride+int(slot)]
-		pos[i] = next
-		load[next]++
+		pos[i] = flat[int(pos[i])*stride+int(slot)]
 	}
 }
 
-// sumLoads records, as node chunk chunk's share of Stats, the largest
-// load among entries [lo, hi) of the walk chunks' summed load tables.
-func (e *evolver) sumLoads(chunk, lo, hi int) {
-	e.partial[chunk].maxLoad = maxLoad(e.loads, e.ell*e.n, lo, hi)
-}
-
-// maxLoad sums the walk chunks' load tables, size entries each, over
-// entries [lo, hi), zeroing them for the next evolution, and returns the
-// largest sum.
-//
-//overlay:hotpath
-func maxLoad(loads []int32, size, lo, hi int) int32 {
+// maxLoad is Lemma 3.2's measurement: the largest number of tokens any
+// node holds after any step, counted off the recorded trail one step at
+// a time in kept, which phase 2 then overwrites.
+func (e *evolver) maxLoad() int {
 	m := int32(0)
-	for v := lo; v < hi; v++ {
-		s := int32(0)
-		for c := v; c < len(loads); c += size {
-			s += loads[c]
-			loads[c] = 0
+	for s := 0; s < e.ell; s++ {
+		clear(e.kept)
+		for _, v := range e.trail[s*e.total:][:e.total] {
+			e.kept[v]++
+			m = max(m, e.kept[v])
 		}
-		m = max(m, s)
 	}
-	return m
+	return int(m)
 }
 
 // accept applies the acceptance cap at endpoints [lo, hi): a node

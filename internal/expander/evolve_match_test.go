@@ -44,7 +44,9 @@ func cloneMulti(m *graphx.Multi) *graphx.Multi {
 // matchSpec runs Evolve and CreateExpander against the specification on
 // m and requires identical output: Evolve's whole record; for
 // CreateExpander the final rows and every evolution's Stats, its Edges
-// and Paths exactly when RecordPaths, and an untouched g0.
+// and Paths exactly when RecordPaths, and an untouched g0. Lemma 3.2's
+// load is measured exactly when RecordPaths and some token walks, so
+// Stats equality is never a comparison of two zeros under RecordPaths.
 func matchSpec(t *testing.T, m *graphx.Multi, p Params, seed uint64) {
 	t.Helper()
 	p1 := p
@@ -66,6 +68,10 @@ func matchSpec(t *testing.T, m *graphx.Multi, p Params, seed uint64) {
 	}
 	for i, ev := range got.History {
 		w := *want.History[i]
+		walked := p.RecordPaths && p.Ell > 0 && m.N*(p.Delta/8) > 0
+		if (w.Stats.MaxTokenLoad > 0) != walked {
+			t.Fatalf("evolution %d: MaxTokenLoad %d with RecordPaths=%v", i, w.Stats.MaxTokenLoad, p.RecordPaths)
+		}
 		if ev.Next != nil {
 			t.Fatalf("evolution %d retains its graph", i)
 		}

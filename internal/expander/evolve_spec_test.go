@@ -23,7 +23,8 @@ import (
 //
 // Phases: (1) every token walks ℓ steps on its private rng stream —
 // parallel over token ranges, with per-(round,node) token loads
-// accumulated atomically; (2) tokens are grouped by endpoint with a
+// accumulated atomically under RecordPaths (without it MaxTokenLoad is
+// 0); (2) tokens are grouped by endpoint with a
 // counting sort (sequential, O(tokens)); (3) each endpoint applies the
 // 3∆/8 acceptance cap on its private stream — parallel over node
 // ranges; (4) edges, paths, and G_{i+1} are materialized in canonical
@@ -53,10 +54,11 @@ func specEvolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 	}
 
 	// Phase 1: walks. pos[t] is token t's position after each step;
-	// loads[step*n+v] counts tokens at v after that step. Tokens are
-	// independent given their private streams, so workers share only
-	// the load counters, which are summed atomically — integer addition
-	// commutes, so the totals match the sequential schedule exactly.
+	// loads[step*n+v] counts tokens at v after that step, under
+	// RecordPaths only. Tokens are independent given their private
+	// streams, so workers share only the load counters, which are summed
+	// atomically — integer addition commutes, so the totals match the
+	// sequential schedule exactly.
 	pos := make([]int32, total)
 	loads := make([]int32, p.Ell*n)
 	var paths [][]int
@@ -74,12 +76,8 @@ func specEvolve(m *graphx.Multi, p Params, src *rng.Source) *Evolution {
 			}
 			for step := 0; step < p.Ell; step++ {
 				at = flat[int(at)*stride+ts.Intn(delta)]
-				if workers > 1 {
-					atomic.AddInt32(&loads[step*n+int(at)], 1)
-				} else {
-					loads[step*n+int(at)]++
-				}
 				if p.RecordPaths {
+					atomic.AddInt32(&loads[step*n+int(at)], 1)
 					path = append(path, int(at))
 				}
 			}

@@ -133,18 +133,21 @@ func TestCreateExpanderConductanceGrows(t *testing.T) {
 	}
 }
 
+// TestCreateExpanderTokenLoadBounded checks Lemma 3.2 on the load the
+// evolver measures under RecordPaths (without it the load is 0).
 func TestCreateExpanderTokenLoadBounded(t *testing.T) {
 	g := topology.Ring(128)
 	m, bp := prepared(t, g)
 	p := DefaultParams(g.N)
 	p.Delta = bp.Delta
+	p.RecordPaths = true
 	res := CreateExpander(m, p, rng.New(13))
-	// Lemma 3.2: load stays under 3∆/8 w.h.p. We allow the bound itself.
+	// Lemma 3.2: load stays under 3∆/8 w.h.p. We allow twice the bound.
 	bound := 3 * bp.Delta / 8
 	for i, ev := range res.History {
-		if ev.Stats.MaxTokenLoad > 2*bound {
-			t.Errorf("evolution %d: max token load %d far exceeds 3∆/8 = %d",
-				i, ev.Stats.MaxTokenLoad, bound)
+		if ev.Stats.MaxTokenLoad <= 0 || ev.Stats.MaxTokenLoad > 2*bound {
+			t.Errorf("evolution %d: max token load %d outside (0, 2·3∆/8 = %d]",
+				i, ev.Stats.MaxTokenLoad, 2*bound)
 		}
 	}
 }

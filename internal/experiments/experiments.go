@@ -263,6 +263,7 @@ func E4TokenLoad(n int, seed uint64) (*Table, error) {
 	}
 	ep := expander.DefaultParams(n)
 	ep.Delta = bp.Delta
+	ep.RecordPaths = true // the evolver measures the load only from recorded walks
 	res := expander.CreateExpander(m, ep, rng.New(seed))
 	for i, ev := range res.History {
 		t.Rows = append(t.Rows, []string{

@@ -81,6 +81,9 @@ func TestE4Shape(t *testing.T) {
 	for i := range tab.Rows {
 		load := cellFloat(t, tab, i, 1)
 		bound := cellFloat(t, tab, i, 2)
+		if load <= 0 {
+			t.Errorf("evolution %d: no token load measured", i)
+		}
 		if load > 2*bound {
 			t.Errorf("evolution %d: load %f far above 3∆/8 = %f", i, load, bound)
 		}

@@ -156,9 +156,10 @@ func TestSpanningTreeValid(t *testing.T) {
 // TestExpanderHistoryFeedsUnwinding pins what SpanningTree reads from
 // expander.Result.History: with RecordPaths every evolution keeps its
 // edges and, for each, the walk that made it (ℓ+1 nodes, origin to
-// endpoint) — the unwinding fails on the first edge without one; without
-// RecordPaths the history is still one record per evolution, Stats
-// filled, nothing else retained.
+// endpoint) — the unwinding fails on the first edge without one — and
+// its measured Lemma 3.2 load; without RecordPaths the history is still
+// one record per evolution, with the acceptance counts but no load and
+// nothing else retained.
 func TestExpanderHistoryFeedsUnwinding(t *testing.T) {
 	g := topology.Grid(8, 10)
 	for _, record := range []bool{true, false} {
@@ -171,10 +172,13 @@ func TestExpanderHistoryFeedsUnwinding(t *testing.T) {
 			t.Fatalf("record=%v: %d history records for %d evolutions", record, len(cc.expander.History), ep.Evolutions)
 		}
 		for i, ev := range cc.expander.History {
-			if ev.Stats.MaxTokenLoad == 0 {
-				t.Errorf("record=%v: evolution %d has no stats", record, i)
+			if (ev.Stats.MaxTokenLoad > 0) != record {
+				t.Errorf("record=%v: evolution %d has max token load %d", record, i, ev.Stats.MaxTokenLoad)
 			}
 			if !record {
+				if ev.Stats.SelfArrivals == 0 {
+					t.Errorf("evolution %d counts no self-arrivals", i)
+				}
 				if ev.Edges != nil || ev.Paths != nil || ev.Next != nil {
 					t.Errorf("evolution %d retains edges, paths or its graph without RecordPaths", i)
 				}

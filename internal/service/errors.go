@@ -55,6 +55,7 @@ func (e *APIError) withRetryAfter(seconds int) *APIError {
 //	overlay.ErrNotMember          → 404 not_member
 //	overlay.ErrInterrupted,
 //	context deadline/cancel       → 504 deadline
+//	overlay.ErrEvolutionDisconnected → 503 losing_draw (Retry-After: 1)
 //	ErrQueueFull                  → 429 queue_full  (Retry-After: 1)
 //	ErrDraining                   → 503 draining    (Retry-After: 2)
 //	ErrEvicted                    → 410 evicted
@@ -81,6 +82,11 @@ func MapError(err error) *APIError {
 	if errors.Is(err, overlay.ErrInterrupted) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return apiErr(http.StatusGatewayTimeout, "deadline", err.Error())
+	}
+	if errors.Is(err, overlay.ErrEvolutionDisconnected) {
+		// The build's coin flips lost a cut: the request was fine, and
+		// another seed redraws it.
+		return apiErr(http.StatusServiceUnavailable, "losing_draw", err.Error()).withRetryAfter(1)
 	}
 	if errors.Is(err, ErrQueueFull) {
 		return apiErr(http.StatusTooManyRequests, "queue_full", err.Error()).withRetryAfter(1)

@@ -263,7 +263,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := overlay.BuildTree(g, &opts)
 	if err != nil {
-		if errors.Is(err, overlay.ErrInterrupted) {
+		if errors.Is(err, overlay.ErrInterrupted) || errors.Is(err, overlay.ErrEvolutionDisconnected) {
 			writeError(w, err)
 			return
 		}

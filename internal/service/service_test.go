@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"sync"
@@ -124,6 +126,7 @@ func TestMapErrorTable(t *testing.T) {
 		{"interrupted_wrapped", fmt.Errorf("%w: %w", overlay.ErrInterrupted, context.DeadlineExceeded), http.StatusGatewayTimeout, "deadline", 0, nil},
 		{"ctx_deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline", 0, nil},
 		{"ctx_canceled", context.Canceled, http.StatusGatewayTimeout, "deadline", 0, nil},
+		{"losing_draw", fmt.Errorf("%w: 1 of 16 nodes cut off", overlay.ErrEvolutionDisconnected), http.StatusServiceUnavailable, "losing_draw", 1, nil},
 		{"queue_full", ErrQueueFull, http.StatusTooManyRequests, "queue_full", 1, nil},
 		{"draining", ErrDraining, http.StatusServiceUnavailable, "draining", 2, nil},
 		{"evicted", ErrEvicted, http.StatusGone, "evicted", 0, nil},
@@ -241,6 +244,20 @@ func TestCreateRejections(t *testing.T) {
 	}
 }
 
+// TestCreateLosingDraw: a create whose seed draws a disconnected
+// expander (seed 70 on a 16-node line, found by search over the fast
+// build's seeds) is not the client's fault — a retryable 503 with
+// Retry-After, not a 400 — and the next seed builds.
+func TestCreateLosingDraw(t *testing.T) {
+	s := newServer(t, Options{})
+	rec := do(t, s, "POST", "/v1/overlays", map[string]any{"n": 16, "topology": "line", "seed": 70}, nil)
+	ae := mustStatus(t, rec, http.StatusServiceUnavailable)
+	if ae.Code != "losing_draw" || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("losing draw: %+v, Retry-After %q", ae, rec.Header().Get("Retry-After"))
+	}
+	createOverlay(t, s, 16, map[string]any{"topology": "line", "seed": 71})
+}
+
 // --- the paged-listing contract ----------------------------------------
 
 func TestPagedListing(t *testing.T) {
@@ -311,6 +328,40 @@ func TestPagedListing(t *testing.T) {
 	if list.Total != 2 || len(list.Overlays) != 1 || list.Overlays[0].Founded != 12 {
 		t.Fatalf("overlay listing: %+v", list)
 	}
+}
+
+// FuzzParsePage feeds parsePage arbitrary pageSize, current and order
+// values. Every query is either refused with a typed 400 bad_request
+// or yields pageSize in [1, 10000], current ≥ 1, an order it was
+// given, and a page window (current−1)·pageSize that fits in an int —
+// checked here in 128-bit arithmetic, not with the guard's division —
+// which pageOf then slices without panicking. Its seed corpus is
+// committed under testdata/fuzz/FuzzParsePage and runs with the tier-1
+// tests.
+func FuzzParsePage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, pageSize, current, order string) {
+		q := url.Values{"pageSize": {pageSize}, "current": {current}, "order": {order}}
+		p, ae := parsePage(httptest.NewRequest("GET", "/v1/overlays?"+q.Encode(), nil))
+		if ae != nil {
+			if ae.Status != http.StatusBadRequest || ae.Code != "bad_request" || ae.Reason == "" {
+				t.Fatalf("%s: refused with %+v, want a typed 400", q.Encode(), ae)
+			}
+			return
+		}
+		if p.pageSize < 1 || p.pageSize > 10000 || p.current < 1 {
+			t.Fatalf("%s: accepted pageSize %d, current %d", q.Encode(), p.pageSize, p.current)
+		}
+		if p.descend != (order == "descend") || !(order == "" || order == "ascend" || order == "descend") {
+			t.Fatalf("%s: accepted order %q as descend=%v", q.Encode(), order, p.descend)
+		}
+		hi, lo := bits.Mul64(uint64(p.current-1), uint64(p.pageSize))
+		if hi != 0 || lo > math.MaxInt {
+			t.Fatalf("%s: page window (%d-1)·%d overflows an int", q.Encode(), p.current, p.pageSize)
+		}
+		if got := pageOf(p, []int{0, 1, 2}); len(got) > p.pageSize {
+			t.Fatalf("%s: page of %d items, pageSize %d", q.Encode(), len(got), p.pageSize)
+		}
+	})
 }
 
 // --- derived views and workloads over the wire -------------------------

@@ -29,6 +29,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"overlay/internal/benign"
 	"overlay/internal/expander"
@@ -164,6 +165,39 @@ var ErrNotConnected = errors.New("overlay: input graph is not weakly connected")
 // session epoch that hits it rolls back to the pre-epoch state.
 var ErrInterrupted = errors.New("overlay: run interrupted before completion")
 
+// ErrEvolutionDisconnected is returned (wrapped, with the size of the
+// smaller side) when the expander evolutions lost a cut of a connected
+// input: an evolution keeps only the edges its walks create, so at small
+// n a seed can draw badly (a few percent of n = 16 lines do). It is a
+// losing draw, not a bad input: another seed redraws it, and a session's
+// rebuild rung treats it as a defeat that RebuildRetries retries.
+var ErrEvolutionDisconnected = errors.New("overlay: evolved graph disconnected")
+
+// disconnectedError wraps ErrEvolutionDisconnected with the losing
+// draw's size and the bill of the rounds it spent.
+type disconnectedError struct {
+	smaller, n int
+	bill       Bill
+}
+
+func (e *disconnectedError) Error() string {
+	return fmt.Sprintf("%v: %d of %d nodes cut off (redraw with another seed, or raise Delta or Evolutions)",
+		ErrEvolutionDisconnected, e.smaller, e.n)
+}
+
+func (e *disconnectedError) Unwrap() error { return ErrEvolutionDisconnected }
+
+// lostDraw is the error for an evolved graph s that is not connected:
+// its smaller side is every node outside the largest component.
+func lostDraw(s *graphx.Graph, bill Bill) error {
+	labels, k := s.ConnectedComponents()
+	size := make([]int, k)
+	for _, l := range labels {
+		size[l]++
+	}
+	return &disconnectedError{smaller: s.N - slices.Max(size), n: s.N, bill: bill}
+}
+
 // BuildTree constructs a well-formed tree over the input graph.
 func BuildTree(g *Graph, opt *Options) (*BuildResult, error) {
 	if opt == nil {
@@ -229,7 +263,7 @@ func buildFast(m *graphx.Multi, ep expander.Params, opt *Options) (*BuildResult,
 	}
 	s := res.Final.Simple()
 	if !s.IsConnected() {
-		return nil, fmt.Errorf("overlay: evolved graph disconnected (raise Delta or Evolutions)")
+		return nil, lostDraw(s, Bill{Path: "build/fast", Rounds: ep.Evolutions * (ep.Ell + 2)})
 	}
 	tree, err := wft.FromGraph(s, nil)
 	if err != nil {
@@ -290,7 +324,7 @@ func buildMessageLevel(m *graphx.Multi, ep expander.Params, opt *Options) (*Buil
 
 	if !s.IsConnected() {
 		if faults == nil {
-			return nil, fmt.Errorf("overlay: evolved graph disconnected (raise Delta or Evolutions)")
+			return nil, lostDraw(s, engineBill("build/measured", eng1))
 		}
 		return &BuildResult{
 			Aborted:     true,

@@ -89,6 +89,44 @@ func TestSessionLadderRecoversFromPartition(t *testing.T) {
 	t.Logf("ladder: %d attempts, path %s, %d rounds", bill.Attempts, bill.Path, bill.Rounds)
 }
 
+// TestSessionLadderRedrawsALosingDraw: a rebuild whose evolutions lose
+// a cut (ErrEvolutionDisconnected) is a rung defeat, not a hard epoch
+// error, so RebuildRetries redraws it. The input is a 16-node line, the
+// epoch joins 5 and drops 1 (30 % churn: a rebuild), and the rebuilds
+// walk ℓ = 8 steps, which makes a losing draw rare but findable: build
+// seed 204 is the only one of 0..299 whose first rebuild disconnects
+// and whose second commits.
+func TestSessionLadderRedrawsALosingDraw(t *testing.T) {
+	res, err := BuildTree(lineInput(16), &Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retries := range []int{0, 1} {
+		sess, err := Open(res, &SessionOptions{RebuildRetries: retries, Build: Options{Seed: 204, Ell: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := sess.NextID()
+		joins := []int{next, next + 1, next + 2, next + 3, next + 4}
+		bill, err := sess.ApplyEpoch(joins, []int{sess.Members()[5]})
+		if retries == 0 {
+			if err == nil || !bill.Aborted || !strings.Contains(bill.AbortReason, "fast rebuild aborted ("+ErrEvolutionDisconnected.Error()) {
+				t.Fatalf("single draw: err %v, bill %+v; want the losing draw as an aborted rung", err, bill)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("the ladder did not redraw: %v", err)
+		}
+		lost := bill.AttemptBills[0]
+		if bill.Attempts != 2 || bill.Path != "rebuild/fast×2" || lost.Rounds == 0 || lost.Rounds+bill.AttemptBills[1].Rounds != bill.Rounds {
+			t.Fatalf("epoch billed %q in %d attempts, %d rounds (lost draw %d); want a billed losing draw, then a commit",
+				bill.Path, bill.Attempts, bill.Rounds, lost.Rounds)
+		}
+		checkSessionTree(t, sess)
+	}
+}
+
 // TestSessionLadderDeterministicAcrossWorkers: the full retry/rollback
 // sequence — every attempt bill included — is a pure function of the
 // session inputs at every worker count, single-goroutine execution
