@@ -29,11 +29,13 @@ race:
 # The CI bench smoke run: one iteration of the two core build benches,
 # the graph-level 64k micro-benchmarks (Evolve, SpectralGap, Simple)
 # that pin the flat fast path, the evolution sequence of the build_fast
-# workload (CreateExpander_16k), and the session epoch benches (every
+# workload (CreateExpander_16k), the session epoch benches (every
 # BenchmarkSessionEpoch*: the charged and measured repair, the cached
-# and uncached Chord reads, the first view reads, the maintained sync).
+# and uncached Chord reads, the first view reads, the maintained sync)
+# and par.Team's hand-off between a serial stretch and a pass
+# (TeamHandoff).
 bench:
-	$(GO) test -run='^$$' -bench='BuildTreeFast_1k|BuildTreeMessageLevel_256|Evolve_64k|CreateExpander_16k|SpectralGap_64k|Simple_64k|SessionEpoch' -benchtime=1x -benchmem ./...
+	$(GO) test -run='^$$' -bench='BuildTreeFast_1k|BuildTreeMessageLevel_256|Evolve_64k|CreateExpander_16k|SpectralGap_64k|Simple_64k|SessionEpoch|TeamHandoff' -benchtime=1x -benchmem ./...
 
 # The claim-ledger smoke: bench/run.sh builds ./bench (the benchmark
 # BENCHMARK.json declares, see bench/README.md) and runs one short
@@ -75,7 +77,9 @@ service-smoke:
 # The fuzz smoke: 10 s of each native fuzz target — the derived-view
 # rank arithmetic, the evolver and delivery under an adversary, each
 # against its specification, the identifier stream's inverse, the
-# three wire round-trips, the plan parser and overlayd's page parser.
+# four wire round-trips (the build protocol's flood/interval and
+# jump/find payloads, the repair protocol's six, the expander's token),
+# the plan parser and overlayd's page parser.
 # go test -fuzz takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePlan$$' -fuzztime=10s .
@@ -85,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEvolveMatchesSpec$$' -fuzztime=10s ./internal/expander
 	$(GO) test -run='^$$' -fuzz='^FuzzFloodIntervalRoundTrip$$' -fuzztime=10s ./internal/wft
 	$(GO) test -run='^$$' -fuzz='^FuzzJumpFindRoundTrip$$' -fuzztime=10s ./internal/wft
+	$(GO) test -run='^$$' -fuzz='^FuzzRepairWireRoundTrip$$' -fuzztime=10s ./internal/wft
 	$(GO) test -run='^$$' -fuzz='^FuzzTokenRoundTrip$$' -fuzztime=10s ./internal/expander
 	$(GO) test -run='^$$' -fuzz='^FuzzParsePage$$' -fuzztime=10s ./internal/service
 

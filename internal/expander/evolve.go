@@ -62,6 +62,13 @@ type Params struct {
 	// row-building phases (0 = GOMAXPROCS, 1 = sequential). The result
 	// is bit-identical at every value.
 	Workers int
+	// Interrupt, if non-nil, is polled by CreateExpander between
+	// evolutions — after each one but the last. When it reports true
+	// CreateExpander stops there, and its Result holds the evolutions run
+	// so far (fewer than Evolutions) with the last of their graphs as
+	// Final. A sequence that runs to completion is bit-identical whether
+	// or not the poll was installed.
+	Interrupt func() bool
 }
 
 // DefaultParams returns practical parameters for n nodes: ∆ = 8·⌈log₂ n⌉
@@ -456,9 +463,10 @@ type Result struct {
 }
 
 // CreateExpander runs L evolutions starting from the benign graph g0,
-// which it does not modify. One evolver serves all of them, and G_{i+1}
-// is written over G_{i-1}: two row arrays alternate, so the working set
-// is two graphs however large L is.
+// which it does not modify, or fewer when Params.Interrupt fires. One
+// evolver serves all of them, and G_{i+1} is written over G_{i-1}: two
+// row arrays alternate, so the working set is two graphs however large
+// L is.
 func CreateExpander(g0 *graphx.Multi, p Params, src *rng.Source) *Result {
 	res := &Result{Final: g0, History: make([]*Evolution, 0, p.Evolutions)}
 	if p.Evolutions <= 0 {
@@ -470,6 +478,9 @@ func CreateExpander(g0 *graphx.Multi, p Params, src *rng.Source) *Result {
 	cur, stride := g0.FlatSlots()
 	var bufs [2][]int32
 	for i := 0; i < p.Evolutions; i++ {
+		if i > 0 && p.Interrupt != nil && p.Interrupt() {
+			break
+		}
 		if i < 2 {
 			bufs[i] = make([]int32, g0.N*p.Delta)
 		}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"bytes"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -35,6 +36,8 @@ func TestTeamCoversRangeOnce(t *testing.T) {
 // [q·⌈n/w'⌉, min((q+1)·⌈n/w'⌉, n)) with w' = min(w, n), empty chunks
 // dropped — the formula the engine, the evolver and the power iteration
 // partitioned by before they shared a team. Each chunk index runs once.
+// The team is reopened with its workers live, across the GOMAXPROCS
+// line where its waiting policy flips, which -race checks is no race.
 func TestTeamPartition(t *testing.T) {
 	var team Team
 	defer team.Close()
@@ -120,6 +123,100 @@ func settledGoroutines(base int) int {
 			return n
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTeamParksAfterTheWindow covers the park fallback on both sides of
+// a pass: passes issued after a serial gap longer than the window, when
+// the workers have parked in a blocking receive, and a pass whose worker
+// chunk outlasts the window, when the caller joins on the WaitGroup,
+// still run every chunk exactly once.
+func TestTeamParksAfterTheWindow(t *testing.T) {
+	var team Team
+	team.Open(2)
+	defer team.Close()
+	hits := make([]int32, 64)
+	fn := func(chunk, lo, hi int) {
+		if chunk == 1 && hits[lo] == 2 {
+			time.Sleep(3 * spinWindow)
+		}
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	}
+	for pass := 1; pass <= 4; pass++ {
+		team.Run(len(hits), fn)
+		if !workersParked(t) {
+			t.Fatalf("pass %d: a worker is still awake a second after the pass", pass)
+		}
+		for i, h := range hits {
+			if h != int32(pass) {
+				t.Fatalf("pass %d: index %d visited %d times", pass, i, h)
+			}
+		}
+	}
+}
+
+// workersParked reports whether, within a second, every live Team worker
+// is blocked in its channel receive: a spinning one has run out its
+// window, and an oversubscribed one never polled.
+func workersParked(t *testing.T) bool {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(time.Second)
+	for {
+		parked := true
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("par.(*Team).work")) && !bytes.Contains(g, []byte("[chan receive")) {
+				parked = false
+			}
+		}
+		if parked || time.Now().After(deadline) {
+			return parked
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOversubscribedTeamNeverSpins: Open turns waiting awake off for a
+// team larger than GOMAXPROCS and on for one no larger — Run's join and
+// every job it hands out follow that flag — and reopening a live team
+// moves it both ways, with a pass at each setting.
+func TestOversubscribedTeamNeverSpins(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	var team Team
+	defer team.Close()
+	for _, c := range []struct {
+		workers int
+		spin    bool
+	}{{0, true}, {procs, true}, {procs + 1, false}, {procs, true}, {2 * procs, false}} {
+		team.Open(c.workers)
+		if team.spin != c.spin {
+			t.Fatalf("Open(%d) at GOMAXPROCS %d: spin %v, want %v", c.workers, procs, team.spin, c.spin)
+		}
+		team.Run(100, func(int, int, int) {})
+	}
+}
+
+// BenchmarkTeamHandoff times the hand-off the engine pays at every pass:
+// about 100 µs of serial work on the caller, then a 2-chunk pass of
+// about 100 µs a chunk. An op costs 200 µs when the worker takes its
+// chunk at once; the excess is the wake-up.
+func BenchmarkTeamHandoff(b *testing.B) {
+	const work = 100 * time.Microsecond
+	busy := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	fn := func(int, int, int) { busy(work) }
+	var team Team
+	team.Open(2)
+	defer team.Close()
+	team.Run(2, fn)
+	b.ResetTimer()
+	for range b.N {
+		busy(work)
+		team.Run(2, fn)
 	}
 }
 

@@ -103,12 +103,14 @@ type Options struct {
 	// BuildResult.Aborted with a reason — it never errors merely
 	// because the adversary won.
 	Faults *FaultPlan
-	// Interrupt, if non-nil, is polled between engine rounds (and at
-	// phase boundaries of the fast path); when it reports true the
+	// Interrupt, if non-nil, is polled between engine rounds on the
+	// message-level path, and on the fast path before the build,
+	// between evolutions and after the last; when it reports true the
 	// build stops and BuildTree returns an error wrapping
-	// ErrInterrupted. Deadline-aware callers install a poll of their
-	// context here; a build that runs to completion is bit-identical
-	// whether or not the check was installed.
+	// ErrInterrupted that names where it stopped. Deadline-aware
+	// callers install a poll of their context here; a build that runs
+	// to completion is bit-identical whether or not the check was
+	// installed.
 	Interrupt func() bool
 }
 
@@ -257,7 +259,11 @@ func BuildTree(g *Graph, opt *Options) (*BuildResult, error) {
 // construction, charging rounds analytically.
 func buildFast(m *graphx.Multi, ep expander.Params, opt *Options) (*BuildResult, error) {
 	src := rng.New(opt.Seed)
+	ep.Interrupt = opt.Interrupt
 	res := expander.CreateExpander(m, ep, src)
+	if ran := len(res.History); ran < ep.Evolutions {
+		return nil, fmt.Errorf("%w (before evolution %d of %d)", ErrInterrupted, ran+1, ep.Evolutions)
+	}
 	if opt.Interrupt != nil && opt.Interrupt() {
 		return nil, fmt.Errorf("%w (after expander evolution)", ErrInterrupted)
 	}

@@ -2,9 +2,12 @@ package overlay
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"overlay/internal/expander"
 	"overlay/internal/graphx"
 )
 
@@ -113,6 +116,50 @@ func TestBuildTreeMessageLevelExecutionModeDeterminism(t *testing.T) {
 	}
 	if seq.Stats != par.Stats {
 		t.Errorf("stats diverged:\nseq: %+v\npar: %+v", seq.Stats, par.Stats)
+	}
+}
+
+// TestFastBuildInterruptStopsAtEvolution: the fast path polls
+// Options.Interrupt before the build, between evolutions and after the
+// last, so a poll that fires on its k-th call stops a ring-4096 build
+// before evolution k — polled no further, with an error that names the
+// evolution — and a poll that never fires leaves the result
+// bit-identical to a build without one.
+func TestFastBuildInterruptStopsAtEvolution(t *testing.T) {
+	g := lineInput(4096)
+	g.AddEdge(4095, 0)
+	ref, err := BuildTree(g, &Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	got, err := BuildTree(g, &Options{Seed: 3, Interrupt: func() bool { polls++; return false }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Error("a never-firing Interrupt changed the build")
+	}
+	evolutions := expander.DefaultParams(4096).Evolutions
+	if polls != evolutions+1 {
+		t.Errorf("Interrupt polled %d times, want %d: once before the build, between the %d evolutions and after them", polls, evolutions+1, evolutions)
+	}
+	for _, k := range []int{1, 2, 7, evolutions, evolutions + 1} {
+		polls = 0
+		_, err := BuildTree(g, &Options{Seed: 3, Interrupt: func() bool { polls++; return polls == k }})
+		want := fmt.Sprintf("(before evolution %d of %d)", k, evolutions)
+		switch k {
+		case 1:
+			want = "(before the build started)"
+		case evolutions + 1:
+			want = "(after expander evolution)"
+		}
+		if !errors.Is(err, ErrInterrupted) || !strings.Contains(err.Error(), want) {
+			t.Errorf("firing on poll %d: error %v, want ErrInterrupted %s", k, err, want)
+		}
+		if polls != k {
+			t.Errorf("firing on poll %d: polled %d times", k, polls)
+		}
 	}
 }
 
