@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build loc test race bench bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke fuzz-smoke ci
+.PHONY: all build loc test test-386 vet-arm64 race bench bench-claim bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke fuzz-smoke ci
 
 # The committed coverage floor (total statement coverage, percent).
 # Raise it when coverage rises; CI fails below it.
@@ -22,6 +22,16 @@ loc:
 
 test:
 	$(GO) test ./...
+
+# The tests on a 32-bit int: a 386 binary runs natively on an amd64
+# host, so every golden is checked with int and uintptr at 32 bits.
+test-386:
+	GOARCH=386 $(GO) test ./...
+
+# A compile gate for a second 64-bit architecture, where the compiler
+# may fuse float multiply-adds; there is no arm64 host to run on.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -121,4 +131,4 @@ vulncheck:
 		echo "govulncheck: unavailable (rc=$$rc), skipping (informational)"; \
 	fi
 
-ci: fmt vet lint vulncheck build loc race bench bench-claim cover scenario-smoke service-smoke fuzz-smoke
+ci: fmt vet vet-arm64 lint vulncheck build loc test-386 race bench bench-claim cover scenario-smoke service-smoke fuzz-smoke

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 )
 
@@ -210,10 +211,15 @@ func TestFaultPlanValidation(t *testing.T) {
 func TestGoPlansRejectNaNAndWideDelays(t *testing.T) {
 	nan := math.NaN()
 	faults := map[string]*FaultPlan{
-		"NaN drop prob":   {DropProb: nan},
-		"NaN delay prob":  {DelayProb: nan},
-		"NaN crash frac":  {CrashFrac: nan, CrashFracRound: 10},
-		"delay past 2^31": {DelayProb: 0.5, DelayMax: math.MaxInt32 + 1},
+		"NaN drop prob":  {DropProb: nan},
+		"NaN delay prob": {DelayProb: nan},
+		"NaN crash frac": {CrashFrac: nan, CrashFracRound: 10},
+	}
+	if strconv.IntSize == 64 {
+		// A 32-bit int cannot hold a delay past 2^31-1, so only a
+		// 64-bit int can wrap the engine's delay.
+		delay := math.MaxInt32
+		faults["delay past 2^31"] = &FaultPlan{DelayProb: 0.5, DelayMax: delay + 1}
 	}
 	sess, res := openLineSession(t, 32, &SessionOptions{Build: Options{Seed: 7, MessageLevel: true}})
 	for name, plan := range faults {

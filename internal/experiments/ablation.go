@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
-	"overlay/internal/benign"
-	"overlay/internal/expander"
-	"overlay/internal/rng"
+	"overlay"
 	"overlay/internal/sim"
 	"overlay/internal/topology"
 )
@@ -28,27 +27,22 @@ func AblationWalkLength(n int, ells []int, seeds int, seed uint64) (*Table, erro
 		Claim:  "ablation: walk length ℓ vs. connectivity and final conductance",
 		Header: []string{"ell", "connected runs", "median gap", "median diameter"},
 	}
-	g := topology.Line(n)
-	bp := benign.Defaults(n, g.MaxDegree())
-	m, err := benign.Prepare(g, bp)
-	if err != nil {
-		return nil, err
-	}
+	g := inputGraph(topology.Line(n))
 	for _, ell := range ells {
-		p := expander.Params{Delta: bp.Delta, Ell: ell, Evolutions: 2 * sim.LogBound(n)}
 		gaps := make([]float64, 0, seeds)
 		diams := make([]int, 0, seeds)
 		connected := 0
 		for s := 0; s < seeds; s++ {
-			src := rng.New(seed + uint64(s))
-			res := expander.CreateExpander(m, p, src)
-			simple := res.Final.Simple()
-			if !simple.IsConnected() {
+			res, err := overlay.BuildTree(g, &overlay.Options{Seed: seed + uint64(s), Ell: ell})
+			if errors.Is(err, overlay.ErrEvolutionDisconnected) {
 				continue
 			}
+			if err != nil {
+				return nil, err
+			}
 			connected++
-			gaps = append(gaps, res.Final.SpectralGap(200, src.Split(0xab1)))
-			diams = append(diams, simple.DiameterEstimate())
+			gaps = append(gaps, res.Stats.SpectralGap)
+			diams = append(diams, res.Stats.ExpanderDiameter)
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(ell), fmt.Sprintf("%d/%d", connected, seeds),
@@ -67,7 +61,7 @@ func AblationDelta(n int, multipliers []int, seeds int, seed uint64) (*Table, er
 		Claim:  "ablation: degree ∆ = k·log n vs. connectivity and final conductance",
 		Header: []string{"k", "delta", "connected runs", "median gap"},
 	}
-	g := topology.Line(n)
+	g := inputGraph(topology.Line(n))
 	lg := sim.LogBound(n)
 	for _, k := range multipliers {
 		delta := k * lg
@@ -82,22 +76,18 @@ func AblationDelta(n int, multipliers []int, seeds int, seed uint64) (*Table, er
 		if max := delta / 4; lambda > max {
 			lambda = max
 		}
-		bp := benign.Params{Delta: delta, Lambda: lambda}
-		m, err := benign.Prepare(g, bp)
-		if err != nil {
-			return nil, err
-		}
-		p := expander.Params{Delta: delta, Ell: 16, Evolutions: 2 * lg}
 		gaps := make([]float64, 0, seeds)
 		connected := 0
 		for s := 0; s < seeds; s++ {
-			src := rng.New(seed + uint64(s))
-			res := expander.CreateExpander(m, p, src)
-			if !res.Final.Simple().IsConnected() {
+			res, err := overlay.BuildTree(g, &overlay.Options{Seed: seed + uint64(s), Delta: delta, Lambda: lambda})
+			if errors.Is(err, overlay.ErrEvolutionDisconnected) {
 				continue
 			}
+			if err != nil {
+				return nil, err
+			}
 			connected++
-			gaps = append(gaps, res.Final.SpectralGap(200, src.Split(0xab2)))
+			gaps = append(gaps, res.Stats.SpectralGap)
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(k), itoa(delta), fmt.Sprintf("%d/%d", connected, seeds), fmtMedianF(gaps),

@@ -1,8 +1,9 @@
 // Package experiments implements the per-claim experiment harness:
 // every experiment E1…E12 regenerates one table or series, each headed
-// by the paper claim it checks. Bench targets in the repository root
-// and cmd/benchharness both run these functions (README, "Tests,
-// benches, CI").
+// by the paper claim it checks. The tables that build a tree call
+// overlay.BuildTree, so they measure the library itself. The bench
+// targets in this package's bench_test.go and cmd/benchharness both
+// run these functions (README, "Tests, benches, CI").
 package experiments
 
 import (
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"overlay"
 	"overlay/internal/baseline"
 	"overlay/internal/benign"
 	"overlay/internal/expander"
@@ -19,7 +21,6 @@ import (
 	"overlay/internal/rng"
 	"overlay/internal/sim"
 	"overlay/internal/topology"
-	"overlay/internal/wft"
 )
 
 // Table is one experiment's tabular output.
@@ -92,79 +93,22 @@ func buildBenign(g *graphx.Digraph) (*graphx.Multi, benign.Params, error) {
 	return m, bp, err
 }
 
-// pipelineResult is the outcome of one full message-level pipeline run
-// (CreateExpander then the tree protocol on the engine).
-type pipelineResult struct {
-	Rounds    int   // total engine rounds across both phases
-	MaxRound  int   // peak per-node per-round units
-	MaxTotal  int64 // peak per-node total units
-	Depth     int   // constructed tree depth
-	TotalMsgs int64 // messages delivered across both engines
-
-	// EngineWall is time spent inside the two message-level engines;
-	// OracleWall is the graph-level work between them (Simple,
-	// connectivity, diameter bound, tree extraction). Together they
-	// split a pipeline run's cost between the simulator and the flat
-	// graph oracles.
-	EngineWall time.Duration
-	OracleWall time.Duration
+// inputGraph copies g's out-lists, in order, into BuildTree's input
+// type, from which BuildTree rebuilds the same digraph.
+func inputGraph(g *graphx.Digraph) *overlay.Graph {
+	in := overlay.NewGraph(g.N)
+	for u, out := range g.Out {
+		for _, v := range out {
+			in.AddEdge(u, v)
+		}
+	}
+	return in
 }
 
-// pipelineRun executes the full message-level pipeline with the given
-// engine configuration (Seed, Workers; capacity fields are
-// left to the caller's cfg for the tree phase and uncapped for the
-// expander phase).
-func pipelineRun(g *graphx.Digraph, cfg sim.Config) (pipelineResult, error) {
-	var res pipelineResult
-	m, bp, err := buildBenign(g)
-	if err != nil {
-		return res, err
-	}
-	ep := expander.DefaultParams(g.N)
-	ep.Delta = bp.Delta
-	t0 := time.Now()
-	final, eng1, _ := expander.RunMessageLevel(m, ep, cfg, 0)
-	t1 := time.Now()
-	s := final.Simple()
-	if !s.IsConnected() {
-		return res, fmt.Errorf("expander disconnected")
-	}
-	flood := 2*sim.LogBound(g.N) + 2
-	if d := s.DiameterUpperBound(); d+2 > flood {
-		flood = d + 2
-	}
-	cfg2 := cfg
-	cfg2.Seed++
-	t2 := time.Now()
-	eng2, protos := wft.BuildEngine(s, flood, cfg2)
-	eng2.Run(wft.Rounds(flood, g.N) + 4)
-	t3 := time.Now()
-	tree, err := wft.ExtractTree(eng2, protos)
-	if err != nil {
-		return res, err
-	}
-	res.EngineWall = t1.Sub(t0) + t3.Sub(t2)
-	res.OracleWall = t2.Sub(t1) + time.Since(t3)
-	m1, m2 := eng1.Metrics(), eng2.Metrics()
-	res.Rounds = eng1.Round() + eng2.Round()
-	res.MaxRound = m1.MaxRoundSent()
-	if v := m2.MaxRoundSent(); v > res.MaxRound {
-		res.MaxRound = v
-	}
-	res.MaxTotal = m1.MaxPerNodeSent() + m2.MaxPerNodeSent()
-	res.Depth = tree.Depth()
-	res.TotalMsgs = m1.TotalMessages + m2.TotalMessages
-	return res, nil
-}
-
-// pipelineRounds runs the full message-level pipeline and returns
-// (rounds, maxPerRoundUnits, maxPerNodeUnits, treeDepth).
-func pipelineRounds(g *graphx.Digraph, seed uint64) (rounds, maxRound int, maxTotal int64, depth int, err error) {
-	res, err := pipelineRun(g, sim.Config{Seed: seed})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return res.Rounds, res.MaxRound, res.MaxTotal, res.Depth, nil
+// measuredBuild runs BuildTree on the message-level path: both phases'
+// rounds and message loads are in the result's Stats.Bill.
+func measuredBuild(g *graphx.Digraph, seed uint64, workers int) (*overlay.BuildResult, error) {
+	return overlay.BuildTree(inputGraph(g), &overlay.Options{Seed: seed, MessageLevel: true, Workers: workers})
 }
 
 // E1RoundsVsN measures message-level pipeline rounds across topologies
@@ -178,10 +122,11 @@ func E1RoundsVsN(ns []int, seed uint64) (*Table, error) {
 	for _, name := range []string{"line", "ring", "tree", "grid"} {
 		for _, n := range ns {
 			g := topologyFor(name, n, rng.New(seed))
-			rounds, _, _, _, err := pipelineRounds(g, seed)
+			res, err := measuredBuild(g, seed, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E1 %s n=%d: %w", name, n, err)
 			}
+			rounds := res.Stats.Rounds
 			t.Rows = append(t.Rows, []string{
 				name, itoa(g.N), itoa(rounds),
 				fmt.Sprintf("%.1f", float64(rounds)/float64(sim.LogBound(g.N))),
@@ -201,10 +146,11 @@ func E2Messages(ns []int, seed uint64) (*Table, error) {
 	}
 	for _, n := range ns {
 		g := topology.Line(n)
-		_, maxRound, maxTotal, _, err := pipelineRounds(g, seed)
+		res, err := measuredBuild(g, seed, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E2 n=%d: %w", n, err)
 		}
+		maxRound, maxTotal := res.Stats.MaxMessagesPerRound, res.Stats.MaxMessagesTotal
 		lg := float64(sim.LogBound(n))
 		t.Rows = append(t.Rows, []string{
 			itoa(n), itoa(maxRound), fmt.Sprintf("%.1f", float64(maxRound)/lg),
@@ -282,19 +228,11 @@ func E5TreeQuality(ns []int, seed uint64) (*Table, error) {
 		Header: []string{"n", "depth", "ceil(log2(n))", "max degree"},
 	}
 	for _, n := range ns {
-		g := topology.Line(n)
-		m, bp, err := buildBenign(g)
+		res, err := overlay.BuildTree(inputGraph(topology.Line(n)), &overlay.Options{Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		ep := expander.DefaultParams(n)
-		ep.Delta = bp.Delta
-		res := expander.CreateExpander(m, ep, rng.New(seed))
-		s := res.Final.Simple()
-		tree, err := wft.FromGraph(s, nil)
-		if err != nil {
-			return nil, err
-		}
+		tree := res.Tree
 		maxDeg := 0
 		for v := 0; v < n; v++ {
 			deg := len(tree.Children(v)) + 1
@@ -317,10 +255,11 @@ func E6Baseline(ns []int, seed uint64) (*Table, error) {
 	}
 	for _, n := range ns {
 		g := topology.Line(n)
-		rounds, _, _, _, err := pipelineRounds(g, seed)
+		res, err := measuredBuild(g, seed, 0)
 		if err != nil {
 			return nil, err
 		}
+		rounds := res.Stats.Rounds
 		base := baseline.Run(g.Undirected(), rng.New(seed), 10000)
 		t.Rows = append(t.Rows, []string{
 			itoa(n), itoa(rounds), itoa(base.Rounds),
@@ -520,41 +459,38 @@ func E11Spanner(ns []int, seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// E12ScaleSweep runs the full message-level pipeline (CreateExpander
+// E12ScaleSweep runs BuildTree on the message-level path (CreateExpander
 // then the tree protocol, every message individually simulated) at
 // large n and reports rounds, peak per-round load, wall time, and heap
 // allocations. It exists to pin the engine's scaling behaviour: rounds
 // stay O(log n) per Theorem 1.1 while wall time and allocations grow
 // near-linearly in the message volume thanks to the pooled-buffer
-// engine. workers bounds the engine worker pool (0 = GOMAXPROCS). The
-// "engine (s)" / "oracle (s)" columns split the wall time between the
-// message-level engines and the graph-level oracles (Simple,
-// connectivity, diameter bound, tree extraction) sitting between them.
+// engine. workers bounds the engine worker pool (0 = GOMAXPROCS).
+// bench/'s traced pass splits a build's time between its layers.
 func E12ScaleSweep(ns []int, seed uint64, workers int) (*Table, error) {
 	t := &Table{
 		Name:   "E12",
 		Claim:  "engine scales message-level builds to 100k-node inputs",
-		Header: []string{"n", "rounds", "rounds/log2n", "peak/round", "total msgs", "allocs", "wall (s)", "engine (s)", "oracle (s)"},
+		Header: []string{"n", "rounds", "rounds/log2n", "peak/round", "total msgs", "allocs", "wall (s)"},
 	}
 	for _, n := range ns {
 		g := topology.Line(n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		res, err := pipelineRun(g, sim.Config{Seed: seed, Workers: workers})
+		res, err := measuredBuild(g, seed, workers)
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			return nil, fmt.Errorf("E12 n=%d: %w", n, err)
 		}
+		bill := res.Stats.Bill
 		t.Rows = append(t.Rows, []string{
-			itoa(n), itoa(res.Rounds),
-			fmt.Sprintf("%.1f", float64(res.Rounds)/float64(sim.LogBound(n))),
-			itoa(res.MaxRound), fmt.Sprintf("%d", res.TotalMsgs),
+			itoa(n), itoa(bill.Rounds),
+			fmt.Sprintf("%.1f", float64(bill.Rounds)/float64(sim.LogBound(n))),
+			itoa(bill.MaxMessagesPerRound), fmt.Sprintf("%d", bill.Messages),
 			fmt.Sprintf("%d", after.Mallocs-before.Mallocs),
 			fmt.Sprintf("%.2f", wall.Seconds()),
-			fmt.Sprintf("%.2f", res.EngineWall.Seconds()),
-			fmt.Sprintf("%.2f", res.OracleWall.Seconds()),
 		})
 	}
 	return t, nil

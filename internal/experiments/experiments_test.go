@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
+
+	"overlay"
 )
 
 // Test-sized twins of the experiments: each asserts the *shape* of the
@@ -224,6 +227,23 @@ func TestE12Shape(t *testing.T) {
 				t.Errorf("row %d col %d: %q (workers=0) vs %q (workers=4)",
 					i, col, cell(t, tab, i, col), cell(t, forced, i, col))
 			}
+		}
+	}
+}
+
+// TestLosingDrawIsTyped: a message-level table whose build loses a cut
+// of its input reports BuildTree's typed error. Seed 35 is the first of
+// 0..399 whose message-level build of a 16-node line disconnects, and
+// each table below builds that line first.
+func TestLosingDrawIsTyped(t *testing.T) {
+	for name, run := range map[string]func() (*Table, error){
+		"E1":  func() (*Table, error) { return E1RoundsVsN([]int{16}, 35) },
+		"E2":  func() (*Table, error) { return E2Messages([]int{16}, 35) },
+		"E6":  func() (*Table, error) { return E6Baseline([]int{16}, 35) },
+		"E12": func() (*Table, error) { return E12ScaleSweep([]int{16}, 35, 1) },
+	} {
+		if _, err := run(); !errors.Is(err, overlay.ErrEvolutionDisconnected) {
+			t.Errorf("%s on a losing draw: %v; want overlay.ErrEvolutionDisconnected", name, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -220,6 +221,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.N < 1 || req.N > s.opts.MaxBuildN {
 		writeError(w, apiErr(http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("n=%d outside [1, %d]", req.N, s.opts.MaxBuildN)))
+		return
+	}
+	// Concurrent creates each run their own worker team, so one request
+	// may ask for no more workers than the process has CPUs to run them.
+	if procs := runtime.GOMAXPROCS(0); req.Workers < 0 || req.Workers > procs {
+		writeError(w, apiErr(http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("workers=%d outside [0, %d] (0 = GOMAXPROCS)", req.Workers, procs)))
 		return
 	}
 	var faults *overlay.FaultPlan

@@ -233,6 +233,8 @@ func TestCreateRejections(t *testing.T) {
 		{"bad_plan", map[string]any{"n": 8, "plan": "drop=2"}, "bad_plan"},
 		{"churn_plan_at_create", map[string]any{"n": 8, "plan": "epochs=3,leave=0.1"}, "bad_plan"},
 		{"faults_without_message_level", map[string]any{"n": 8, "plan": "drop=0.5"}, "bad_request"},
+		{"workers_above_gomaxprocs", map[string]any{"n": 8, "workers": runtime.GOMAXPROCS(0) + 1}, "bad_request"},
+		{"negative_workers", map[string]any{"n": 8, "workers": -1}, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

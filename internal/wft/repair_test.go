@@ -478,3 +478,43 @@ func TestSweepParentsNilMask(t *testing.T) {
 		t.Errorf("empty tree: %v", got)
 	}
 }
+
+// TestRepairSpecValidation: NewRepairEngine refuses a malformed spec
+// with an error naming what is wrong, and never panics on one. The
+// "entry equal to k" row sits on the range check's boundary: one off
+// there indexes past the table of seen ranks.
+func TestRepairSpecValidation(t *testing.T) {
+	valid := func() *RepairSpec {
+		return &RepairSpec{Survivors: 3, Joiners: 1, OldDepth: 2,
+			NewRank: []int{0, 1, 2, 3}, SweepParent: []int{-1, 0, 0}, Entry: []int{0}}
+	}
+	if _, _, _, err := NewRepairEngine(valid(), sim.Config{Seed: 1}); err != nil {
+		t.Fatalf("the valid spec was refused: %v", err)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(s *RepairSpec)
+	}{
+		{"no survivors", "at least one survivor", func(s *RepairSpec) { s.Survivors, s.NewRank = 0, []int{0} }},
+		{"negative joiners", "joiners", func(s *RepairSpec) { s.Joiners = -1 }},
+		{"short NewRank", "NewRank has 3 entries", func(s *RepairSpec) { s.NewRank = s.NewRank[:3] }},
+		{"entry equal to k", "NewRank[3] = 4", func(s *RepairSpec) { s.NewRank[3] = 4 }},
+		{"negative entry", "NewRank[2] = -1", func(s *RepairSpec) { s.NewRank[2] = -1 }},
+		{"duplicate entry", "NewRank[2] = 1", func(s *RepairSpec) { s.NewRank[2] = 1 }},
+		{"short SweepParent", "SweepParent has 2 entries", func(s *RepairSpec) { s.SweepParent = s.SweepParent[:2] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			spec := valid()
+			c.edit(spec)
+			_, _, _, err := NewRepairEngine(spec, sim.Config{Seed: 1})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err %v; want one containing %q", err, c.want)
+			}
+		})
+	}
+}

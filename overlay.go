@@ -129,7 +129,11 @@ type BuildStats struct {
 	Bill
 	// ExpanderDiameter is the diameter of the final evolved graph.
 	ExpanderDiameter int
-	// SpectralGap estimates the final graph's conductance bracket.
+	// SpectralGap brackets the final graph's conductance. It is an
+	// estimate from 200 steps of power iteration whose start vector is
+	// drawn from the seed, so another start vector reads another value
+	// for the same graph (0.0171 and 0.0149 for one 256-node line
+	// evolved with ℓ = 8).
 	SpectralGap float64
 }
 
